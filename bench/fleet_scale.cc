@@ -6,7 +6,8 @@
  * Contiguitas) at the scale tier — small machines, short uptimes,
  * streaming scan sinks, coarse stepping, pooled per-worker server
  * arenas — and reports the numbers that bound population size:
- * frame-table bytes/frame, peak RSS (per shard when sharded),
+ * frame-table and ContigIndex bytes/frame, peak RSS (per shard when
+ * sharded),
  * servers/second and host heap allocations per server.
  *
  * Defaults to 100,000 servers; `--servers` and `--mem-mb` rescale.
@@ -17,7 +18,8 @@
  * both default off/on respectively elsewhere — see CTG_COARSE_STEP /
  * CTG_SLOT_POOL). The `--json BENCH_fleet.json` output carries, per
  * system, the measured `bytes_per_frame` next to
- * `bytes_per_frame_aos`, plus `allocs_per_server` next to the
+ * `bytes_per_frame_aos` and the index's `index_bytes_per_frame`,
+ * plus `allocs_per_server` next to the
  * churn-baseline `allocs_per_server_churn` a small pool-off probe
  * measures, so CI trend-tracks both the >= 2x footprint reduction
  * and the >= 10x allocation reduction directly.
@@ -48,6 +50,8 @@ struct PopulationResult
     /** Frame-table footprint of a representative end-of-run server
      * (meta + link columns + owner side table), per frame. */
     double bytesPerFrame = 0.0;
+    /** ContigIndex footprint of the same server, per frame. */
+    double indexBytesPerFrame = 0.0;
     /** Owner side-table entries per 1000 frames on that server. */
     double sideEntriesPerKiloFrame = 0.0;
     /** Population size this result covers. */
@@ -110,6 +114,10 @@ probeFootprint(const Fleet &fleet, PopulationResult *out)
     const double n =
         static_cast<double>(server.kernel().mem().numFrames());
     out->bytesPerFrame = static_cast<double>(frames.bytesUsed()) / n;
+    out->indexBytesPerFrame =
+        static_cast<double>(
+            server.kernel().mem().contigIndex().bytesUsed()) /
+        n;
     out->sideEntriesPerKiloFrame =
         1000.0 * static_cast<double>(frames.sideTableEntries()) / n;
 }
@@ -180,6 +188,11 @@ runPopulation(bool contiguitas, unsigned servers,
                   "{\"name\":\"%s.bytes_per_frame\",\"kind\":"
                   "\"gauge\",\"value\":%.3f}\n",
                   prefix, result.bytesPerFrame);
+    *stats_json += line;
+    std::snprintf(line, sizeof(line),
+                  "{\"name\":\"%s.index_bytes_per_frame\",\"kind\":"
+                  "\"gauge\",\"value\":%.3f}\n",
+                  prefix, result.indexBytesPerFrame);
     *stats_json += line;
     std::snprintf(line, sizeof(line),
                   "{\"name\":\"%s.side_entries_per_1k_frames\","
@@ -327,15 +340,18 @@ main(int argc, char **argv)
 
     Table table;
     table.header({"System", "free contig 2M", "unmov blocks 2M",
-                  "bytes/frame", "side entries/1k frames"});
+                  "bytes/frame", "index bytes/frame",
+                  "side entries/1k frames"});
     table.row({"Linux", formatPercent(linux_pop.meanFreeContiguity2m),
                formatPercent(linux_pop.meanUnmovableBlocks2m),
                cell(linux_pop.bytesPerFrame, 2),
+               cell(linux_pop.indexBytesPerFrame, 2),
                cell(linux_pop.sideEntriesPerKiloFrame, 1)});
     table.row({"Contiguitas",
                formatPercent(ctg_pop.meanFreeContiguity2m),
                formatPercent(ctg_pop.meanUnmovableBlocks2m),
                cell(ctg_pop.bytesPerFrame, 2),
+               cell(ctg_pop.indexBytesPerFrame, 2),
                cell(ctg_pop.sideEntriesPerKiloFrame, 1)});
     table.print();
 

@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "base/arena.hh"
 #include "base/env_config.hh"
 #include "base/logging.hh"
 
@@ -127,6 +128,9 @@ emit(Event &ev)
         s->buf.push_back(ev);
         return;
     }
+    // The collector outlives any task arena the calling thread may
+    // be routed through; it must grow on the host heap.
+    const ArenaSuspend suspend;
     std::lock_guard<std::mutex> lock(mu_);
     if (collected_.size() >= collectorCap &&
         ev.phase != Event::Phase::End) {
@@ -339,6 +343,7 @@ Scope::begin(TraceFlag flag, const char *name, const Arg *args,
         s->openStack.push_back(id_);
         s->buf.push_back(ev);
     } else {
+        const ArenaSuspend suspend; // see emit()
         std::lock_guard<std::mutex> lock(mu_);
         if (collected_.size() >= collectorCap) {
             ++collectorDropped_;
@@ -465,6 +470,7 @@ publish(std::vector<Event> events)
 {
     if (events.empty())
         return;
+    const ArenaSuspend suspend; // see emit()
     std::lock_guard<std::mutex> lock(mu_);
     // Ends bypass the cap only when their Begin made it in. A Begin
     // dropped at the cap poisons its span id so the matching End
@@ -573,6 +579,7 @@ writeJson(const std::string &path)
 void
 setExportPath(const std::string &path)
 {
+    const ArenaSuspend suspend; // see emit()
     std::lock_guard<std::mutex> lock(mu_);
     exportPath_ = path;
     if (!atexitRegistered_ && !exportPath_.empty()) {

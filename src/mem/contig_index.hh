@@ -6,32 +6,43 @@
  * computed by full scans over the frame array, re-run for four block
  * orders on every sampler tick of every server — the dominant
  * wall-clock cost of a population run. The ContigIndex replaces the
- * rescans with a buddy-style binary tree over the frame array: each
- * node at level L covers an aligned 2^L-frame block and holds the
- * number of free, unmovable and pinned frames inside it, and global
- * per-order counters track how many aligned blocks are fully free or
- * contain at least one unmovable page.
+ * rescans with two layers of derived state:
+ *
+ *  - four 1-bit-per-frame planes (free, unmovable, pinned,
+ *    movable-migratetype) answer everything below the pageblock by
+ *    popcount and count-trailing-zeros over 64-frame words;
+ *  - a buddy-style tree rooted at the pageblock: each node at level L
+ *    (hugeOrder <= L <= the machine's own top order) covers an
+ *    aligned 2^L-frame block and holds its free, unmovable and
+ *    movable-migratetype counts; global per-order counters track
+ *    how many aligned blocks of order >= hugeOrder are fully free or
+ *    contain at least one unmovable page.
  *
  * The index is *derived state*: it never interprets allocator
  * semantics. Mutation sites re-publish the frame range they touched
  * via resync(), which re-reads the per-frame truth (PageFrame flags),
- * diffs it against a cached per-frame snapshot, and folds the deltas
- * up the tree — O(range + log n) per call, so maintaining the index
- * costs the same order as the mutation itself. Because every counter
- * is recomputed from the same predicate the legacy scanners use
- * (PageFrame::isFree / isUnmovableAllocation), the index is
- * bit-identical to a fresh full scan at all times, including across
- * fault-injected rollbacks; the MemAuditor cross-checks this.
+ * diffs it word by word against the planes, and adds the count
+ * deltas to each touched pageblock node and its ancestors — O(range +
+ * pageblocks touched · tree height), with the tree height
+ * log2(machine) - hugeOrder rather than log2(machine).
+ * Because every counter is recomputed from the same predicate the
+ * legacy scanners use (PageFrame::isFree / isUnmovableAllocation),
+ * the index is bit-identical to a fresh full scan at all times,
+ * including across fault-injected rollbacks; the MemAuditor
+ * cross-checks this.
  *
- * Reads: whole-machine per-order queries are O(1) (the global
- * counters); arbitrary [lo, hi) ranges are answered from tree nodes
- * in O(range / 2^order + log n) without touching the frame array.
+ * Reads: whole-machine counts are O(1) for order 0 and orders >=
+ * hugeOrder (the orders the figures report) and one popcount pass
+ * over a plane for orders 1..hugeOrder-1. Arbitrary [lo, hi) ranges
+ * take their unaligned ends from the planes and the pageblock-aligned
+ * middle from tree nodes, without touching the frame array.
  *
  * Descent queries (DESIGN.md §12): beyond counting, the tree supports
  * positional search — "first mixed pageblock at or after lo", "first
  * (lowest or highest) fully-free aligned order-o block", "first
  * allocated/unmovable/movable-migratetype frame" — by descending from
- * the top level and pruning subtrees whose aggregates rule out a hit.
+ * the top level, pruning subtrees whose aggregates rule out a hit,
+ * and finishing inside a pageblock with a bit search over the planes.
  * Two extra per-node aggregates make the pruning exact: `mixed`
  * counts compaction-worthy pageblocks (>= 1 free and >= 1
  * movable-allocated frame) in the subtree, and `maxFF` is the largest
@@ -59,18 +70,21 @@ class ContigIndex
   public:
     explicit ContigIndex(const FrameArray &frames);
 
-    /** Highest tree level maintained (1 GB blocks). */
-    static constexpr unsigned topLevel = gigaOrder;
+    /** Highest block order the queries answer (1 GB blocks). The
+     * tree itself stops at the machine's own top order; larger
+     * orders have no aligned block inside the machine. */
+    static constexpr unsigned maxQueryOrder = gigaOrder;
 
     /**
      * Re-read frames [lo, hi) from the frame array and fold any state
-     * changes into the tree. Every code path that mutates a frame's
+     * changes into the index. Every code path that mutates a frame's
      * free/unmovable/pinned/source state must call this (via
      * PhysMem::noteFramesChanged) before the next metric read.
      */
     void resync(Pfn lo, Pfn hi);
 
-    /** @{ Whole-machine counters, O(1). */
+    /** @{ Whole-machine counters: O(1) for order 0 and orders >=
+     * hugeOrder, one plane pass for the orders in between. */
     std::uint64_t numFrames() const { return n_; }
     std::uint64_t freePages() const { return freePages_; }
     std::uint64_t unmovablePages() const { return unmovablePages_; }
@@ -181,123 +195,152 @@ class ContigIndex
     /** @{ Maintenance counters (observability). */
     std::uint64_t resyncCalls() const { return resyncCalls_; }
     std::uint64_t framesRescanned() const { return framesRescanned_; }
+    /** Host bytes held by the index (planes, source cache, tree). */
+    std::uint64_t bytesUsed() const;
     /** @} */
 
   private:
     /** Per-block occupancy counts and search aggregates of one tree
-     * node. The aggregates (mixed, maxFF) are derived bottom-up from
-     * the children, so the comparison must include them: two nodes
-     * with identical counts can differ in where the free frames sit,
-     * and the fold relies on operator== to know when a parent's
-     * aggregates may have moved. */
+     * node (level >= hugeOrder). The counts are additive, so a
+     * change moves every ancestor by the same delta; the aggregates
+     * (mixed, maxFF) are derived bottom-up. Pinned frames are only
+     * ever counted per pageblock, so they come from the pinned
+     * plane instead. */
     struct Node
     {
         std::uint32_t free = 0;
         std::uint32_t unmov = 0;
-        std::uint32_t pinned = 0;
         /** Allocated frames with MigrateType::Movable (pin state
          * ignored — the region-confinement predicate). */
         std::uint32_t movableMt = 0;
         /** Mixed pageblocks (>= 1 free, >= 1 movable-allocated
-         * frame) in the subtree. Zero below level hugeOrder. */
+         * frame) in the subtree; 0 or 1 at level hugeOrder. */
         std::uint32_t mixed = 0;
         /** Largest order j such that the subtree contains a
          * fully-free aligned order-j block; -1 when no frame is
          * free. */
         std::int8_t maxFF = -1;
-
-        bool
-        operator==(const Node &o) const
-        {
-            return free == o.free && unmov == o.unmov &&
-                   pinned == o.pinned && movableMt == o.movableMt &&
-                   mixed == o.mixed && maxFF == o.maxFF;
-        }
     };
 
-    static constexpr std::uint8_t LeafFree = 1 << 0;
-    static constexpr std::uint8_t LeafUnmovable = 1 << 1;
-    static constexpr std::uint8_t LeafPinned = 1 << 2;
-    static constexpr std::uint8_t LeafMovableMt = 1 << 3;
-
-    /** Leaf predicate bits of a frame, computed straight from the
-     * packed meta word (one load per frame on the resync hot path).
-     * Same predicates the legacy scanners evaluate: a free frame is
-     * only LeafFree; an allocated one is unmovable when its
-     * migratetype is not Movable or it is pinned. */
-    static std::uint8_t
-    leafBits(std::uint16_t meta)
+    /** The four 1-bit-per-frame predicate planes over one run of 64
+     * frames, interleaved so a resync touches one cache line. */
+    struct PlaneWord
     {
-        if (meta & PageFrame::FlagFree)
-            return LeafFree;
-        const bool pinned = meta & PageFrame::FlagPinned;
-        const bool movable_mt =
-            ((meta >> FrameArray::metaMtShift) &
-             FrameArray::metaMtMask) ==
-            static_cast<std::uint16_t>(MigrateType::Movable);
-        std::uint8_t bits = 0;
-        if (!movable_mt || pinned)
-            bits |= LeafUnmovable;
-        if (pinned)
-            bits |= LeafPinned;
-        if (movable_mt)
-            bits |= LeafMovableMt;
-        return bits;
+        std::uint64_t free = 0;
+        /** Allocated and (not Movable-migratetype or pinned). */
+        std::uint64_t unmov = 0;
+        std::uint64_t pinned = 0;
+        /** Allocated with MigrateType::Movable, pinned or not. */
+        std::uint64_t movableMt = 0;
+    };
+    /** Selects one plane of a PlaneWord. */
+    using Plane = std::uint64_t PlaneWord::*;
+    static constexpr Plane freeBits = &PlaneWord::free;
+    static constexpr Plane unmovBits = &PlaneWord::unmov;
+    static constexpr Plane pinnedBits = &PlaneWord::pinned;
+    static constexpr Plane movableMtBits = &PlaneWord::movableMt;
+    static constexpr unsigned wordsPerBlock = pagesPerHuge / 64;
+
+    std::vector<Node> &
+    level(unsigned order)
+    {
+        return levels_[order - hugeOrder];
+    }
+    const std::vector<Node> &
+    level(unsigned order) const
+    {
+        return levels_[order - hugeOrder];
     }
 
-    /** Node spanned by level-1 node `index`, recomputed from leaves. */
-    Node nodeFromLeaves(std::uint64_t index) const;
-    /** Node at `level` >= 2 recomputed from its two children. */
-    Node nodeFromChildren(unsigned level, std::uint64_t index) const;
+    /** Largest fully-free aligned order (<= hugeOrder) inside
+     * pageblock `block`, from its words' wordMaxFF_; -1 if none. */
+    int blockMaxFF(std::uint64_t block) const;
+    /** Apply the summed plane deltas of one pageblock to its node,
+     * then walk its ancestors: their counts move by the same deltas
+     * and their maxFF is refolded from the two children. Keeps the
+     * machine totals and per-order global counters current. */
+    struct BlockDelta;
+    void applyBlockDelta(std::uint64_t block, const BlockDelta &d);
+    /** Per-order global counter update for one node that was fully
+     * free / tainted before and is `now` (in-machine nodes only). */
+    void countTransition(unsigned order, std::uint64_t index,
+                         bool was_full, bool was_tainted,
+                         const Node &now);
 
-    /** Generic first/last-frame descent: nodeHas(node, coverage)
-     * says whether the subtree can contain a hit, leafHas(bits) tests
-     * one frame. Exact node predicates make the pruning lossless.
-     * Defined in the .cc (only instantiated there). */
-    template <typename NodeHas, typename LeafHas>
-    Pfn findFrame(Pfn lo, Pfn hi, bool highest, NodeHas &&nodeHas,
-                  LeafHas &&leafHas) const;
-    template <typename NodeHas, typename LeafHas>
-    Pfn findFrameRec(unsigned level, std::uint64_t index, Pfn lo,
-                     Pfn hi, bool highest, const NodeHas &nodeHas,
-                     const LeafHas &leafHas) const;
+    /** Popcount of plane bits in [lo, hi). */
+    std::uint64_t planeCount(Plane plane, Pfn lo, Pfn hi) const;
+    /** Plane popcount of [lo, hi) plus tree counts for its
+     * pageblock-aligned middle; field selects the node counter. */
+    std::uint64_t pagesIn(Plane plane, std::uint32_t Node::*field,
+                          Pfn lo, Pfn hi) const;
+    /** Aligned order-blocks (order < hugeOrder) within the
+     * order-aligned [lo, hi) whose plane bits are all set (all) or
+     * include at least one set bit (!all). */
+    std::uint64_t planeBlocks(Plane plane, Pfn lo, Pfn hi,
+                              unsigned order, bool all) const;
+    /** Lowest (or highest) base in the order-aligned [lo, hi), all
+     * inside one pageblock, of an aligned order-block (order <
+     * hugeOrder) whose plane bits are all set; bits are inverted
+     * first when `invert`. invalidPfn when none. */
+    Pfn planeFind(Plane plane, Pfn lo, Pfn hi, unsigned order,
+                  bool highest, bool invert) const;
 
-    /** Subtree descent for firstMixedBlock (stops at level
-     * hugeOrder). */
-    Pfn findMixedRec(unsigned level, std::uint64_t index, Pfn lo,
-                     Pfn hi) const;
-
-    /** Subtree descent for firstFullyFreeSpan (stops at level
-     * `order`, pruning on maxFF). */
-    Pfn findSpanRec(unsigned level, std::uint64_t index, Pfn lo,
-                    Pfn hi, unsigned order, bool highest) const;
+    /** Generic descent from the top level: nodeHas(node, coverage)
+     * says whether a subtree can contain a hit; at level `stop`,
+     * atStop(index, a, b) resolves the node clipped to [a, b).
+     * Exact node predicates make the pruning lossless. Defined in
+     * the .cc (only instantiated there). */
+    template <typename NodeHas, typename AtStop>
+    Pfn descend(Pfn lo, Pfn hi, unsigned stop, bool highest,
+                const NodeHas &nodeHas, const AtStop &atStop) const;
+    template <typename NodeHas, typename AtStop>
+    Pfn descendRec(unsigned order, std::uint64_t index, Pfn lo,
+                   Pfn hi, unsigned stop, bool highest,
+                   const NodeHas &nodeHas,
+                   const AtStop &atStop) const;
+    /** First frame in [lo, hi) whose plane bit (inverted when
+     * `invert`) is set, pruning on nodeHas. */
+    template <typename NodeHas>
+    Pfn findFrame(Plane plane, bool invert, Pfn lo, Pfn hi,
+                  const NodeHas &nodeHas) const;
 
     /** True when the node covers only whole in-machine frames, i.e.
      * participates in the per-order global counters (mirrors the
      * scanners' trimming of a partial tail block). */
     bool
-    nodeInMachine(unsigned level, std::uint64_t index) const
+    nodeInMachine(unsigned order, std::uint64_t index) const
     {
-        return ((index + 1) << level) <= n_;
+        return ((index + 1) << order) <= n_;
     }
 
     const FrameArray &frames_;
     std::uint64_t n_;
+    /** Top tree order: ceil(log2 n_) clamped to
+     * [hugeOrder, maxQueryOrder]. */
+    unsigned top_;
 
-    /** Cached per-frame predicate bits (LeafFree/Unmovable/Pinned). */
-    std::vector<std::uint8_t> leaf_;
+    /** The planes, 64 frames per entry, padded to whole pageblocks
+     * (padding bits stay zero). */
+    std::vector<PlaneWord> words_;
+    /** Per free-plane word: the largest order o <= 6 of an aligned
+     * fully-free block inside it, -1 when none (6 = whole word).
+     * Lets a free-plane change refold its pageblock's maxFF without
+     * re-searching the seven unchanged words. */
+    std::vector<std::int8_t> wordMaxFF_;
     /** Cached AllocSource of each unmovable frame. */
     std::vector<std::uint8_t> leafSrc_;
-    /** levels_[L-1] holds level L (block order L), L in 1..topLevel. */
-    std::array<std::vector<Node>, topLevel> levels_;
+    /** levels_[L - hugeOrder] holds level L, L in hugeOrder..top_
+     * (empty above top_). */
+    std::array<std::vector<Node>, maxQueryOrder - hugeOrder + 1>
+        levels_;
 
     std::uint64_t freePages_ = 0;
     std::uint64_t unmovablePages_ = 0;
     std::uint64_t pinnedPages_ = 0;
-    /** Indexed by order 1..topLevel (entry 0 unused; order-0 queries
-     * answer from the leaf totals). */
-    std::array<std::uint64_t, topLevel + 1> fullFree_{};
-    std::array<std::uint64_t, topLevel + 1> tainted_{};
+    /** Indexed by order; only entries hugeOrder..top_ are maintained
+     * (smaller orders answer from the planes, larger ones are 0). */
+    std::array<std::uint64_t, maxQueryOrder + 1> fullFree_{};
+    std::array<std::uint64_t, maxQueryOrder + 1> tainted_{};
     std::array<std::uint64_t, numAllocSources> bySource_{};
 
     std::uint64_t resyncCalls_ = 0;

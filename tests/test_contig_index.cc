@@ -26,11 +26,14 @@ namespace ctg
 namespace
 {
 
-/** Orders checked against the reference scanner (order1G included:
- * trivially zero blocks on small rigs, exercised on the 1 GiB rig).
- */
-constexpr unsigned checkOrders[] = {1, scan::order2M, scan::order4M,
-                                    scan::order32M, scan::order1G};
+/** Orders checked against the reference scanner: every order from 1
+ * to 1 GB. Orders below the pageblock answer from the 1-bit planes
+ * (orders 7 and 8 span several plane words); orders above a small
+ * rig's own top order are trivially zero there and exercised on the
+ * 1 GiB rigs. */
+constexpr unsigned checkOrders[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,
+                                    10, 11, 12, 13, 14, 15, 16, 17, 18};
+static_assert(checkOrders[std::size(checkOrders) - 1] == scan::order1G);
 
 /** Frame-walk ground truth independent of both the index and the
  * reference scanner's own arithmetic. */
@@ -221,6 +224,20 @@ expectDescentQueriesExact(const PhysMem &mem, Rng &rng)
                   highest)
             << "order " << order;
     }
+
+    // Per-node counts below the pageblock come from the planes.
+    const unsigned order = 1 + rng.below(hugeOrder - 1);
+    const std::uint64_t index = rng.below(n >> order);
+    std::uint64_t node_free = 0, node_unmov = 0;
+    for (Pfn pfn = index << order; pfn < (index + 1) << order; ++pfn) {
+        const auto f = mem.frame(pfn);
+        node_free += f.isFree();
+        node_unmov += f.isUnmovableAllocation();
+    }
+    EXPECT_EQ(idx.nodeFreePages(order, index), node_free)
+        << "order " << order << " index " << index;
+    EXPECT_EQ(idx.nodeUnmovablePages(order, index), node_unmov)
+        << "order " << order << " index " << index;
 }
 
 MigrateType
@@ -242,11 +259,18 @@ randomSource(Rng &rng)
     return static_cast<AllocSource>(rng.below(numAllocSources));
 }
 
-TEST(ContigIndexProperty, RandomAllocFreePinSequencesStayExact)
+/**
+ * Random alloc/free/pin/setBlockPinned sequence on one machine size,
+ * checking the index against the reference scans every `check_every`
+ * steps (and the descent queries when `descents` is set).
+ */
+void
+runAllocFreePinProperty(std::uint64_t bytes, std::uint64_t seed,
+                        int steps, int check_every, bool descents)
 {
-    PhysMem mem(64_MiB);
+    PhysMem mem(bytes);
     BuddyAllocator buddy(mem, 0, mem.numFrames(), "prop");
-    Rng rng(0xc0117);
+    Rng rng(seed);
 
     struct Live
     {
@@ -256,7 +280,7 @@ TEST(ContigIndexProperty, RandomAllocFreePinSequencesStayExact)
     };
     std::vector<Live> live;
 
-    for (int step = 0; step < 400; ++step) {
+    for (int step = 0; step < steps; ++step) {
         const unsigned op = rng.below(100);
         if (op < 45) {
             const unsigned order = rng.below(5);
@@ -291,12 +315,32 @@ TEST(ContigIndexProperty, RandomAllocFreePinSequencesStayExact)
                               });
             entry.pinned = mem.frame(entry.head).isPinned();
         }
-        if (step % 4 == 0)
+        if (step % check_every == 0) {
             expectIndexExact(mem, rng);
+            if (descents)
+                expectDescentQueriesExact(mem, rng);
+        }
         if (::testing::Test::HasFailure())
-            FAIL() << "diverged at step " << step;
+            FAIL() << bytes << " bytes: diverged at step " << step;
     }
     expectIndexExact(mem, rng);
+    if (descents)
+        expectDescentQueriesExact(mem, rng);
+}
+
+TEST(ContigIndexProperty, RandomAllocFreePinSequencesStayExact)
+{
+    runAllocFreePinProperty(64_MiB, 0xc0117, 400, 4, false);
+}
+
+/** Machines whose size is not a power of two: the tree's top order is
+ * sized to cover them, so its top node is partial (6 MiB: one order-11
+ * node over three pageblocks; 1 GiB + 2 MiB: a second 1 GB top node
+ * holding one pageblock). */
+TEST(ContigIndexProperty, NonPowerOfTwoMachinesStayExact)
+{
+    runAllocFreePinProperty(6_MiB, 0x6b6b, 400, 4, true);
+    runAllocFreePinProperty(1_GiB + 2_MiB, 0x1602, 400, 100, true);
 }
 
 TEST(ContigIndexProperty, GiganticAndRangeOpsStayExact)

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <vector>
 
 #include "base/arena.hh"
@@ -562,6 +563,23 @@ TEST(FrameTableFootprint, RepresentativeServerStaysUnderBudget)
     EXPECT_GE(perFrame, 10.0); // the structural floor
 }
 
+TEST(FrameTableFootprint, ContigIndexStaysUnderTwoBytesPerFrame)
+{
+    // The index is four 1-bit planes plus a source byte per frame and
+    // a pageblock-rooted tree: about 1.6 bytes/frame. Checked on the
+    // scale-tier shape and on a machine whose size is not a power of
+    // two (partial top node). Every part is sized at construction and
+    // never grows, so an unused machine shows the steady footprint.
+    for (const std::uint64_t bytes : {64_MiB, 1_GiB + 2_MiB}) {
+        const PhysMem mem(bytes);
+        const double perFrame =
+            static_cast<double>(mem.contigIndex().bytesUsed()) /
+            static_cast<double>(mem.numFrames());
+        EXPECT_LE(perFrame, 2.0) << bytes << " bytes";
+        EXPECT_GE(perFrame, 1.5) << bytes << " bytes"; // planes + src
+    }
+}
+
 // ---------------------------------------------------------------
 // Snapshot link/side-table validation (hostile images)
 // ---------------------------------------------------------------
@@ -1037,6 +1055,59 @@ TEST(Arena, ScopeRoutesOperatorNewAndSuspendRestoresHeap)
     }
     EXPECT_EQ(activeArena(), nullptr);
     arena.reset();
+}
+
+/** Open `depth` nested spans on the calling thread's stream. */
+void
+openNestedSpans(unsigned depth)
+{
+    if (depth == 0)
+        return;
+    CTG_SPAN(Region, "nested");
+    openNestedSpans(depth - 1);
+}
+
+TEST(Arena, UncapturedSpansOutliveTheArenaTheyWereOpenedIn)
+{
+    // The scale-tier footprint probe runs a server under an
+    // ArenaScope on the main thread with no span Capture, so its
+    // spans go straight to the global collector. The collector (and
+    // its open-span stack) must not grow inside the arena: once the
+    // arena is destroyed, the next span would write into, and
+    // reallocate from, freed memory.
+    spans::resetForTest();
+    spans::enableAll();
+    constexpr unsigned inArena = 100;
+    constexpr unsigned afterArena = 200;
+    constexpr unsigned depth = 32;
+    {
+        auto arena = std::make_unique<Arena>();
+        {
+            const ArenaScope scope(*arena);
+            for (unsigned i = 0; i < inArena; ++i)
+                openNestedSpans(depth);
+        }
+        arena.reset();
+    }
+    for (unsigned i = 0; i < afterArena; ++i)
+        openNestedSpans(2 * depth);
+
+    const std::vector<spans::Event> events = spans::collectedEvents();
+    ASSERT_EQ(events.size(),
+              2u * (inArena * depth + afterArena * 2 * depth));
+    std::vector<std::uint64_t> open;
+    for (const spans::Event &e : events) {
+        if (e.phase == spans::Event::Phase::Begin) {
+            EXPECT_EQ(e.parent, open.empty() ? 0u : open.back());
+            open.push_back(e.id);
+        } else {
+            ASSERT_FALSE(open.empty());
+            EXPECT_EQ(e.id, open.back());
+            open.pop_back();
+        }
+    }
+    EXPECT_TRUE(open.empty());
+    spans::resetForTest();
 }
 
 // ---------------------------------------------------------------
