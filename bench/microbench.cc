@@ -89,10 +89,9 @@ BM_ContiguityScan2MReference(benchmark::State &state)
     PhysMem mem(512_MiB);
     BuddyAllocator buddy(mem, 0, mem.numFrames(), "bm");
     fragmentForScan(mem, buddy);
-    mem.setContigIndexReads(false);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(mem.stats().unmovableBlockFraction(
-            0, mem.numFrames(), scan::order2M));
+        benchmark::DoNotOptimize(scan::reference::unmovableBlockFraction(
+            mem, 0, mem.numFrames(), scan::order2M));
     }
 }
 BENCHMARK(BM_ContiguityScan2MReference);
@@ -104,7 +103,6 @@ BM_ContiguityScan2MIndex(benchmark::State &state)
     PhysMem mem(512_MiB);
     BuddyAllocator buddy(mem, 0, mem.numFrames(), "bm");
     fragmentForScan(mem, buddy);
-    mem.setContigIndexReads(true);
     for (auto _ : state) {
         benchmark::DoNotOptimize(mem.stats().unmovableBlockFraction(
             0, mem.numFrames(), scan::order2M));

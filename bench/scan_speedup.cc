@@ -3,14 +3,16 @@
  * Scan-path microbenchmark: the full fleet metric set (ServerScan —
  * free contiguity at four orders, unmovable-block fractions,
  * potential contiguity, per-source attribution, free/aligned-block
- * counts) read through the legacy full-scan reference path vs the
- * incremental ContigIndex (DESIGN.md §11).
+ * counts) computed by the linear scan::reference loops
+ * (Server::referenceScan) vs read through MemStats from the
+ * incremental ContigIndex (Server::scan; DESIGN.md §11).
  *
  * The rig mirrors the Figure 11 population sampling: fig11-style
  * fragmented 2 GiB servers, each scanned many times per run the way
- * the fleet studies sample populations. Both read paths must produce
- * bit-identical ServerScan values; the benchmark verifies that on
- * every scan before timing is reported.
+ * the fleet studies sample populations. The reference loops are the
+ * audit oracle of the index, so both must produce bit-identical
+ * ServerScan values; the benchmark verifies that on every server
+ * before timing is reported.
  *
  * `--json BENCH_scan.json` dumps machine-readable results (keys
  * `bench_scan.*`) for the CI artifact.
@@ -52,19 +54,18 @@ identical(const ServerScan &a, const ServerScan &b)
     return std::memcmp(&a, &b, sizeof(ServerScan)) == 0;
 }
 
+/** Wall ms of scansPerServer calls of scan_fn; the last result lands
+ * in *out. */
+template <typename ScanFn>
 double
-timeScans(Server &server, bool index_reads, ServerScan *out)
+timeScans(ScanFn scan_fn, ServerScan *out)
 {
-    server.kernel().mem().setContigIndexReads(index_reads);
     const auto start = std::chrono::steady_clock::now();
-    ServerScan scan;
     for (unsigned i = 0; i < scansPerServer; ++i)
-        scan = server.scan();
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    *out = scan;
-    return ms;
+        *out = scan_fn();
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
 }
 
 } // namespace
@@ -90,10 +91,10 @@ main(int argc, char **argv)
 
         ServerScan ref_scan;
         ServerScan index_scan;
-        const double ref_ms =
-            timeScans(server, /*index_reads=*/false, &ref_scan);
-        const double index_ms =
-            timeScans(server, /*index_reads=*/true, &index_scan);
+        const double ref_ms = timeScans(
+            [&server] { return server.referenceScan(); }, &ref_scan);
+        const double index_ms = timeScans(
+            [&server] { return server.scan(); }, &index_scan);
         const bool same = identical(ref_scan, index_scan);
         all_identical = all_identical && same;
         ref_total_ms += ref_ms;

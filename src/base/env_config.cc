@@ -104,12 +104,6 @@ EnvConfig::fromEnv()
 
     config.csvTables = std::getenv("CTG_CSV") != nullptr;
 
-    if (const char *env = std::getenv("CTG_CONTIG_INDEX")) {
-        if (!parseBool(env, &config.contigIndexReads))
-            warn_once("ignoring malformed CTG_CONTIG_INDEX '%s'",
-                      env);
-    }
-
     if (const char *env = std::getenv("CTG_EXACT_PREF")) {
         if (!parseBool(env, &config.exactPref))
             warn_once("ignoring malformed CTG_EXACT_PREF '%s'",

@@ -60,15 +60,10 @@ struct EnvConfig
     /** CTG_CSV: append CSV renderings after bench tables. */
     bool csvTables = false;
 
-    /** CTG_CONTIG_INDEX: metric reads answer from the ContigIndex
-     * (default on; "0"/"off"/"false"/"no" disable, forcing the
-     * legacy full-scan reference path). */
-    bool contigIndexReads = true;
-
     /** CTG_EXACT_PREF: AddrPref allocations pick the exact
      * lowest/highest free block via an index descent instead of the
-     * capped free-list scan (default off — unlike CTG_CONTIG_INDEX
-     * this changes placement, so it is opt-in). */
+     * capped free-list scan (default off — this changes placement,
+     * so it is opt-in). */
     bool exactPref = false;
 
     /** CTG_COARSE_STEP: fleet servers batch workload events into

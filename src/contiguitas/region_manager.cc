@@ -222,33 +222,17 @@ RegionManager::evacuateRange(BuddyAllocator &alloc, Pfn lo, Pfn hi)
              {{"lo", static_cast<std::int64_t>(lo)},
               {"hi", static_cast<std::int64_t>(hi)}});
 
-    if (mem_.contigIndexReads()) {
-        // Hop between allocated heads; the range is isolated, so
-        // evacuation destinations always land outside [lo, hi) and
-        // each re-query sees exactly the state the linear walk
-        // would at the same head.
-        const ContigIndex &idx = mem_.contigIndex();
-        Pfn pfn = lo;
-        while (pfn < hi) {
-            pfn = idx.firstAllocatedFrame(pfn, hi);
-            if (pfn == invalidPfn)
-                return true;
-            const auto f = mem_.frame(pfn);
-            if (!f.isHead()) {
-                ++pfn;
-                continue;
-            }
-            const Pfn span = Pfn{1} << f.order();
-            if (!evacuateBlock(alloc, pfn, lo, hi, hwEnabled_))
-                return false;
-            pfn += span;
-        }
-        return true;
-    }
-
-    for (Pfn pfn = lo; pfn < hi;) {
+    // Hop between allocated heads; the range is isolated, so
+    // evacuation destinations always land outside [lo, hi) and each
+    // re-query sees the state left by the previous evacuation.
+    const ContigIndex &idx = mem_.contigIndex();
+    Pfn pfn = lo;
+    while (pfn < hi) {
+        pfn = idx.firstAllocatedFrame(pfn, hi);
+        if (pfn == invalidPfn)
+            return true;
         const auto f = mem_.frame(pfn);
-        if (f.isFree() || !f.isHead()) {
+        if (!f.isHead()) {
             ++pfn;
             continue;
         }
@@ -459,39 +443,26 @@ RegionManager::defragUnmovable(std::uint64_t max_migrations)
                      static_cast<std::int64_t>(max_migrations)}});
     std::uint64_t migrated = 0;
     const Pfn end = boundary();
-    const bool indexed = mem_.contigIndexReads();
+    const ContigIndex &idx = mem_.contigIndex();
 
     // Walk 2 MB blocks top-down (near the border first) and evacuate
-    // sparse ones toward the low end of the region. With index paths
-    // on, occupancy comes from one subtree query per block and the
-    // inner walk hops between allocated heads; selection and
-    // migration order match the frame walk exactly because each
-    // query runs at the same point in the mutation sequence.
+    // sparse ones toward the low end of the region. Occupancy comes
+    // from one subtree query per block and the inner walk hops
+    // between allocated heads.
     for (Pfn block = end; block >= pagesPerHuge && migrated < max_migrations;
          block -= pagesPerHuge) {
         const Pfn base = block - pagesPerHuge;
-        std::uint64_t used = 0;
-        if (indexed) {
-            used = pagesPerHuge -
-                   mem_.contigIndex().freePagesIn(base, block);
-        } else {
-            for (Pfn pfn = base; pfn < block; ++pfn) {
-                if (!mem_.frame(pfn).isFree())
-                    ++used;
-            }
-        }
+        const std::uint64_t used =
+            pagesPerHuge - idx.freePagesIn(base, block);
         if (used == 0 || used > pagesPerHuge / 2)
             continue;
 
         for (Pfn pfn = base; pfn < block && migrated < max_migrations;) {
-            if (indexed) {
-                pfn = mem_.contigIndex().firstAllocatedFrame(pfn,
-                                                             block);
-                if (pfn == invalidPfn)
-                    break;
-            }
+            pfn = idx.firstAllocatedFrame(pfn, block);
+            if (pfn == invalidPfn)
+                break;
             const auto f = mem_.frame(pfn);
-            if (f.isFree() || !f.isHead()) {
+            if (!f.isHead()) {
                 ++pfn;
                 continue;
             }
@@ -568,62 +539,31 @@ RegionManager::auditConfinement(AuditReport &report) const
     const Pfn b = boundary();
     const Pfn n = mem_.numFrames();
 
-    if (mem_.contigIndexReads()) {
-        // The violating frames are exactly the movable-migratetype
-        // allocations inside [0, b) and the unmovable allocations in
-        // [b, n); enumerate only those via index descents, in the
-        // same ascending frame order as the reference walk. Stop
-        // once the report is full — further violation() calls would
-        // be dropped anyway.
-        const ContigIndex &idx = mem_.contigIndex();
-        for (Pfn pfn = idx.firstMovableMtFrame(0, b);
-             pfn != invalidPfn;) {
-            report.violation(
-                "movable allocation at %llu inside unmovable "
-                "region [0, %llu)",
-                static_cast<unsigned long long>(pfn),
-                static_cast<unsigned long long>(b));
-            if (report.violations.size() >= AuditReport::maxViolations)
-                return;
-            const Pfn next = pfn + 1;
-            pfn = next >= b ? invalidPfn
-                            : idx.firstMovableMtFrame(next, b);
-        }
-        for (Pfn pfn = idx.firstUnmovableFrame(b, n);
-             pfn != invalidPfn;) {
-            report.violation(
-                "unmovable allocation at %llu outside the "
-                "unmovable region [0, %llu)",
-                static_cast<unsigned long long>(pfn),
-                static_cast<unsigned long long>(b));
-            if (report.violations.size() >= AuditReport::maxViolations)
-                return;
-            const Pfn next = pfn + 1;
-            pfn = next >= n ? invalidPfn
-                            : idx.firstUnmovableFrame(next, n);
-        }
-        return;
+    // The violating frames are exactly the movable-migratetype
+    // allocations inside [0, b) and the unmovable allocations in
+    // [b, n); enumerate only those via index descents, in ascending
+    // frame order. Stop once the report is full — further
+    // violation() calls would be dropped anyway.
+    const ContigIndex &idx = mem_.contigIndex();
+    for (Pfn pfn = idx.firstMovableMtFrame(0, b); pfn != invalidPfn;) {
+        report.violation("movable allocation at %llu inside unmovable "
+                         "region [0, %llu)",
+                         static_cast<unsigned long long>(pfn),
+                         static_cast<unsigned long long>(b));
+        if (report.violations.size() >= AuditReport::maxViolations)
+            return;
+        const Pfn next = pfn + 1;
+        pfn = next >= b ? invalidPfn : idx.firstMovableMtFrame(next, b);
     }
-
-    for (Pfn pfn = 0; pfn < n; ++pfn) {
-        const auto f = mem_.frame(pfn);
-        if (f.isFree())
-            continue;
-        if (pfn < b) {
-            if (f.migrateType() == MigrateType::Movable)
-                report.violation(
-                    "movable allocation at %llu inside unmovable "
-                    "region [0, %llu)",
-                    static_cast<unsigned long long>(pfn),
-                    static_cast<unsigned long long>(b));
-        } else {
-            if (f.isUnmovableAllocation())
-                report.violation(
-                    "unmovable allocation at %llu outside the "
-                    "unmovable region [0, %llu)",
-                    static_cast<unsigned long long>(pfn),
-                    static_cast<unsigned long long>(b));
-        }
+    for (Pfn pfn = idx.firstUnmovableFrame(b, n); pfn != invalidPfn;) {
+        report.violation("unmovable allocation at %llu outside the "
+                         "unmovable region [0, %llu)",
+                         static_cast<unsigned long long>(pfn),
+                         static_cast<unsigned long long>(b));
+        if (report.violations.size() >= AuditReport::maxViolations)
+            return;
+        const Pfn next = pfn + 1;
+        pfn = next >= n ? invalidPfn : idx.firstUnmovableFrame(next, n);
     }
 }
 

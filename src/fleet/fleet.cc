@@ -32,8 +32,6 @@ Fleet::Config::applyEnvOverlay()
         parsePolicySpec(env.policySpec, &policy);
     if (workloadOverride.empty())
         workloadOverride = env.workloadOverride;
-    if (!contigIndexReads)
-        contigIndexReads = env.contigIndexReads;
     if (!exactPref)
         exactPref = env.exactPref;
     if (!coarseStep)
@@ -51,21 +49,20 @@ Fleet::Config::applyEnvOverlay()
 namespace
 {
 
-/** Resolve the named workload override against workloadKey(),
- * falling back to the deprecated enum field. An unknown name warns
- * and defers to the enum shim (then to the sampled mix) — a typo in
+/** Resolve the named workload override against workloadKey(). An
+ * unknown name warns and leaves the sampled mix in place — a typo in
  * CTG_WORKLOAD must not silently pick a kind. */
 std::optional<WorkloadKind>
 resolvedKindOverride(const Fleet::Config &config)
 {
-    if (!config.workloadOverride.empty()) {
-        WorkloadKind kind = WorkloadKind::Web;
-        if (parseWorkloadKind(config.workloadOverride, &kind))
-            return kind;
-        warn_once("ignoring unknown workload override '%s'",
-                  config.workloadOverride.c_str());
-    }
-    return config.kindOverride;
+    if (config.workloadOverride.empty())
+        return std::nullopt;
+    WorkloadKind kind = WorkloadKind::Web;
+    if (parseWorkloadKind(config.workloadOverride, &kind))
+        return kind;
+    warn_once("ignoring unknown workload override '%s'",
+              config.workloadOverride.c_str());
+    return std::nullopt;
 }
 
 } // namespace
@@ -129,7 +126,6 @@ Fleet::baseServerConfig() const
     sc.memBytes = config_.memBytes;
     sc.policy = config_.policy;
     sc.sharedTables = tables_;
-    sc.contigIndexReads = config_.contigIndexReads;
     sc.exactPref = config_.exactPref;
     sc.coarseStep = config_.coarseStep;
     sc.extraUptimeSec = config_.extraUptimeSec;
@@ -208,7 +204,7 @@ Fleet::run()
         WorkloadKind::CacheB, WorkloadKind::CI,
         WorkloadKind::Nginx,  WorkloadKind::Memcached,
     };
-    const std::optional<WorkloadKind> kindOverride =
+    const std::optional<WorkloadKind> pinnedKind =
         resolvedKindOverride(config_);
 
     // Pre-sample every server's configuration from the fleet RNG on
@@ -228,8 +224,8 @@ Fleet::run()
         sc = base;
         sc.kind = kinds[rng.below(std::size(kinds))];
         // Applied after the draw so the seed stream is unchanged.
-        if (kindOverride)
-            sc.kind = *kindOverride;
+        if (pinnedKind)
+            sc.kind = *pinnedKind;
         sc.intensity =
             config_.minIntensity +
             rng.uniform() * (config_.maxIntensity -

@@ -72,18 +72,10 @@ class Fleet
          * vocabulary: "web", "cache-a", ..., "aging") instead of
          * sampling the standard six-kind mix — population studies of
          * a single workload (Figure 11 cells). Empty defers to
-         * CTG_WORKLOAD, then to the deprecated kindOverride below.
-         * The kind draw is still taken from the fleet RNG so the
-         * rest of the seed stream is unchanged. Unknown names warn
-         * and leave the sampled mix in place. */
+         * CTG_WORKLOAD. The kind draw is still taken from the fleet
+         * RNG so the rest of the seed stream is unchanged. Unknown
+         * names warn and leave the sampled mix in place. */
         std::string workloadOverride;
-        /** DEPRECATED (one-release shim): enum-typed form of
-         * workloadOverride; ignored whenever workloadOverride or
-         * CTG_WORKLOAD names a kind. Use workloadOverride. */
-        std::optional<WorkloadKind> kindOverride;
-        /** Per-server ContigIndex read toggle, copied into every
-         * Server::Config (nullopt = CTG_CONTIG_INDEX, default on). */
-        std::optional<bool> contigIndexReads;
         /** Per-server exact AddrPref toggle, copied into every
          * Server::Config (nullopt = CTG_EXACT_PREF, default off). */
         std::optional<bool> exactPref;
@@ -141,7 +133,7 @@ class Fleet
         bool captureSpans = false;
 
         /** Overlay environment-derived fields (sim::EnvConfig) onto
-         * any still-unset knobs (threads, contigIndexReads,
+         * any still-unset knobs (threads, workloadOverride,
          * exactPref, coarseStep, slotPool, streamScans,
          * checkpointDir, restoreDir). */
         void applyEnvOverlay();
@@ -252,9 +244,8 @@ class Fleet
  * knobs excluded — they are bit-identical by contract). Stamped into
  * the checkpoint manifest; a restore against a different fleet
  * configuration is refused up front. The workload override is mixed
- * in resolved form, so CTG_WORKLOAD=cache-b and the deprecated
- * kindOverride=CacheB fingerprint identically — they configure the
- * same population. */
+ * in resolved form, so an unknown name fingerprints like no
+ * override — it leaves the same sampled population. */
 std::uint64_t fleetConfigFingerprint(const Fleet::Config &config);
 
 } // namespace ctg

@@ -23,10 +23,6 @@ Server::Config::applyEnvOverlay()
         if (!spec.empty())
             parsePolicySpec(spec, &policy);
     }
-    if (!contigIndexReads) {
-        contigIndexReads =
-            sim::EnvConfig::fromEnv().contigIndexReads;
-    }
     if (!exactPref)
         exactPref = sim::EnvConfig::fromEnv().exactPref;
     if (!coarseStep)
@@ -99,8 +95,6 @@ Server::Server(const Config &config)
             return entry.make(kernel, config_.policy);
         });
 
-    kernel_->mem().setContigIndexReads(config_.contigIndexReads.value_or(
-        sim::EnvConfig::fromEnv().contigIndexReads));
     kernel_->mem().setExactAddrPref(config_.exactPref.value_or(
         sim::EnvConfig::fromEnv().exactPref));
 
@@ -135,8 +129,6 @@ Server::Server(const Config &config, serde::Reader &in)
         },
         in);
 
-    kernel_->mem().setContigIndexReads(config_.contigIndexReads.value_or(
-        sim::EnvConfig::fromEnv().contigIndexReads));
     kernel_->mem().setExactAddrPref(config_.exactPref.value_or(
         sim::EnvConfig::fromEnv().exactPref));
 
@@ -209,6 +201,43 @@ Server::scan() const
     return result;
 }
 
+ServerScan
+Server::referenceScan() const
+{
+    const PhysMem &mem = kernel_->mem();
+    const Pfn n = mem.numFrames();
+    ServerScan result;
+
+    const unsigned orders4[4] = {scan::order2M, scan::order4M,
+                                 scan::order32M, scan::order1G};
+    for (int i = 0; i < 4; ++i) {
+        result.freeContiguity[i] = scan::reference::
+            freeContiguityFraction(mem, 0, n, orders4[i]);
+        result.unmovableBlocks[i] = scan::reference::
+            unmovableBlockFraction(mem, 0, n, orders4[i]);
+    }
+    const unsigned orders3[3] = {scan::order2M, scan::order32M,
+                                 scan::order1G};
+    for (int i = 0; i < 3; ++i) {
+        result.potentialContiguity[i] = scan::reference::
+            potentialContiguityFraction(mem, 0, n, orders3[i]);
+    }
+    result.unmovablePageRatio =
+        scan::reference::unmovablePageRatio(mem, 0, n);
+    result.bySource = scan::reference::unmovableBySource(mem, 0, n);
+    result.freePages = scan::reference::freePages(mem, 0, n);
+    result.free2mBlocks =
+        scan::reference::freeAlignedBlocks(mem, 0, n, scan::order2M);
+    auto region = kernel_->policy().unmovableRegion();
+    if (region.second <= region.first)
+        region = {0, n};
+    result.unmovableRegionFreeShare =
+        scan::reference::meanFreeShareOfUnmovableBlocks(
+            mem, region.first, region.second);
+    result.uptimeSec = workload_ ? workload_->now() : 0.0;
+    return result;
+}
+
 void
 Server::attachTelemetry(StatRegistry &registry, StatSampler *sampler,
                         const std::string &prefix)
@@ -220,9 +249,7 @@ Server::attachTelemetry(StatRegistry &registry, StatSampler *sampler,
     if (auditor_)
         auditor_->regStats(group.group("audit"));
 
-    // Fragmentation gauges answer from the ContigIndex when index
-    // reads are enabled (O(1)); with the reference path selected
-    // they re-scan physical memory on every read.
+    // Fragmentation gauges answer from the ContigIndex in O(1).
     const StatGroup frag = group.group("frag");
     const PhysMem &mem = kernel_->mem();
     frag.gauge(
@@ -379,8 +406,7 @@ serverConfigFingerprint(const Server::Config &config)
     fp.mixU64(config.seed);
     // exactPref changes placement, so a snapshot taken with it on
     // must not silently continue with it off (and vice versa).
-    // contigIndexReads only selects a bit-identical read path and
-    // sharedTables is a pure cache of makeProfile outputs; both are
+    // sharedTables is a pure cache of makeProfile outputs, so it is
     // deliberately left out.
     fp.mixBool(config.exactPref.value_or(
         sim::EnvConfig::fromEnv().exactPref));

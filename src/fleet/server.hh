@@ -93,15 +93,10 @@ class Server
          * auditor needs the per-step cadence. */
         std::optional<bool> coarseStep;
         std::uint64_t seed = 1;
-        /** Metric reads answer from the ContigIndex (nullopt defers
-         * to the CTG_CONTIG_INDEX environment knob, default on).
-         * The index is maintained either way; this only selects the
-         * read path, and results are bit-identical. */
-        std::optional<bool> contigIndexReads;
         /** Exact index-backed AddrPref placement (nullopt defers to
-         * CTG_EXACT_PREF, default off). Unlike contigIndexReads this
-         * deliberately changes placement, so it is opt-in and has
-         * its own figure-regression check. */
+         * CTG_EXACT_PREF, default off). This deliberately changes
+         * placement, so it is opt-in and has its own
+         * figure-regression check. */
         std::optional<bool> exactPref;
         /** Shared per-population calibration tables (workload
          * profiles at this memBytes, hw/perfmodel constants). A pure
@@ -169,6 +164,11 @@ class Server
 
     /** Scan without running (for intermediate sampling). */
     ServerScan scan() const;
+
+    /** scan() computed by the scan::reference frame walks instead of
+     * the ContigIndex: the audit oracle scan() must equal bit for
+     * bit. O(frames) per metric; for tests and benches only. */
+    ServerScan referenceScan() const;
 
     /**
      * Register this server's whole stat tree (kernel, policy,

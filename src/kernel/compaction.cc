@@ -20,9 +20,7 @@ haveTargetBlock(const BuddyAllocator &alloc, unsigned target_order)
 
 /**
  * Evacuate the movable allocations of one mixed pageblock into
- * high-address free space (the free scanner analogue). Shared by the
- * reference and index passes so the per-block behaviour is identical
- * by construction.
+ * high-address free space (the free scanner analogue).
  */
 void
 evacuatePageblock(BuddyAllocator &alloc, const OwnerRegistry &registry,
@@ -64,80 +62,38 @@ evacuatePageblock(BuddyAllocator &alloc, const OwnerRegistry &registry,
     }
 }
 
-/**
- * Reference pass: walk every pageblock, classify it by touching all
- * of its frames, evacuate the mixed ones. Kept as the ground truth
- * the index pass must match bit for bit.
- */
-CompactionResult
-compactRangeReference(BuddyAllocator &alloc,
-                      const OwnerRegistry &registry, Pfn lo, Pfn hi,
-                      std::uint64_t max_migrations)
-{
-    CompactionResult result;
-    PhysMem &mem = alloc.mem();
-
-    // Migrate scanner: walk pageblocks bottom-up. Only mixed
-    // pageblocks (some free, some allocated-movable) are worth
-    // evacuating; fully-allocated blocks would just shuffle memory.
-    for (Pfn block = lo; block + pagesPerHuge <= hi;
-         block += pagesPerHuge) {
-        if (result.migrated >= max_migrations)
-            break;
-
-        bool has_free = false;
-        bool has_unmovable = false;
-        bool has_movable_alloc = false;
-        for (Pfn pfn = block; pfn < block + pagesPerHuge; ++pfn) {
-            const auto f = mem.frame(pfn);
-            if (f.isFree())
-                has_free = true;
-            else if (f.isUnmovableAllocation())
-                has_unmovable = true;
-            else
-                has_movable_alloc = true;
-        }
-        if (has_unmovable)
-            ++result.blockedPageblocks;
-        if (!has_free || !has_movable_alloc)
-            continue;
-
-        evacuatePageblock(alloc, registry, block, result,
-                          max_migrations);
-    }
-    return result;
-}
+} // namespace
 
 /**
- * Index pass: jump straight between mixed pageblocks via
- * ContigIndex::firstMixedBlock and count the taint of the skipped gap
- * in bulk. The enumeration order and every counter match the
- * reference walk exactly: gaps contain no migrations, so state when
- * a block's taint is counted is the state the reference would see,
- * and re-querying after each evacuation observes destination blocks
- * the evacuation itself may have made mixed — just as the linear
- * scanner encounters them (DESIGN.md §12).
+ * Migrate scanner: visit the pageblocks of [lo, hi) bottom-up, jumping
+ * straight between mixed ones (some free, some allocated-movable) via
+ * ContigIndex::firstMixedBlock and counting the taint of each skipped
+ * gap in bulk. Fully-allocated blocks are not worth evacuating; they
+ * would just shuffle memory. Gaps contain no migrations, so the bulk
+ * count sees the state a block-by-block walk would, and re-querying
+ * after each evacuation observes destination blocks the evacuation
+ * itself may have made mixed (DESIGN.md §12).
  */
 CompactionResult
-compactRangeIndexed(BuddyAllocator &alloc,
-                    const OwnerRegistry &registry, Pfn lo, Pfn hi,
-                    std::uint64_t max_migrations)
+compactRange(BuddyAllocator &alloc, const OwnerRegistry &registry,
+             Pfn lo, Pfn hi, std::uint64_t max_migrations)
 {
+    // Callers pass buddy zone edges, which move in whole pageblocks.
+    ctg_assert(lo % pagesPerHuge == 0);
+    CTG_SPAN_NAMED(span, Compaction, "compact.range",
+                   {{"lo", static_cast<std::int64_t>(lo)},
+                    {"hi", static_cast<std::int64_t>(hi)}});
     CompactionResult result;
     const ContigIndex &idx = alloc.mem().contigIndex();
-    // Blocks considered by the reference: base + pagesPerHuge <= hi.
-    const Pfn end =
-        lo + ((hi - lo) / pagesPerHuge) * pagesPerHuge;
+    // Whole pageblocks only: base + pagesPerHuge <= hi.
+    const Pfn end = lo + ((hi - lo) / pagesPerHuge) * pagesPerHuge;
 
     Pfn block = lo;
-    while (block < end) {
-        if (result.migrated >= max_migrations)
-            break;
+    while (block < end && result.migrated < max_migrations) {
         const Pfn next = idx.firstMixedBlock(block, end);
         const Pfn gap_end = next == invalidPfn ? end : next;
-        // The reference classifies each non-mixed gap block only to
-        // count its taint; nothing mutates across the gap, so a bulk
-        // range count is identical.
+        // Nothing mutates across the gap, so its taint is one range
+        // count.
         result.blockedPageblocks +=
             idx.taintedBlocksIn(block, gap_end, hugeOrder);
         if (next == invalidPfn)
@@ -148,27 +104,7 @@ compactRangeIndexed(BuddyAllocator &alloc,
                           max_migrations);
         block = next + pagesPerHuge;
     }
-    return result;
-}
 
-} // namespace
-
-CompactionResult
-compactRange(BuddyAllocator &alloc, const OwnerRegistry &registry,
-             Pfn lo, Pfn hi, std::uint64_t max_migrations)
-{
-    PhysMem &mem = alloc.mem();
-    const bool indexed =
-        mem.contigIndexReads() && lo % pagesPerHuge == 0;
-    CTG_SPAN_NAMED(span, Compaction, "compact.range",
-                   {{"lo", static_cast<std::int64_t>(lo)},
-                    {"hi", static_cast<std::int64_t>(hi)},
-                    {"indexed", indexed ? 1 : 0}});
-    const CompactionResult result =
-        indexed ? compactRangeIndexed(alloc, registry, lo, hi,
-                                      max_migrations)
-                : compactRangeReference(alloc, registry, lo, hi,
-                                        max_migrations);
     span.arg("migrated", static_cast<std::int64_t>(result.migrated));
     span.arg("blocked", static_cast<std::int64_t>(
                             result.blockedPageblocks));
@@ -207,29 +143,25 @@ compactUntil(BuddyAllocator &alloc, const OwnerRegistry &registry,
     for (int pass = 0; pass < 4 && budget > 0; ++pass) {
         const Pfn lo = alloc.startPfn();
         const Pfn hi = alloc.endPfn();
-        if (mem.contigIndexReads() && lo % pagesPerHuge == 0) {
-            // Index early-exit: no mixed pageblock means a pass
-            // cannot migrate anything — it would only recount the
-            // blocked snapshot, fail to reach the target, and stop.
-            // Reproduce exactly that (including the pass trace line)
-            // without walking.
-            const Pfn end =
-                lo + ((hi - lo) / pagesPerHuge) * pagesPerHuge;
-            const ContigIndex &idx = mem.contigIndex();
-            if (idx.mixedBlocksIn(lo, end) == 0) {
-                total.blockedPageblocks =
-                    idx.taintedBlocksIn(lo, end, hugeOrder);
-                CTG_DPRINTF(Compaction,
-                            "range [%llu, %llu): migrated=0 nomem=0 "
-                            "skipped=0 blocked_pageblocks=%llu",
-                            static_cast<unsigned long long>(lo),
-                            static_cast<unsigned long long>(hi),
-                            static_cast<unsigned long long>(
-                                total.blockedPageblocks));
-                if (haveTargetBlock(alloc, target_order))
-                    total.targetReached = true;
-                break;
-            }
+        // Early exit: no mixed pageblock means a pass cannot migrate
+        // anything — it would only recount the blocked snapshot,
+        // fail to reach the target, and stop. Do exactly that
+        // (including the pass trace line) without opening a pass.
+        const Pfn end = lo + ((hi - lo) / pagesPerHuge) * pagesPerHuge;
+        const ContigIndex &idx = mem.contigIndex();
+        if (idx.mixedBlocksIn(lo, end) == 0) {
+            total.blockedPageblocks =
+                idx.taintedBlocksIn(lo, end, hugeOrder);
+            CTG_DPRINTF(Compaction,
+                        "range [%llu, %llu): migrated=0 nomem=0 "
+                        "skipped=0 blocked_pageblocks=%llu",
+                        static_cast<unsigned long long>(lo),
+                        static_cast<unsigned long long>(hi),
+                        static_cast<unsigned long long>(
+                            total.blockedPageblocks));
+            if (haveTargetBlock(alloc, target_order))
+                total.targetReached = true;
+            break;
         }
         CompactionResult r = compactRange(alloc, registry, lo, hi,
                                           budget);

@@ -10,34 +10,13 @@ namespace
 {
 
 /**
- * Does the window contain anything software cannot move?
- * Reference form: classify every frame.
+ * Does the window contain anything software cannot move? One subtree
+ * query answers the unmovable half; only the allocated heads (reached
+ * by index jumps over the free space) need an owner lookup.
  */
 bool
-windowBlockedReference(const PhysMem &mem, Pfn lo, Pfn hi,
-                       const OwnerRegistry &registry)
-{
-    for (Pfn pfn = lo; pfn < hi; ++pfn) {
-        const auto f = mem.frame(pfn);
-        if (f.isFree())
-            continue;
-        if (f.isUnmovableAllocation())
-            return true;
-        if (f.isHead() && !registry.relocatable(f.owner()))
-            return true;
-    }
-    return false;
-}
-
-/**
- * Index form: one subtree query answers the unmovable half; only the
- * allocated heads (reached by index jumps over the free space) need
- * an owner lookup. Same boolean as the reference — the predicate is
- * an existence test, so enumeration shortcuts cannot change it.
- */
-bool
-windowBlockedIndexed(const PhysMem &mem, Pfn lo, Pfn hi,
-                     const OwnerRegistry &registry)
+windowBlocked(const PhysMem &mem, Pfn lo, Pfn hi,
+              const OwnerRegistry &registry)
 {
     const ContigIndex &idx = mem.contigIndex();
     if (idx.unmovablePagesIn(lo, hi) > 0)
@@ -59,15 +38,6 @@ windowBlockedIndexed(const PhysMem &mem, Pfn lo, Pfn hi,
     return false;
 }
 
-bool
-windowBlocked(const PhysMem &mem, Pfn lo, Pfn hi,
-              const OwnerRegistry &registry)
-{
-    if (mem.contigIndexReads())
-        return windowBlockedIndexed(mem, lo, hi, registry);
-    return windowBlockedReference(mem, lo, hi, registry);
-}
-
 } // namespace
 
 Pfn
@@ -81,7 +51,7 @@ allocContigRange(BuddyAllocator &alloc, const OwnerRegistry &registry,
     // through normal compaction.
     ctg_assert(order == gigaOrder);
     PhysMem &mem = alloc.mem();
-    const bool indexed = mem.contigIndexReads();
+    const ContigIndex &idx = mem.contigIndex();
     const Pfn span = Pfn{1} << order;
 
     const Pfn first =
@@ -95,69 +65,40 @@ allocContigRange(BuddyAllocator &alloc, const OwnerRegistry &registry,
         }
         // Enough free space *outside* the window to absorb the
         // evacuees?
-        std::uint64_t used = 0;
-        if (indexed) {
-            used = span -
-                   mem.contigIndex().freePagesIn(base, base + span);
-        } else {
-            for (Pfn pfn = base; pfn < base + span; ++pfn)
-                used += !mem.frame(pfn).isFree();
-        }
-        const std::uint64_t free_inside = span - used;
+        const std::uint64_t free_inside =
+            idx.freePagesIn(base, base + span);
+        const std::uint64_t used = span - free_inside;
         const std::uint64_t free_total = alloc.freePageCount();
         if (free_total - free_inside < used + used / 16)
             continue;
 
         alloc.isolateRange(base, base + span);
 
+        // Jump between allocated heads instead of stepping over every
+        // free frame; each migration frees its source, so the next
+        // query sees the window as it now is.
         bool ok = true;
-        if (indexed) {
-            // Jump between allocated heads instead of stepping over
-            // every free frame; each migration frees its source, so
-            // the next query sees exactly what the linear walk would.
-            const ContigIndex &idx = mem.contigIndex();
-            for (Pfn pfn = base; pfn < base + span && ok;) {
-                pfn = idx.firstAllocatedFrame(pfn, base + span);
-                if (pfn == invalidPfn)
-                    break;
-                const auto f = mem.frame(pfn);
-                if (!f.isHead()) {
-                    ++pfn;
-                    continue;
-                }
-                const Pfn step = Pfn{1} << f.order();
-                ++st.evacuations;
-                const MigrateResult r = migrateBlock(
-                    alloc, alloc, registry, pfn, AddrPref::None,
-                    MigrateType::Movable, nullptr,
-                    /*allow_fallback=*/true);
-                if (r != MigrateResult::Ok) {
-                    ++st.evacuationFailures;
-                    ok = false;
-                    break;
-                }
-                pfn += step;
+        for (Pfn pfn = base; pfn < base + span;) {
+            pfn = idx.firstAllocatedFrame(pfn, base + span);
+            if (pfn == invalidPfn)
+                break;
+            const auto f = mem.frame(pfn);
+            if (!f.isHead()) {
+                ++pfn;
+                continue;
             }
-        } else {
-            for (Pfn pfn = base; pfn < base + span && ok;) {
-                const auto f = mem.frame(pfn);
-                if (f.isFree() || !f.isHead()) {
-                    ++pfn;
-                    continue;
-                }
-                const Pfn step = Pfn{1} << f.order();
-                ++st.evacuations;
-                const MigrateResult r = migrateBlock(
-                    alloc, alloc, registry, pfn, AddrPref::None,
-                    MigrateType::Movable, nullptr,
-                    /*allow_fallback=*/true);
-                if (r != MigrateResult::Ok) {
-                    ++st.evacuationFailures;
-                    ok = false;
-                    break;
-                }
-                pfn += step;
+            const Pfn step = Pfn{1} << f.order();
+            ++st.evacuations;
+            const MigrateResult r = migrateBlock(
+                alloc, alloc, registry, pfn, AddrPref::None,
+                MigrateType::Movable, nullptr,
+                /*allow_fallback=*/true);
+            if (r != MigrateResult::Ok) {
+                ++st.evacuationFailures;
+                ok = false;
+                break;
             }
+            pfn += step;
         }
 
         if (!ok || !alloc.rangeFullyFree(base, base + span)) {
@@ -168,14 +109,10 @@ allocContigRange(BuddyAllocator &alloc, const OwnerRegistry &registry,
 
         // Claim the window: pull its free blocks off the isolate
         // lists, retag and mark the whole range as one allocation.
+        // allocGigantic takes the lowest fully-free aligned window:
+        // ours, unless an even earlier one was already free.
         alloc.unisolateRange(base, base + span, mt);
-        const Pfn head = alloc.allocGigantic(mt, src, owner);
-        // The scan inside allocGigantic finds our window (it is the
-        // only fully-free aligned one we just built) — but be
-        // defensive in case an even earlier window was free.
-        if (head != invalidPfn)
-            return head;
-        return invalidPfn;
+        return alloc.allocGigantic(mt, src, owner);
     }
     return invalidPfn;
 }

@@ -181,7 +181,7 @@ BuddyAllocator::popFree(MigrateType mt, unsigned order, AddrPref pref)
 
     Pfn best = cursor;
     if (pref != AddrPref::None) {
-        if (mem_.exactAddrPref() && mem_.contigIndexReads()) {
+        if (mem_.exactAddrPref()) {
             const Pfn exact = exactPrefBest(mt, order, pref);
             if (exact != invalidPfn) {
                 removeFree(exact);
@@ -423,56 +423,30 @@ BuddyAllocator::allocGigantic(MigrateType mt, AllocSource src,
         return invalidPfn;
     }
 
+    // One descent finds the lowest fully-free aligned 1 GB range.
     const Pfn span = pagesPerGiga;
-    Pfn first = (start_ + span - 1) & ~(span - 1);
-    if (mem_.contigIndexReads()) {
-        // Index path: one descent finds the lowest fully-free aligned
-        // 1 GB range — the same candidate the linear scan below would
-        // settle on (both consider aligned bases low-to-high).
-        const Pfn base = mem_.contigIndex().firstFullyFreeSpan(
-            gigaOrder, start_, end_, AddrPref::None);
-        if (base != invalidPfn) {
-            for (Pfn pfn = base; pfn < base + span;) {
-                const auto f = frames_.frame(pfn);
-                ctg_assert(f.isFree() && f.isHead());
-                const Pfn blk = Pfn{1} << f.order();
-                removeFree(pfn);
-                pfn += blk;
-            }
-            for (Pfn pfn = base; pfn < base + span;
-                 pfn += pagesPerHuge)
-                mem_.setBlockMt(pfn, mt);
-            markAllocated(base, gigaOrder, mt, src, owner);
-            ++stats_.giganticAllocs;
-            return base;
-        }
+    const Pfn base = mem_.contigIndex().firstFullyFreeSpan(
+        gigaOrder, start_, end_, AddrPref::None);
+    if (base == invalidPfn) {
         ++stats_.giganticFailures;
         CTG_DPRINTF(Buddy,
                     "%s: gigantic %s alloc found no free 1GB range",
                     name_.c_str(), migrateTypeName(mt));
         return invalidPfn;
     }
-    for (Pfn base = first; base + span <= end_; base += span) {
-        if (!rangeFullyFree(base, base + span))
-            continue;
-        // Remove every free head in the range from the lists.
-        for (Pfn pfn = base; pfn < base + span;) {
-            const auto f = frames_.frame(pfn);
-            ctg_assert(f.isFree() && f.isHead());
-            const Pfn blk = Pfn{1} << f.order();
-            removeFree(pfn);
-            pfn += blk;
-        }
-        for (Pfn pfn = base; pfn < base + span; pfn += pagesPerHuge)
-            mem_.setBlockMt(pfn, mt);
-        markAllocated(base, gigaOrder, mt, src, owner);
-        ++stats_.giganticAllocs;
-        return base;
+    // Remove every free head in the range from the lists.
+    for (Pfn pfn = base; pfn < base + span;) {
+        const auto f = frames_.frame(pfn);
+        ctg_assert(f.isFree() && f.isHead());
+        const Pfn blk = Pfn{1} << f.order();
+        removeFree(pfn);
+        pfn += blk;
     }
-    ++stats_.giganticFailures;
-    CTG_DPRINTF(Buddy, "%s: gigantic %s alloc found no free 1GB range",
-                name_.c_str(), migrateTypeName(mt));
-    return invalidPfn;
+    for (Pfn pfn = base; pfn < base + span; pfn += pagesPerHuge)
+        mem_.setBlockMt(pfn, mt);
+    markAllocated(base, gigaOrder, mt, src, owner);
+    ++stats_.giganticAllocs;
+    return base;
 }
 
 void
@@ -517,15 +491,7 @@ bool
 BuddyAllocator::rangeFullyFree(Pfn lo, Pfn hi) const
 {
     ctg_assert(lo >= start_ && hi <= end_ && lo <= hi);
-    // The index counts free frames by the same isFree() predicate the
-    // walk below evaluates, so the answers are identical.
-    if (mem_.contigIndexReads())
-        return mem_.contigIndex().freePagesIn(lo, hi) == hi - lo;
-    for (Pfn pfn = lo; pfn < hi; ++pfn) {
-        if (!frames_.frame(pfn).isFree())
-            return false;
-    }
-    return true;
+    return mem_.contigIndex().freePagesIn(lo, hi) == hi - lo;
 }
 
 void

@@ -26,7 +26,7 @@
  * pageblocks touched · tree height), with the tree height
  * log2(machine) - hugeOrder rather than log2(machine).
  * Because every counter is recomputed from the same predicate the
- * legacy scanners use (PageFrame::isFree / isUnmovableAllocation),
+ * reference scanners use (PageFrame::isFree / isUnmovableAllocation),
  * the index is bit-identical to a fresh full scan at all times,
  * including across fault-injected rollbacks; the MemAuditor
  * cross-checks this.
@@ -129,8 +129,8 @@ class ContigIndex
 
     /** @{ Descent queries (DESIGN.md §12). All are exact against a
      * fresh linear classification of the frame array; the mutation
-     * hot paths rely on that for bit-identity with the legacy
-     * walks. */
+     * hot paths rely on that to visit blocks and frames in the order
+     * a linear walk would. */
 
     /** Per-frame classification counts of one pageblock, matching
      * the compactRange classifier: every frame is exactly one of
@@ -170,7 +170,7 @@ class ContigIndex
     /** Base of a fully-free aligned order-block within [lo, hi) —
      * the lowest such base, or the highest when pref is
      * AddrPref::High. lo is rounded up and hi down to order
-     * alignment first (the legacy scans consider exactly those
+     * alignment first (the reference scans consider exactly those
      * candidates). Returns invalidPfn when none. O(log n). */
     Pfn firstFullyFreeSpan(unsigned order, Pfn lo, Pfn hi,
                            AddrPref pref = AddrPref::None) const;

@@ -11,7 +11,7 @@ namespace
 
 /** Align lo up and hi down to the block size; returns false if the
  * range contains no aligned block. Mirrors scan::reference exactly so
- * both read paths trim identically. */
+ * the audit oracle trims identically. */
 bool
 alignRange(Pfn &lo, Pfn &hi, unsigned order)
 {
@@ -32,8 +32,6 @@ MemStats::freePages() const
 std::uint64_t
 MemStats::freePages(Pfn lo, Pfn hi) const
 {
-    if (!useIndex())
-        return scan::reference::freePages(*mem_, lo, hi);
     return index().freePagesIn(lo, hi);
 }
 
@@ -46,9 +44,6 @@ MemStats::freeAlignedBlocks(unsigned order) const
 std::uint64_t
 MemStats::freeAlignedBlocks(Pfn lo, Pfn hi, unsigned order) const
 {
-    if (!useIndex())
-        return scan::reference::freeAlignedBlocks(*mem_, lo, hi,
-                                                  order);
     if (!alignRange(lo, hi, order))
         return 0;
     return index().fullyFreeBlocksIn(lo, hi, order);
@@ -64,10 +59,6 @@ double
 MemStats::freeContiguityFraction(Pfn lo, Pfn hi,
                                  unsigned order) const
 {
-    if (!useIndex()) {
-        return scan::reference::freeContiguityFraction(*mem_, lo, hi,
-                                                       order);
-    }
     const std::uint64_t free_total = freePages(lo, hi);
     if (free_total == 0)
         return 0.0;
@@ -87,10 +78,6 @@ double
 MemStats::unmovableBlockFraction(Pfn lo, Pfn hi,
                                  unsigned order) const
 {
-    if (!useIndex()) {
-        return scan::reference::unmovableBlockFraction(*mem_, lo, hi,
-                                                       order);
-    }
     if (!alignRange(lo, hi, order))
         return 0.0;
     const std::uint64_t total = (hi - lo) >> order;
@@ -109,10 +96,6 @@ double
 MemStats::potentialContiguityFraction(Pfn lo, Pfn hi,
                                       unsigned order) const
 {
-    if (!useIndex()) {
-        return scan::reference::potentialContiguityFraction(
-            *mem_, lo, hi, order);
-    }
     const Pfn range_pages = hi - lo;
     if (range_pages == 0)
         return 0.0;
@@ -136,8 +119,6 @@ MemStats::unmovablePageRatio() const
 double
 MemStats::unmovablePageRatio(Pfn lo, Pfn hi) const
 {
-    if (!useIndex())
-        return scan::reference::unmovablePageRatio(*mem_, lo, hi);
     ctg_assert(hi > lo);
     const std::uint64_t unmovable = index().unmovablePagesIn(lo, hi);
     return static_cast<double>(unmovable) /
@@ -147,18 +128,7 @@ MemStats::unmovablePageRatio(Pfn lo, Pfn hi) const
 std::array<std::uint64_t, numAllocSources>
 MemStats::unmovableBySource() const
 {
-    return unmovableBySource(0, mem_->numFrames());
-}
-
-std::array<std::uint64_t, numAllocSources>
-MemStats::unmovableBySource(Pfn lo, Pfn hi) const
-{
-    if (useIndex() && lo == 0 && hi == mem_->numFrames())
-        return index().unmovableBySource();
-    // The index only keeps machine-wide per-source totals; partial
-    // ranges take the reference scan (no current caller needs one on
-    // a hot path).
-    return scan::reference::unmovableBySource(*mem_, lo, hi);
+    return index().unmovableBySource();
 }
 
 double
@@ -170,10 +140,6 @@ MemStats::meanFreeShareOfUnmovableBlocks() const
 double
 MemStats::meanFreeShareOfUnmovableBlocks(Pfn lo, Pfn hi) const
 {
-    if (!useIndex()) {
-        return scan::reference::meanFreeShareOfUnmovableBlocks(
-            *mem_, lo, hi);
-    }
     Pfn alo = lo, ahi = hi;
     if (!alignRange(alo, ahi, scan::order2M))
         return 0.0;

@@ -4,16 +4,13 @@
  *
  * MemStats is the single read API for every paper metric (Figures 4,
  * 5, 6, 11, 12 and the Section 2.5 / 5.2 scalars). It answers from
- * the incremental ContigIndex by default — O(1) for whole-machine
- * queries instead of a full frame-array scan — and falls back to the
- * legacy scanner loops (scan::reference) when index reads are
- * disabled on the PhysMem, which keeps a slow reference path alive
- * for bit-identity tests and benchmarking.
+ * the incremental ContigIndex — O(1) for whole-machine queries
+ * instead of a full frame-array scan — and never walks the frames.
  *
- * Both paths compute each double through the *same* arithmetic over
- * the same integer counts, so results are bit-identical, not merely
- * close; the figure regression suite asserts this at multiple thread
- * counts.
+ * The linear scanner loops (scan::reference) survive only as an audit
+ * oracle: each double here is computed through the *same* arithmetic
+ * over the same integer counts, so MemAuditor and the tests compare
+ * the two bit for bit, not merely close.
  */
 
 #ifndef CTG_MEM_MEM_STATS_HH
@@ -66,13 +63,10 @@ class MemStats
     double unmovablePageRatio() const;
     double unmovablePageRatio(Pfn lo, Pfn hi) const;
 
-    /** Unmovable page counts keyed by AllocSource (Figure 6). The
-     * ranged overload falls back to a reference scan when the range
-     * is not the whole machine. */
+    /** Machine-wide unmovable page counts keyed by AllocSource
+     * (Figure 6); the index keeps no per-range breakdown. */
     std::array<std::uint64_t, numAllocSources>
     unmovableBySource() const;
-    std::array<std::uint64_t, numAllocSources>
-    unmovableBySource(Pfn lo, Pfn hi) const;
 
     /** Section 5.2 metric: mean free-page share of 2 MB blocks that
      * contain at least one unmovable page. */
@@ -80,7 +74,6 @@ class MemStats
     double meanFreeShareOfUnmovableBlocks(Pfn lo, Pfn hi) const;
 
   private:
-    bool useIndex() const { return mem_->contigIndexReads(); }
     const ContigIndex &index() const { return mem_->contigIndex(); }
 
     const PhysMem *mem_;

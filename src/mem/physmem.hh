@@ -97,24 +97,12 @@ class PhysMem
     /** Pin or unpin an allocated block given its head frame. */
     void setBlockPinned(Pfn head, bool pinned);
 
-    /** When true (default) MemStats answers from the ContigIndex;
-     * when false it runs the legacy full scans. The index is
-     * maintained either way, so the toggle only selects the read
-     * path — used for bit-identity tests and benchmarks. The same
-     * toggle gates the index-driven mutation hot paths (compaction,
-     * region resizing, contiguous allocation), which are
-     * bit-identical to the legacy walks by construction
-     * (DESIGN.md §12). */
-    bool contigIndexReads() const { return indexReads_; }
-    void setContigIndexReads(bool on) { indexReads_ = on; }
-
     /** When true (default off; CTG_EXACT_PREF), AddrPref allocations
      * pick the exact lowest/highest-address free block via an index
-     * descent instead of the capped free-list scan. Unlike the
-     * contigIndexReads paths this deliberately changes placement —
-     * it strengthens the away-from-border bias — so it has its own
-     * flag and its own figure-regression check. Requires
-     * contigIndexReads. */
+     * descent instead of the capped free-list scan. This
+     * deliberately changes placement — it strengthens the
+     * away-from-border bias — so it has its own flag and its own
+     * figure-regression check. */
     bool exactAddrPref() const { return exactPref_; }
     void setExactAddrPref(bool on) { exactPref_ = on; }
 
@@ -139,7 +127,6 @@ class PhysMem
     FrameArray frames_;
     std::vector<MigrateType> blockMt_;
     ContigIndex index_;
-    bool indexReads_ = true;
     bool exactPref_ = false;
 };
 

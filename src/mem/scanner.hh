@@ -32,8 +32,8 @@ constexpr unsigned order1G = gigaOrder;       // 18
 
 /**
  * Slow reference path: full frame-array scans, independent of the
- * ContigIndex. Used by the auditor cross-check, the bit-identity
- * tests, and as the fallback when index reads are disabled.
+ * ContigIndex. The audit oracle of the auditor cross-check and the
+ * bit-identity tests; MemStats never calls it.
  */
 namespace reference
 {

@@ -837,7 +837,6 @@ TEST_F(ChaosTest, IndexHotPathsSurviveEveryFaultSiteWithExactPref)
         inj.arm(static_cast<FaultSite>(i), FaultSpec::chance(0.02));
 
     Server::Config config = chaosServer(true);
-    config.contigIndexReads = true;
     config.exactPref = true;
     Server server(config);
     server.enableStepAudit();

@@ -2,9 +2,9 @@
  * @file
  * ContigIndex exactness properties: after ANY sequence of allocator
  * operations, every index counter must equal a fresh full scan of
- * the frame array (scan::reference), and the MemStats index read
- * path must be bit-identical to the reference read path — including
- * every double-valued metric (DESIGN.md §11).
+ * the frame array (scan::reference), and every MemStats read must be
+ * bit-identical to the reference loops — including every
+ * double-valued metric (DESIGN.md §11).
  */
 
 #include <gtest/gtest.h>
@@ -57,12 +57,14 @@ walkFrames(const PhysMem &mem)
     return counts;
 }
 
-/** Every index counter and every MemStats index read must equal the
- * reference scan of the current frame array — exactly. */
+/** Every index counter and every MemStats read must equal the
+ * reference scan of the current frame array — exactly. `range_rng`
+ * draws only the unaligned range, so `rng`'s stream, which callers
+ * share with their operation sequence, is the same with or without
+ * that check. */
 void
-expectIndexExact(const PhysMem &mem, Rng &rng)
+expectIndexExact(const PhysMem &mem, Rng &rng, Rng &range_rng)
 {
-    ASSERT_TRUE(mem.contigIndexReads());
     const ContigIndex &idx = mem.contigIndex();
     const Pfn n = mem.numFrames();
 
@@ -85,7 +87,7 @@ expectIndexExact(const PhysMem &mem, Rng &rng)
     }
 
     // The double-valued metrics must be bit-identical, not just
-    // close: the index path reproduces the reference arithmetic from
+    // close: MemStats reproduces the reference arithmetic from
     // identical integer counts.
     const MemStats stats = mem.stats();
     EXPECT_EQ(stats.unmovablePageRatio(),
@@ -126,6 +128,35 @@ expectIndexExact(const PhysMem &mem, Rng &rng)
                   scan::reference::unmovableAlignedBlocks(mem, lo, hi,
                                                           order));
     }
+
+    // A random unaligned subrange, through the ranged MemStats
+    // reads: they must trim to whole blocks and divide by the range
+    // exactly as the reference loops do.
+    const Pfn ulo = range_rng.below(n);
+    const Pfn uhi = range_rng.range(ulo + 1, n);
+    EXPECT_EQ(stats.freePages(ulo, uhi),
+              scan::reference::freePages(mem, ulo, uhi));
+    EXPECT_EQ(stats.freeAlignedBlocks(ulo, uhi, order),
+              scan::reference::freeAlignedBlocks(mem, ulo, uhi, order));
+    EXPECT_EQ(stats.freeContiguityFraction(ulo, uhi, order),
+              scan::reference::freeContiguityFraction(mem, ulo, uhi,
+                                                      order))
+        << "[" << ulo << ", " << uhi << ") order " << order;
+    EXPECT_EQ(stats.unmovableBlockFraction(ulo, uhi, order),
+              scan::reference::unmovableBlockFraction(mem, ulo, uhi,
+                                                      order))
+        << "[" << ulo << ", " << uhi << ") order " << order;
+    EXPECT_EQ(stats.potentialContiguityFraction(ulo, uhi, order),
+              scan::reference::potentialContiguityFraction(mem, ulo,
+                                                           uhi, order))
+        << "[" << ulo << ", " << uhi << ") order " << order;
+    EXPECT_EQ(stats.unmovablePageRatio(ulo, uhi),
+              scan::reference::unmovablePageRatio(mem, ulo, uhi))
+        << "[" << ulo << ", " << uhi << ")";
+    EXPECT_EQ(stats.meanFreeShareOfUnmovableBlocks(ulo, uhi),
+              scan::reference::meanFreeShareOfUnmovableBlocks(mem, ulo,
+                                                              uhi))
+        << "[" << ulo << ", " << uhi << ")";
 }
 
 /**
@@ -271,6 +302,7 @@ runAllocFreePinProperty(std::uint64_t bytes, std::uint64_t seed,
     PhysMem mem(bytes);
     BuddyAllocator buddy(mem, 0, mem.numFrames(), "prop");
     Rng rng(seed);
+    Rng range_rng(~seed);
 
     struct Live
     {
@@ -316,14 +348,14 @@ runAllocFreePinProperty(std::uint64_t bytes, std::uint64_t seed,
             entry.pinned = mem.frame(entry.head).isPinned();
         }
         if (step % check_every == 0) {
-            expectIndexExact(mem, rng);
+            expectIndexExact(mem, rng, range_rng);
             if (descents)
                 expectDescentQueriesExact(mem, rng);
         }
         if (::testing::Test::HasFailure())
             FAIL() << bytes << " bytes: diverged at step " << step;
     }
-    expectIndexExact(mem, rng);
+    expectIndexExact(mem, rng, range_rng);
     if (descents)
         expectDescentQueriesExact(mem, rng);
 }
@@ -348,6 +380,7 @@ TEST(ContigIndexProperty, GiganticAndRangeOpsStayExact)
     PhysMem mem(1_GiB);
     BuddyAllocator buddy(mem, 0, mem.numFrames(), "giga");
     Rng rng(0x916a);
+    Rng range_rng(~std::uint64_t{0x916a});
 
     // Fragment a little first so gigantic allocation has to work.
     std::vector<Pfn> singles;
@@ -357,12 +390,12 @@ TEST(ContigIndexProperty, GiganticAndRangeOpsStayExact)
         if (p != invalidPfn)
             singles.push_back(p);
     }
-    expectIndexExact(mem, rng);
+    expectIndexExact(mem, rng, range_rng);
 
     const Pfn giant =
         buddy.allocGigantic(MigrateType::Unmovable, AllocSource::User);
     if (giant != invalidPfn)
-        expectIndexExact(mem, rng);
+        expectIndexExact(mem, rng, range_rng);
 
     // Region-resize style ops: isolate, detach, re-attach a 32 MB
     // aligned window at the top of memory.
@@ -371,20 +404,20 @@ TEST(ContigIndexProperty, GiganticAndRangeOpsStayExact)
     const Pfn hi = mem.numFrames();
     if (buddy.rangeFullyFree(lo, hi)) {
         buddy.isolateRange(lo, hi);
-        expectIndexExact(mem, rng);
+        expectIndexExact(mem, rng, range_rng);
         buddy.detachRange(lo, hi);
-        expectIndexExact(mem, rng);
+        expectIndexExact(mem, rng, range_rng);
         buddy.attachRange(lo, hi, MigrateType::Movable);
-        expectIndexExact(mem, rng);
+        expectIndexExact(mem, rng, range_rng);
     }
 
     if (giant != invalidPfn) {
         buddy.freePages(giant);
-        expectIndexExact(mem, rng);
+        expectIndexExact(mem, rng, range_rng);
     }
     for (const Pfn p : singles)
         buddy.freePages(p);
-    expectIndexExact(mem, rng);
+    expectIndexExact(mem, rng, range_rng);
     EXPECT_EQ(mem.contigIndex().freePages(), mem.numFrames());
 }
 
@@ -481,77 +514,83 @@ TEST(ContigIndexProperty, ExactPrefMatchesUncappedScan)
               scan_mem.contigIndex().freePages());
 }
 
-/** The read-path toggle must not change a single bit of any fleet
- * study output, at any thread count (fig04/05/11/12 all consume
- * ServerScan). */
-TEST(ContigIndexProperty, FleetScansBitIdenticalIndexOnVsOff)
+/** Fleet::run() at 1 thread, then at 1, 4 and 8 threads: every
+ * ServerScan must be bit-identical to the first run's. */
+void
+expectScansBitIdenticalAcrossThreads(Fleet::Config config)
 {
-    const auto runFleet = [](bool index_reads, unsigned threads) {
-        Fleet::Config config;
-        config.servers = 8;
-        config.memBytes = std::uint64_t{512} << 20;
-        config.minUptimeSec = 4.0;
-        config.maxUptimeSec = 10.0;
-        config.prefragmentFrac = 0.25;
-        config.seed = 0xb17;
+    const auto runFleet = [&config](unsigned threads) {
         config.threads = threads;
-        config.contigIndexReads = index_reads;
         Fleet fleet(config);
         return fleet.run();
     };
-
-    const std::vector<ServerScan> baseline = runFleet(true, 1);
+    const std::vector<ServerScan> baseline = runFleet(1);
     for (const unsigned threads : {1u, 4u, 8u}) {
-        for (const bool index_reads : {true, false}) {
-            const std::vector<ServerScan> scans =
-                runFleet(index_reads, threads);
-            ASSERT_EQ(scans.size(), baseline.size());
-            for (std::size_t i = 0; i < scans.size(); ++i) {
-                EXPECT_EQ(std::memcmp(&scans[i], &baseline[i],
-                                      sizeof(ServerScan)),
-                          0)
-                    << "server " << i << " threads " << threads
-                    << " index " << index_reads;
-            }
+        const std::vector<ServerScan> scans = runFleet(threads);
+        ASSERT_EQ(scans.size(), baseline.size());
+        for (std::size_t i = 0; i < scans.size(); ++i) {
+            EXPECT_EQ(std::memcmp(&scans[i], &baseline[i],
+                                  sizeof(ServerScan)),
+                      0)
+                << "server " << i << " threads " << threads;
         }
     }
 }
 
+/** One prefragmented server of the fleet's shape, run to the end of
+ * its uptime: Server::scan(), read from the index, must equal
+ * Server::referenceScan(), walked from the frames, bit for bit. */
+void
+expectServerScanMatchesReference(const Fleet::Config &fleet_config,
+                                 WorkloadKind kind)
+{
+    Server::Config config = Fleet(fleet_config).baseServerConfig();
+    config.kind = kind;
+    config.prefragment = true;
+    config.uptimeSec = fleet_config.maxUptimeSec;
+    config.seed = fleet_config.seed;
+    Server server(config);
+    server.run();
+    const ServerScan index = server.scan();
+    const ServerScan reference = server.referenceScan();
+    EXPECT_EQ(std::memcmp(&index, &reference, sizeof(ServerScan)), 0)
+        << workloadName(kind);
+    EXPECT_GT(reference.unmovablePageRatio, 0.0);
+}
+
+/** The index-driven read and search paths must not change a single
+ * bit of any fleet study output at any thread count (fig04/05/11/12
+ * all consume ServerScan), and the index must equal its frame-walk
+ * oracle on an evolved server. */
+TEST(ContigIndexProperty, FleetScansBitIdenticalIndexOnVsOff)
+{
+    Fleet::Config config;
+    config.servers = 8;
+    config.memBytes = std::uint64_t{512} << 20;
+    config.minUptimeSec = 4.0;
+    config.maxUptimeSec = 10.0;
+    config.prefragmentFrac = 0.25;
+    config.seed = 0xb17;
+    expectScansBitIdenticalAcrossThreads(config);
+    expectServerScanMatchesReference(config, WorkloadKind::Web);
+}
+
 /** Same contract with Contiguitas enabled, which drives the
- * index-rewritten region-resize, defrag, and contig-alloc hot paths
- * on every server (DESIGN.md §12). */
+ * index-driven region-resize, defrag, and contig-alloc hot paths on
+ * every server (DESIGN.md §12); the oracle check also covers the
+ * unmovable-region-scoped free share. */
 TEST(ContigIndexProperty, ContiguitasFleetBitIdenticalIndexOnVsOff)
 {
-    const auto runFleet = [](bool index_reads, unsigned threads) {
-        Fleet::Config config;
-        config.servers = 6;
-        config.memBytes = std::uint64_t{512} << 20;
-        config.policy.name = "contiguitas";
-        config.minUptimeSec = 4.0;
-        config.maxUptimeSec = 10.0;
-        config.prefragmentFrac = 0.25;
-        config.seed = 0xc716;
-        config.threads = threads;
-        config.contigIndexReads = index_reads;
-        Fleet fleet(config);
-        return fleet.run();
-    };
-
-    const std::vector<ServerScan> baseline = runFleet(true, 1);
-    for (const unsigned threads : {1u, 4u, 8u}) {
-        for (const bool index_reads : {true, false}) {
-            const std::vector<ServerScan> scans =
-                runFleet(index_reads, threads);
-            ASSERT_EQ(scans.size(), baseline.size());
-            for (std::size_t i = 0; i < scans.size(); ++i) {
-                EXPECT_EQ(std::memcmp(&scans[i], &baseline[i],
-                                      sizeof(ServerScan)),
-                          0)
-                    << "server " << i << " threads " << threads
-                    << " index " << index_reads;
-            }
-        }
-    }
+    Fleet::Config config;
+    config.servers = 6;
+    config.memBytes = std::uint64_t{512} << 20;
+    config.policy.name = "contiguitas";
+    config.minUptimeSec = 4.0;
+    config.maxUptimeSec = 10.0;
+    config.prefragmentFrac = 0.25;
+    config.seed = 0xc716;
+    expectScansBitIdenticalAcrossThreads(config);
+    expectServerScanMatchesReference(config, WorkloadKind::CacheB);
 }
 
 } // namespace

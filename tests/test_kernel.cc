@@ -73,8 +73,7 @@ TEST(Psi, StallClampedToInterval)
 TEST(KernelFacade, BootPlacesKernelText)
 {
     Kernel kernel(smallConfig());
-    const auto counts = kernel.mem().stats().unmovableBySource(
-        0, kernel.mem().numFrames());
+    const auto counts = kernel.mem().stats().unmovableBySource();
     const auto text_pages =
         counts[static_cast<unsigned>(AllocSource::KernelText)];
     EXPECT_EQ(text_pages, (4_MiB) / pageBytes);
@@ -220,14 +219,12 @@ TEST(PageTablesTest, GiganticLeaf)
 TEST(PageTablesTest, TablePagesAreUnmovableAllocations)
 {
     Kernel kernel(smallConfig());
-    const auto before = kernel.mem().stats().unmovableBySource(
-        0, kernel.mem().numFrames());
+    const auto before = kernel.mem().stats().unmovableBySource();
     PageTables tables(kernel);
     // Map sparse addresses to force distinct table paths.
     for (Vpn vpn = 0; vpn < 8; ++vpn)
         ASSERT_TRUE(tables.map(vpn << 27, 1, 0));
-    const auto after = kernel.mem().stats().unmovableBySource(
-        0, kernel.mem().numFrames());
+    const auto after = kernel.mem().stats().unmovableBySource();
     const auto idx = static_cast<unsigned>(AllocSource::PageTables);
     EXPECT_GT(after[idx], before[idx]);
     EXPECT_EQ(after[idx] - before[idx], tables.tablePages());
@@ -353,6 +350,17 @@ TEST(CompactionTest, UnmovablePageBlocksPageblock)
     kernel.freePages(p);
 }
 
+TEST(CompactionTest, UnalignedRangeStartPanics)
+{
+    // The migrate scanner steps whole pageblocks from lo; callers
+    // pass buddy zone edges, which are pageblock-aligned.
+    Kernel kernel(smallConfig());
+    EXPECT_THROW(compactRange(kernel.policy().movableAllocator(),
+                              kernel.owners(), 1,
+                              kernel.mem().numFrames(), 1u << 20),
+                 PanicError);
+}
+
 TEST(CompactionTest, CompactUntilBlockedPageblocksIsSnapshot)
 {
     // THP would back the range with whole pageblocks (never mixed),
@@ -432,8 +440,7 @@ TEST(NetStackTest, RingsAndSkbsAreNetworkingUnmovable)
     NetStack net(kernel, config, 3);
     net.start();
     net.advanceTo(5.0);
-    const auto counts = kernel.mem().stats().unmovableBySource(
-        0, kernel.mem().numFrames());
+    const auto counts = kernel.mem().stats().unmovableBySource();
     const auto idx = static_cast<unsigned>(AllocSource::Networking);
     EXPECT_GT(counts[idx], 0u);
     EXPECT_GE(counts[idx], net.livePages() / 2);

@@ -234,23 +234,17 @@ runOnce(const Fleet::Config &config)
 
 TEST(ParallelFleet, WorkloadOverrideNameMatchesDeprecatedEnum)
 {
-    // CTG_WORKLOAD / Config::workloadOverride is the one-release
-    // replacement for the enum-typed kindOverride: the string form
-    // (set directly or via the environment) must be bit-identical
-    // to the deprecated field, and an unrecognized name must warn
-    // and fall through to it rather than silently unpinning.
+    // Config::workloadOverride and its CTG_WORKLOAD spelling pin the
+    // same population bit for bit; an unrecognized name must warn
+    // and leave the sampled mix in place rather than pick a kind.
     Fleet::Config config = smallFleet();
     config.servers = 4;
     config.maxUptimeSec = 4.0;
     config.threads = 2;
 
-    Fleet::Config byEnum = config;
-    byEnum.kindOverride = WorkloadKind::CacheB;
-    const RunRecord enumRun = runOnce(byEnum);
-
     Fleet::Config byName = config;
     byName.workloadOverride = "cache-b";
-    EXPECT_TRUE(runOnce(byName) == enumRun);
+    const RunRecord nameRun = runOnce(byName);
 
     // Environment spelling, picked up by the overlay.
     setenv("CTG_WORKLOAD", "cache-b", 1);
@@ -258,17 +252,11 @@ TEST(ParallelFleet, WorkloadOverrideNameMatchesDeprecatedEnum)
     byEnv.applyEnvOverlay();
     unsetenv("CTG_WORKLOAD");
     EXPECT_EQ(byEnv.workloadOverride, "cache-b");
-    EXPECT_TRUE(runOnce(byEnv) == enumRun);
+    EXPECT_TRUE(runOnce(byEnv) == nameRun);
 
-    // The string form wins over a conflicting deprecated enum.
-    Fleet::Config both = byName;
-    both.kindOverride = WorkloadKind::Web;
-    EXPECT_TRUE(runOnce(both) == enumRun);
-
-    // Unknown names warn and defer to the deprecated field.
-    Fleet::Config bad = byEnum;
+    Fleet::Config bad = config;
     bad.workloadOverride = "warehouse-scale";
-    EXPECT_TRUE(runOnce(bad) == enumRun);
+    EXPECT_TRUE(runOnce(bad) == runOnce(config));
 }
 
 TEST(ParallelFleet, KindOverridePinsEveryServer)
@@ -276,14 +264,14 @@ TEST(ParallelFleet, KindOverridePinsEveryServer)
     Fleet::Config config = smallFleet();
     config.servers = 4;
     config.maxUptimeSec = 4.0;
-    config.kindOverride = WorkloadKind::CacheB;
+    config.workloadOverride = "cache-b";
     config.threads = 2;
     Fleet fleet(config);
     const auto scans = fleet.run();
     EXPECT_EQ(scans.size(), 4u);
     // The override must not disturb the rest of the seed stream:
     // uptimes match the un-overridden fleet's draws.
-    config.kindOverride.reset();
+    config.workloadOverride.clear();
     Fleet mixed(config);
     const auto mixedScans = mixed.run();
     for (std::size_t i = 0; i < scans.size(); ++i)

@@ -138,8 +138,7 @@ TEST_F(ScannerTest, SourceBreakdownMatchesAllocations)
         mem.noteFramesChanged(p, p + 1);
     }
 
-    const auto counts =
-        mem.stats().unmovableBySource(0, mem.numFrames());
+    const auto counts = mem.stats().unmovableBySource();
     EXPECT_EQ(counts[static_cast<unsigned>(AllocSource::Networking)],
               100u);
     EXPECT_EQ(counts[static_cast<unsigned>(AllocSource::Slab)], 50u);

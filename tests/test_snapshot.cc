@@ -258,8 +258,6 @@ TEST(EnvStrictTest, BoolParsersAcceptOnlyDocumentedSpellings)
     };
     const Knob knobs[] = {
         {"CTG_STREAM_SCANS", &sim::EnvConfig::streamScans, false},
-        {"CTG_CONTIG_INDEX", &sim::EnvConfig::contigIndexReads,
-         true},
         {"CTG_EXACT_PREF", &sim::EnvConfig::exactPref, false},
     };
     for (const Knob &knob : knobs) {
