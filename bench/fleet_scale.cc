@@ -4,19 +4,19 @@
  * hold. Runs a fig11-shaped population (mixed workload kinds,
  * intensity 0.7-1.3, 25% pre-fragmented, half stock Linux and half
  * Contiguitas) at the scale tier — small machines, short uptimes,
- * streaming scan sinks, coarse stepping, pooled per-worker server
- * arenas — and reports the numbers that bound population size:
- * frame-table and ContigIndex bytes/frame, peak RSS (per shard when
- * sharded),
- * servers/second and host heap allocations per server.
+ * histograms fed from Fleet::run's per-server callback, coarse
+ * stepping, pooled per-worker server arenas — and reports the
+ * numbers that bound population size: frame-table and ContigIndex
+ * bytes/frame, peak RSS, servers/second and host heap allocations
+ * per server.
  *
  * Defaults to 100,000 servers; `--servers` and `--mem-mb` rescale.
- * `--threads` sets worker threads per process (0 = auto), `--shards`
- * forks that many worker processes over contiguous server ranges
- * (the 10^6-tier path), and `--coarse` / `--pool` toggle the scale
- * stepping mode and the server-arena pool (both on by default here;
- * both default off/on respectively elsewhere — see CTG_COARSE_STEP /
- * CTG_SLOT_POOL). The `--json BENCH_fleet.json` output carries, per
+ * `--threads` sets worker threads (0 = auto), and `--coarse` /
+ * `--pool` toggle the scale stepping mode and the server-arena pool
+ * (both on by default here; both default off/on respectively
+ * elsewhere — see CTG_COARSE_STEP / CTG_SLOT_POOL). Fleet::run holds
+ * one merge window of results at a time, so peak RSS barely grows
+ * with `--servers`. The `--json BENCH_fleet.json` output carries, per
  * system, the measured `bytes_per_frame` next to
  * `bytes_per_frame_aos` and the index's `index_bytes_per_frame`,
  * plus `allocs_per_server` next to the
@@ -28,13 +28,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "base/arena.hh"
 #include "base/host_mem.hh"
+#include "base/mergeable_stats.hh"
 #include "bench/bench_util.hh"
+#include "fleet/fleet.hh"
 #include "fleet/server_slot.hh"
-#include "fleet/sharding.hh"
 
 using namespace ctg;
 
@@ -43,7 +43,6 @@ namespace
 
 struct PopulationResult
 {
-    double wallMs = 0.0;
     unsigned threads = 0;
     double meanFreeContiguity2m = 0.0;
     double meanUnmovableBlocks2m = 0.0;
@@ -54,12 +53,8 @@ struct PopulationResult
     double indexBytesPerFrame = 0.0;
     /** Owner side-table entries per 1000 frames on that server. */
     double sideEntriesPerKiloFrame = 0.0;
-    /** Population size this result covers. */
-    std::uint64_t servers = 0;
-    /** Host heap allocations across the run (summed over shards). */
+    /** Host heap allocations across the run. */
     std::uint64_t heapAllocs = 0;
-    /** Per-shard accounting (one entry when unsharded). */
-    std::vector<ShardStats> shards;
 };
 
 /** The fig11 population shape at the scale tier: the same intensity
@@ -80,7 +75,6 @@ scaleConfig(bool contiguitas, unsigned servers,
     config.minIntensity = 0.7;
     config.maxIntensity = 1.3;
     config.prefragmentFrac = 0.25;
-    config.streamScans = true;
     config.threads = threads;
     config.coarseStep = coarse;
     config.slotPool = pool;
@@ -124,64 +118,35 @@ probeFootprint(const Fleet &fleet, PopulationResult *out)
 
 PopulationResult
 runPopulation(bool contiguitas, unsigned servers,
-              std::uint64_t mem_bytes, unsigned threads,
-              unsigned shards, bool coarse, bool pool,
-              std::string *stats_json)
+              std::uint64_t mem_bytes, unsigned threads, bool coarse,
+              bool pool, std::string *stats_json)
 {
     const Fleet::Config config = scaleConfig(
         contiguitas, servers, mem_bytes, threads, coarse, pool);
     const char *prefix = contiguitas ? "fleet.ctg" : "fleet.linux";
 
     PopulationResult result;
-    result.servers = servers;
 
-    if (shards > 1) {
-        // Sharded: the scans stay in the worker processes (streamed
-        // sinks carry the distribution); the parent only merges.
-        const ShardRunResult run =
-            runShardedFleet(config, shards, /*includeScans=*/false);
-        result.wallMs = run.wallMs;
-        result.threads = config.threads;
-        result.meanFreeContiguity2m =
-            run.sinks.freeContiguity2m.mean();
-        result.meanUnmovableBlocks2m =
-            run.sinks.unmovableBlocks2m.mean();
-        result.shards = run.shards;
-        for (const ShardStats &s : run.shards)
-            result.heapAllocs += s.heapAllocs;
-        // The probe needs the shared tables, not a run.
-        const Fleet fleet(config);
-        probeFootprint(fleet, &result);
-        char line[160];
-        std::snprintf(line, sizeof(line),
-                      "{\"name\":\"%s.run_wall_ms\",\"kind\":"
-                      "\"gauge\",\"value\":%.3f}\n",
-                      prefix, result.wallMs);
-        *stats_json += line;
-    } else {
-        Fleet fleet(config);
-        StatRegistry registry;
-        fleet.attachTelemetry(registry, nullptr, prefix);
-        bench::regFaultStats(registry);
-        const std::uint64_t allocsBefore = heapAllocCount();
-        fleet.run();
-        result.heapAllocs = heapAllocCount() - allocsBefore;
-        result.wallMs = fleet.lastRunWallMs();
-        result.threads = fleet.lastRunThreads();
-        result.meanFreeContiguity2m =
-            fleet.scanSinks().freeContiguity2m.mean();
-        result.meanUnmovableBlocks2m =
-            fleet.scanSinks().unmovableBlocks2m.mean();
-        ShardStats stats;
-        stats.begin = 0;
-        stats.end = servers;
-        stats.wallMs = result.wallMs;
-        stats.peakRssBytes = peakRssBytes();
-        stats.heapAllocs = result.heapAllocs;
-        result.shards.push_back(stats);
-        probeFootprint(fleet, &result);
-        *stats_json += registry.jsonLines();
-    }
+    Fleet fleet(config);
+    StatRegistry registry;
+    fleet.attachTelemetry(registry, nullptr, prefix);
+    bench::regFaultStats(registry);
+    // Only the two table metrics are kept: their values repeat
+    // (block-count ratios), whereas a sink of per-server uptimes
+    // would hold one bucket per server.
+    OnlineHistogram freeContiguity2m;
+    OnlineHistogram unmovableBlocks2m;
+    const std::uint64_t allocsBefore = heapAllocCount();
+    fleet.run([&](unsigned, const ServerScan &scan) {
+        freeContiguity2m.add(scan.freeContiguity[0]);
+        unmovableBlocks2m.add(scan.unmovableBlocks[0]);
+    });
+    result.heapAllocs = heapAllocCount() - allocsBefore;
+    result.threads = fleet.lastRunThreads();
+    result.meanFreeContiguity2m = freeContiguity2m.mean();
+    result.meanUnmovableBlocks2m = unmovableBlocks2m.mean();
+    probeFootprint(fleet, &result);
+    *stats_json += registry.jsonLines();
 
     char line[160];
     std::snprintf(line, sizeof(line),
@@ -199,29 +164,6 @@ runPopulation(bool contiguitas, unsigned servers,
                   "\"kind\":\"gauge\",\"value\":%.3f}\n",
                   prefix, result.sideEntriesPerKiloFrame);
     *stats_json += line;
-    for (std::size_t s = 0; s < result.shards.size(); ++s) {
-        const ShardStats &shard = result.shards[s];
-        std::snprintf(
-            line, sizeof(line),
-            "{\"name\":\"%s.shard%zu.peak_rss_mb\",\"kind\":"
-            "\"gauge\",\"value\":%.1f}\n",
-            prefix, s,
-            static_cast<double>(shard.peakRssBytes) /
-                (1024.0 * 1024.0));
-        *stats_json += line;
-        if (result.shards.size() > 1) {
-            std::printf("  %s shard %zu: servers [%u, %u) wall "
-                        "%.0f ms rss %.0f MiB allocs/server %.0f\n",
-                        contiguitas ? "ctg  " : "linux", s,
-                        shard.begin, shard.end, shard.wallMs,
-                        static_cast<double>(shard.peakRssBytes) /
-                            (1024.0 * 1024.0),
-                        static_cast<double>(shard.heapAllocs) /
-                            std::max(1.0,
-                                     static_cast<double>(
-                                         shard.end - shard.begin)));
-        }
-    }
     return result;
 }
 
@@ -250,7 +192,6 @@ main(int argc, char **argv)
     std::string servers_s = "100000";
     std::string mem_mb_s = "64";
     std::string threads_s = "0";
-    std::string shards_s = "1";
     std::string coarse_s = "1";
     std::string pool_s = "1";
     bench::parseArgs(
@@ -259,9 +200,7 @@ main(int argc, char **argv)
           "total population size (split linux/contiguitas)"},
          {"mem-mb", &mem_mb_s, "per-server memory in MiB"},
          {"threads", &threads_s,
-          "worker threads per process (0 = auto)"},
-         {"shards", &shards_s,
-          "worker processes over contiguous server ranges"},
+          "worker threads (0 = auto)"},
          {"coarse", &coarse_s,
           "scale stepping: batch idle workload segments (0/1)"},
          {"pool", &pool_s,
@@ -272,28 +211,25 @@ main(int argc, char **argv)
         bench::flagU64(mem_mb_s, "mem-mb") << 20;
     const unsigned threads = static_cast<unsigned>(
         bench::flagU64(threads_s, "threads"));
-    const unsigned shards = std::max<unsigned>(
-        1, static_cast<unsigned>(bench::flagU64(shards_s, "shards")));
     const bool coarse = bench::flagU64(coarse_s, "coarse") != 0;
     const bool pool = bench::flagU64(pool_s, "pool") != 0;
 
     bench::banner("Fleet scale",
                   "10^5-10^6-server population capacity study");
     std::printf("(population: %u servers at %llu MiB each, scale "
-                "tier, %u shard%s, coarse=%d pool=%d)\n",
+                "tier, coarse=%d pool=%d)\n",
                 servers,
                 static_cast<unsigned long long>(memBytes >> 20),
-                shards, shards == 1 ? "" : "s", int(coarse),
-                int(pool));
+                int(coarse), int(pool));
 
     std::string stats_json;
     bench::WallTimer wall;
     const PopulationResult linux_pop =
-        runPopulation(false, servers / 2, memBytes, threads, shards,
-                      coarse, pool, &stats_json);
+        runPopulation(false, servers / 2, memBytes, threads, coarse,
+                      pool, &stats_json);
     const PopulationResult ctg_pop =
         runPopulation(true, servers - servers / 2, memBytes, threads,
-                      shards, coarse, pool, &stats_json);
+                      coarse, pool, &stats_json);
     const double totalWallMs = wall.ms();
 
     // Churn baseline: a small pool-off population per system, sized
@@ -320,13 +256,8 @@ main(int argc, char **argv)
 
     const double serversPerSec =
         1000.0 * static_cast<double>(servers) / totalWallMs;
-    std::uint64_t maxShardRss = peakRssBytes();
-    for (const ShardStats &s : linux_pop.shards)
-        maxShardRss = std::max(maxShardRss, s.peakRssBytes);
-    for (const ShardStats &s : ctg_pop.shards)
-        maxShardRss = std::max(maxShardRss, s.peakRssBytes);
     const double peakRssMb =
-        static_cast<double>(maxShardRss) / (1024.0 * 1024.0);
+        static_cast<double>(peakRssBytes()) / (1024.0 * 1024.0);
     // Two reference points: what sizeof says the seed's
     // array-of-structs columns cost (PageFrame value type + two
     // 32-bit links), and the 40 bytes/frame the roadmap charged the
@@ -363,15 +294,13 @@ main(int argc, char **argv)
                 aosBytesPerFrame / maxBytesPerFrame,
                 aosBytesPerFrame);
     std::printf("Throughput: %.0f servers/sec over %u servers "
-                "(%u shard%s x %u worker threads, wall %.0f ms)\n",
-                serversPerSec, servers, shards,
-                shards == 1 ? "" : "s", linux_pop.threads,
+                "(%u worker threads, wall %.0f ms)\n",
+                serversPerSec, servers, linux_pop.threads,
                 totalWallMs);
     std::printf("Heap allocations: %.0f/server pooled vs %.0f/server "
                 "churn baseline (%.1fx reduction)\n",
                 pooledPerServer, churnPerServer, allocReduction);
-    std::printf("Peak RSS: %.0f MiB (max over %s)\n", peakRssMb,
-                shards == 1 ? "the process" : "parent and shards");
+    std::printf("Peak RSS: %.0f MiB\n", peakRssMb);
 
     char line[160];
     std::snprintf(line, sizeof(line),
@@ -388,11 +317,6 @@ main(int argc, char **argv)
                   "{\"name\":\"fleet.threads\",\"kind\":\"gauge\","
                   "\"value\":%u}\n",
                   linux_pop.threads);
-    stats_json += line;
-    std::snprintf(line, sizeof(line),
-                  "{\"name\":\"fleet.shards\",\"kind\":\"gauge\","
-                  "\"value\":%u}\n",
-                  shards);
     stats_json += line;
     std::snprintf(line, sizeof(line),
                   "{\"name\":\"fleet.coarse_step\",\"kind\":"

@@ -96,12 +96,6 @@ EnvConfig::fromEnv()
     if (const char *env = std::getenv("CTG_TRACE_SPANS"))
         config.traceSpansPath = env;
 
-    if (const char *env = std::getenv("CTG_STREAM_SCANS")) {
-        if (!parseBool(env, &config.streamScans))
-            warn_once("ignoring malformed CTG_STREAM_SCANS '%s'",
-                      env);
-    }
-
     config.csvTables = std::getenv("CTG_CSV") != nullptr;
 
     if (const char *env = std::getenv("CTG_EXACT_PREF")) {

@@ -52,11 +52,6 @@ struct EnvConfig
      * process exit. */
     std::string traceSpansPath;
 
-    /** CTG_STREAM_SCANS: fold fleet scan results through streaming
-     * OnlineHistogram sinks instead of materialized sample vectors
-     * (same quantiles, O(distinct values) footprint). */
-    bool streamScans = false;
-
     /** CTG_CSV: append CSV renderings after bench tables. */
     bool csvTables = false;
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "base/serde.hh"
-
 namespace ctg
 {
 
@@ -81,44 +79,6 @@ OnlineHistogram::fractionAtOrBelow(double x) const
          it != counts_.end() && !(x < it->first); ++it)
         seen += it->second;
     return static_cast<double>(seen) / static_cast<double>(total_);
-}
-
-void
-OnlineHistogram::saveTo(serde::Writer &out) const
-{
-    out.putU64(counts_.size());
-    for (const auto &entry : counts_) {
-        out.putDouble(entry.first);
-        out.putU64(entry.second);
-    }
-}
-
-void
-OnlineHistogram::loadFrom(serde::Reader &in)
-{
-    const std::uint64_t buckets = in.getU64();
-    std::map<double, std::uint64_t> counts;
-    std::uint64_t total = 0;
-    double prev = 0.0;
-    for (std::uint64_t i = 0; i < buckets; ++i) {
-        const double value = in.getDouble();
-        const std::uint64_t weight = in.getU64();
-        if (std::isnan(value))
-            throw serde::Error("histogram: NaN bucket value");
-        if (weight == 0)
-            throw serde::Error("histogram: zero bucket count");
-        if (i > 0 && !(prev < value))
-            throw serde::Error(
-                "histogram: bucket values out of order");
-        if (total + weight < total)
-            throw serde::Error("histogram: count overflow");
-        // Ascending inserts at end(): O(buckets) total.
-        counts.emplace_hint(counts.end(), value, weight);
-        total += weight;
-        prev = value;
-    }
-    counts_ = std::move(counts);
-    total_ = total;
 }
 
 } // namespace ctg

@@ -7,8 +7,9 @@
  * is O(servers × metrics) memory — fine at 60 servers, fatal at the
  * 10⁵–10⁶ fleets ROADMAP item 1 targets. OnlineHistogram is the
  * streaming replacement: a sorted value → count map that can be fed
- * incrementally, merged across per-worker partial sinks, and asked
- * the *same* questions with bit-identical answers:
+ * incrementally (Fleet::run's per-server callback feeds
+ * Fleet::ScanSinks), merged across partial sinks, and asked the
+ * *same* questions with bit-identical answers:
  *
  *  - quantile(f) returns the exact sample EmpiricalCdf::quantile
  *    would return for the same multiset (index floor(f·(n−1)) of the
@@ -20,12 +21,12 @@
  *    partitioned across sinks before merging.
  *
  * That last property is the determinism contract: merge() is a
- * commutative, associative count union, so per-worker sinks filled
- * under a work-stealing schedule and merged in any order produce the
- * same bits as a single sequential sink (asserted at 1/4/8 threads
- * in test_parallel_fleet). Memory is O(distinct values), which for
- * scan metrics (ratios snapped by discrete block counts) is far
- * below O(servers).
+ * commutative, associative count union, so partial sinks merged in
+ * any order produce the same bits as a single sequential sink
+ * (test_base; sinks fed from the fleet callback match materialized
+ * CDFs at 1/4/8 threads in test_parallel_fleet). Memory is
+ * O(distinct values), which for scan metrics (ratios snapped by
+ * discrete block counts) is far below O(servers).
  */
 
 #ifndef CTG_BASE_MERGEABLE_STATS_HH
@@ -38,12 +39,6 @@
 
 namespace ctg
 {
-
-namespace serde
-{
-class Writer;
-class Reader;
-} // namespace serde
 
 class OnlineHistogram
 {
@@ -81,16 +76,6 @@ class OnlineHistogram
     {
         return counts_;
     }
-
-    /** Serialize the full bucket map (ascending value order). A sink
-     * restored by loadFrom answers every query bit-identically —
-     * the shard protocol ships per-shard partials this way. */
-    void saveTo(serde::Writer &out) const;
-
-    /** Replace this sink's contents with serialized ones. Throws
-     * serde::Error on malformed input: NaN values, zero or
-     * overflowing counts, or values out of ascending order. */
-    void loadFrom(serde::Reader &in);
 
   private:
     std::map<double, std::uint64_t> counts_;

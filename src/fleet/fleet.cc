@@ -1,11 +1,12 @@
 #include "fleet/fleet.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <exception>
 #include <filesystem>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 
 #include "base/arena.hh"
 #include "base/env_config.hh"
@@ -38,8 +39,6 @@ Fleet::Config::applyEnvOverlay()
         coarseStep = env.coarseStep;
     if (!slotPool)
         slotPool = env.slotPool;
-    if (!streamScans)
-        streamScans = env.streamScans;
     if (checkpointDir.empty())
         checkpointDir = env.checkpointDir;
     if (restoreDir.empty())
@@ -88,9 +87,7 @@ fleetConfigFingerprint(const Fleet::Config &config)
         fp.mixU32(static_cast<std::uint32_t>(*kind));
     // Coarse stepping changes results, so it partitions snapshots
     // just like it does in serverConfigFingerprint. Mixed resolved,
-    // so config and CTG_COARSE_STEP spellings agree. The shard range
-    // (rangeBegin/rangeEnd) is deliberately NOT mixed: shards of one
-    // population must share a single manifest.
+    // so config and CTG_COARSE_STEP spellings agree.
     fp.mixBool(config.coarseStep.value_or(
         sim::EnvConfig::fromEnv().coarseStep));
     return fp.value();
@@ -103,15 +100,6 @@ Fleet::ScanSinks::absorb(const ServerScan &scan)
     unmovableBlocks2m.add(scan.unmovableBlocks[0]);
     unmovablePageRatio.add(scan.unmovablePageRatio);
     uptimeSec.add(scan.uptimeSec);
-}
-
-void
-Fleet::ScanSinks::merge(const ScanSinks &other)
-{
-    freeContiguity2m.merge(other.freeContiguity2m);
-    unmovableBlocks2m.merge(other.unmovableBlocks2m);
-    unmovablePageRatio.merge(other.unmovablePageRatio);
-    uptimeSec.merge(other.uptimeSec);
 }
 
 Fleet::Fleet(const Config &config)
@@ -167,19 +155,18 @@ Fleet::attachTelemetry(StatRegistry &registry, StatSampler *sampler,
 std::vector<ServerScan>
 Fleet::run()
 {
-    const auto wallStart = std::chrono::steady_clock::now();
+    std::vector<ServerScan> scans;
+    scans.reserve(config_.servers);
+    run([&scans](unsigned, const ServerScan &scan) {
+        scans.push_back(scan);
+    });
+    return scans;
+}
 
-    // Shard range: sample the whole population (identical seed
-    // stream in every shard) but simulate only [lo, hi).
-    const unsigned lo = config_.rangeBegin;
-    const unsigned hi =
-        config_.rangeEnd == 0 ? config_.servers : config_.rangeEnd;
-    if (lo > hi || hi > config_.servers)
-        fatal("fleet range [%u, %u) outside population of %u",
-              lo, hi, config_.servers);
-    const unsigned count = hi - lo;
-    capturedSpans_.clear();
-    pendingManifestEntries_.clear();
+void
+Fleet::run(const ScanCallback &onScan)
+{
+    const auto wallStart = std::chrono::steady_clock::now();
 
     Executor executor(config_.threads);
     runThreads_ = executor.threads();
@@ -207,18 +194,13 @@ Fleet::run()
     const std::optional<WorkloadKind> pinnedKind =
         resolvedKindOverride(config_);
 
-    // Pre-sample every server's configuration from the fleet RNG on
-    // the calling thread, before dispatch: the seed stream is
-    // consumed in server order, so the draws cannot depend on the
-    // worker schedule.
+    // Every server's configuration is drawn from the fleet RNG on
+    // the calling thread, window by window before dispatch: the seed
+    // stream is consumed in server order, so the draws cannot depend
+    // on the worker schedule or the window size.
     const Server::Config base = baseServerConfig();
-    std::vector<Server::Config> configs(config_.servers);
-    {
-    CTG_SPAN(Fleet, "fleet.sample_configs",
-             {{"servers", config_.servers}});
     Rng rng(config_.seed);
-    for (unsigned i = 0; i < config_.servers; ++i) {
-        Server::Config &sc = configs[i];
+    const auto sampleConfig = [&](Server::Config &sc) {
         // Fleet-wide knobs are plain copies of the stamped base —
         // not RNG draws, so they cannot perturb the seed stream.
         sc = base;
@@ -236,8 +218,7 @@ Fleet::run()
             rng.uniform() * (config_.maxUptimeSec -
                              config_.minUptimeSec);
         sc.seed = rng.next();
-    }
-    }
+    };
 
     // Checkpoint/restore plumbing. The restore manifest is loaded
     // and validated once, up front, on the calling thread; any
@@ -282,27 +263,20 @@ Fleet::run()
         /** Manifest line for this server's written snapshot, when
          * checkpointing succeeded for it. */
         std::optional<snap::ManifestEntry> snapEntry;
+        /** The task's exception, if it failed (off-arena copy). */
+        std::exception_ptr error;
     };
-    std::vector<TaskResult> results(count);
 
-    // Streaming sinks: one partial per worker thread, folded as each
-    // task finishes (one short lock per server). OnlineHistogram
-    // merges are order-insensitive, so the work-stealing schedule
-    // cannot leak into the merged bits.
-    std::mutex sinksMu;
-    std::map<std::thread::id, ScanSinks> workerSinks;
-    streamSinks_ = ScanSinks{};
-
-    // Pooled per-worker server storage (the fleet-scale fast path):
-    // one ServerSlot per worker thread, its arena reset and reused
-    // across tasks. Slots are keyed by thread id under a mutex, the
-    // same pattern as workerSinks — the executor has no worker-index
-    // API, and one short lock per server is noise next to the ~ms of
-    // simulation it brackets.
+    // Pooled server storage (the fleet-scale fast path): one
+    // ServerSlot per concurrently running task, its arena reset and
+    // reused across tasks and windows. A task takes a slot from the
+    // idle list (or makes one) and parks it there when done, so at
+    // most `threads` slots ever exist; one short lock per server is
+    // noise next to the ~ms of simulation it brackets.
     const bool pooled = config_.slotPool.value_or(
         sim::EnvConfig::fromEnv().slotPool);
     std::mutex slotsMu;
-    std::map<std::thread::id, std::unique_ptr<ServerSlot>> slots;
+    std::vector<std::unique_ptr<ServerSlot>> idleSlots;
 
     // The task body, shared by the pooled and fresh paths. With a
     // slot, the caller has already opened an ArenaScope: every
@@ -402,13 +376,6 @@ Fleet::run()
                          static_cast<std::int64_t>(
                              out.scan.freeContiguity[0] * 10000.0));
         }
-        if (config_.streamScans) {
-            // The sink map nodes and histogram buckets outlive the
-            // task, so they must come from the heap, not the arena.
-            const ArenaSuspend off;
-            const std::lock_guard<std::mutex> lock(sinksMu);
-            workerSinks[std::this_thread::get_id()].absorb(out.scan);
-        }
         CTG_DPRINTF(Fleet,
                     "server %u done: free_contig_2m=%.3f "
                     "unmovable_blocks_2m=%.3f",
@@ -444,135 +411,142 @@ Fleet::run()
         }
     };
 
-    {
-    CTG_SPAN(Fleet, "fleet.simulate",
-             {{"servers", count}, {"threads", runThreads_}});
-    executor.run(count, [&](std::size_t task) {
-        const unsigned i = lo + static_cast<unsigned>(task);
-        const Server::Config &sc = configs[i];
-        TaskResult &out = results[task];
-        // Heap-free, so safe to fork before any arena is active.
-        out.faults = ambient.forkForTask(i);
-        if (!pooled) {
-            runOne(i, sc, out, nullptr);
-            return;
-        }
-        ServerSlot *slot = nullptr;
+    const auto runPooled = [&](unsigned i, const Server::Config &sc,
+                               TaskResult &out) {
+        std::unique_ptr<ServerSlot> slot;
         {
             const std::lock_guard<std::mutex> lock(slotsMu);
-            std::unique_ptr<ServerSlot> &entry =
-                slots[std::this_thread::get_id()];
-            if (entry == nullptr)
-                entry = std::make_unique<ServerSlot>();
-            slot = entry.get();
+            if (!idleSlots.empty()) {
+                slot = std::move(idleSlots.back());
+                idleSlots.pop_back();
+            }
         }
+        if (slot == nullptr)
+            slot = std::make_unique<ServerSlot>();
         // Rewind before the scope opens: the rewind invalidates the
         // previous task's arena contents, so nothing this task has
         // allocated may predate it.
         slot->begin();
-        const ArenaScope arenaScope(slot->arena());
-        try {
-            runOne(i, sc, out, slot);
-        } catch (const PanicError &e) {
-            // Exception messages are arena-backed; rethrow a deep
-            // copy built off-arena, preserving the concrete types
-            // tests and callers catch. bad_alloc carries a static
-            // message and propagates as-is.
-            const ArenaSuspend off;
-            throw PanicError(std::string(e.what()));
-        } catch (const FatalError &e) {
-            const ArenaSuspend off;
-            throw FatalError(std::string(e.what()));
-        } catch (const serde::Error &e) {
-            const ArenaSuspend off;
-            throw serde::Error(std::string(e.what()));
-        } catch (const std::bad_alloc &) {
-            throw;
-        } catch (const std::exception &e) {
-            const ArenaSuspend off;
-            throw std::runtime_error(std::string(e.what()));
-        }
-    });
-    }
-
-    // Deterministic merge: every observable side effect is applied
-    // here, in server order, on the calling thread — identical
-    // Distributions (same sample order), sampler snapshots, trace
-    // bytes, span streams and fault counters at any thread count.
-    CTG_SPAN(Fleet, "fleet.merge", {{"servers", count}});
-    const std::size_t snapshotBase =
-        sampler_ != nullptr ? sampler_->sampleCount() : 0;
-    if (config_.captureSpans)
-        capturedSpans_.resize(count);
-    std::vector<ServerScan> scans;
-    scans.reserve(count);
-    for (unsigned task = 0; task < count; ++task) {
-        TaskResult &r = results[task];
-        trace::emitRaw(r.traceText);
-        if (config_.captureSpans)
-            capturedSpans_[task] = std::move(r.spanEvents);
-        else if (!r.spanEvents.empty())
-            spans::publish(std::move(r.spanEvents));
-        ambient.absorbStats(r.faults);
-        if (serversRun_ != nullptr) {
-            ++*serversRun_;
-            freeContiguity2m_->sample(r.scan.freeContiguity[0]);
-            unmovableBlocks2m_->sample(r.scan.unmovableBlocks[0]);
-            unmovablePageRatio_->sample(r.scan.unmovablePageRatio);
-            uptimeSec_->sample(r.scan.uptimeSec);
-            if (sampler_ != nullptr) {
-                // The tick is the sampler's running snapshot index
-                // (server index when fresh); restarting at 0 on a
-                // reused sampler would violate its non-decreasing
-                // tick contract and scramble the series.
-                sampler_->sample(
-                    static_cast<Tick>(snapshotBase + task));
-                ctg_assert(sampler_->sampleCount() ==
-                           snapshotBase + task + 1);
-                ctg_assert(sampler_->ticks().back() ==
-                           static_cast<Tick>(snapshotBase + task));
+        {
+            const ArenaScope arenaScope(slot->arena());
+            try {
+                runOne(i, sc, out, slot.get());
+            } catch (const PanicError &e) {
+                // Exception messages are arena-backed; rethrow a
+                // deep copy built off-arena, preserving the concrete
+                // types tests and callers catch. bad_alloc carries a
+                // static message and propagates as-is.
+                const ArenaSuspend off;
+                throw PanicError(std::string(e.what()));
+            } catch (const FatalError &e) {
+                const ArenaSuspend off;
+                throw FatalError(std::string(e.what()));
+            } catch (const serde::Error &e) {
+                const ArenaSuspend off;
+                throw serde::Error(std::string(e.what()));
+            } catch (const std::bad_alloc &) {
+                throw;
+            } catch (const std::exception &e) {
+                const ArenaSuspend off;
+                throw std::runtime_error(std::string(e.what()));
             }
         }
-        scans.push_back(r.scan);
+        const std::lock_guard<std::mutex> lock(slotsMu);
+        idleSlots.push_back(std::move(slot));
+    };
+
+    // Dispatch in windows of kMergeWindowPerThread × threads servers.
+    // After each window, every observable side effect is applied
+    // here, in server order, on the calling thread — identical
+    // Distributions (same sample order), sampler snapshots, trace
+    // bytes, span streams, fault counters, manifest entries and
+    // callback sequence at any thread count — and the window's
+    // results are dropped before the next one starts.
+    CTG_SPAN(Fleet, "fleet.simulate",
+             {{"servers", config_.servers},
+              {"threads", runThreads_}});
+    const unsigned window = kMergeWindowPerThread * runThreads_;
+    const std::size_t snapshotBase =
+        sampler_ != nullptr ? sampler_->sampleCount() : 0;
+    std::vector<Server::Config> configs;
+    std::vector<TaskResult> results;
+    std::vector<snap::ManifestEntry> manifestEntries;
+    for (unsigned lo = 0; lo < config_.servers; lo += window) {
+        const unsigned count = std::min(window, config_.servers - lo);
+        configs.resize(count);
+        for (Server::Config &sc : configs)
+            sampleConfig(sc);
+        results.clear();
+        results.resize(count);
+        executor.run(count, [&](std::size_t task) {
+            const unsigned i = lo + static_cast<unsigned>(task);
+            TaskResult &out = results[task];
+            // Heap-free, so safe to fork before any arena is active.
+            out.faults = ambient.forkForTask(i);
+            try {
+                if (pooled)
+                    runPooled(i, configs[task], out);
+                else
+                    runOne(i, configs[task], out, nullptr);
+            } catch (...) {
+                out.error = std::current_exception();
+            }
+        });
+
+        for (unsigned task = 0; task < count; ++task) {
+            TaskResult &r = results[task];
+            const unsigned i = lo + task;
+            // Servers below the first failure are already merged,
+            // so the output before the rethrow is the same at any
+            // thread count (and any window size).
+            if (r.error)
+                std::rethrow_exception(r.error);
+            trace::emitRaw(r.traceText);
+            if (!r.spanEvents.empty())
+                spans::publish(std::move(r.spanEvents));
+            ambient.absorbStats(r.faults);
+            if (serversRun_ != nullptr) {
+                ++*serversRun_;
+                freeContiguity2m_->sample(r.scan.freeContiguity[0]);
+                unmovableBlocks2m_->sample(r.scan.unmovableBlocks[0]);
+                unmovablePageRatio_->sample(r.scan.unmovablePageRatio);
+                uptimeSec_->sample(r.scan.uptimeSec);
+                if (sampler_ != nullptr) {
+                    // The tick is the sampler's running snapshot
+                    // index (server index when fresh); restarting
+                    // at 0 on a reused sampler would violate its
+                    // non-decreasing tick contract and scramble the
+                    // series.
+                    sampler_->sample(
+                        static_cast<Tick>(snapshotBase + i));
+                    ctg_assert(sampler_->sampleCount() ==
+                               snapshotBase + i + 1);
+                    ctg_assert(sampler_->ticks().back() ==
+                               static_cast<Tick>(snapshotBase + i));
+                }
+            }
+            if (r.snapEntry)
+                manifestEntries.push_back(std::move(*r.snapEntry));
+            onScan(i, r.scan);
+        }
     }
 
     // The manifest is written last, on the calling thread, in server
     // order: the snap.manifest_skew probes it takes on the ambient
     // injector are deterministic at any thread count. Servers whose
     // snapshot write failed are simply absent — a later restore
-    // cold-starts them. A partial (shard) range never writes a
-    // manifest: its entries are stashed for the shard parent, which
-    // merges every shard's and writes the one manifest itself, so
-    // the per-entry manifest_skew probes land on the parent's
-    // ambient injector exactly as in a single-process run.
+    // cold-starts them.
     if (checkpointing) {
-        std::vector<snap::ManifestEntry> entries;
-        for (unsigned task = 0; task < count; ++task)
-            if (results[task].snapEntry)
-                entries.push_back(*results[task].snapEntry);
-        if (lo == 0 && hi == config_.servers) {
-            snap::Manifest manifest;
-            manifest.fleetFingerprint = fleetFp;
-            manifest.entries = std::move(entries);
-            snap::writeManifest(config_.checkpointDir, manifest);
-        } else {
-            pendingManifestEntries_ = std::move(entries);
-        }
-    }
-
-    // Per-worker partials merge in map order; OnlineHistogram::merge
-    // is order-insensitive, so the result is the same bits as a
-    // single sequential sink.
-    if (config_.streamScans) {
-        for (const auto &entry : workerSinks)
-            streamSinks_.merge(entry.second);
+        snap::Manifest manifest;
+        manifest.fleetFingerprint = fleetFp;
+        manifest.entries = std::move(manifestEntries);
+        snap::writeManifest(config_.checkpointDir, manifest);
     }
 
     runWallMs_ =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - wallStart)
             .count();
-    return scans;
 }
 
 } // namespace ctg

@@ -6,28 +6,30 @@
  * Section 2.4 uptime-correlation analysis.
  *
  * Servers are independent, so run() farms them out to a
- * work-stealing Executor. Determinism is a contract, not an
- * accident: per-server configs are pre-sampled from the fleet RNG
- * before dispatch, every worker task runs under a forked per-server
- * fault injector and a per-thread trace capture, and all observable
- * side effects (fleet Distributions, sampler snapshots, trace
- * output, fault counters) are applied in a merge step that walks
- * servers in index order — so a run is byte-identical at every
- * thread count, including threads = 1 (the legacy sequential path).
- * See DESIGN.md §10.
+ * work-stealing Executor, one bounded window of servers at a time.
+ * Determinism is a contract, not an accident: per-server configs are
+ * sampled from the fleet RNG in server order on the calling thread,
+ * every worker task runs under a forked per-server fault injector
+ * and a per-thread trace capture, and all observable side effects
+ * (the per-server scan callback, fleet Distributions, sampler
+ * snapshots, trace output, span streams, fault counters, manifest
+ * entries) are applied in a merge step that walks each window's
+ * servers in index order before the next window starts — so a run
+ * is byte-identical at every thread count, including threads = 1
+ * (the sequential path), and holds O(window) results in memory
+ * however large the population. See DESIGN.md §10.
  */
 
 #ifndef CTG_FLEET_FLEET_HH
 #define CTG_FLEET_FLEET_HH
 
+#include <functional>
 #include <optional>
 #include <vector>
 
 #include "base/mergeable_stats.hh"
-#include "base/span_trace.hh"
 #include "fleet/server.hh"
 #include "fleet/shared_tables.hh"
-#include "sim/snapshot.hh"
 
 namespace ctg
 {
@@ -85,20 +87,14 @@ class Fleet
          * part of both config fingerprints. */
         std::optional<bool> coarseStep;
         /** Pooled per-worker server arenas (nullopt = CTG_SLOT_POOL,
-         * default on): each worker thread keeps one ServerSlot whose
-         * arena backs every allocation a server task makes, reset
-         * and reused across tasks instead of churning the heap.
+         * default on): each running task takes a ServerSlot (at most
+         * one per worker exists) whose arena backs every allocation
+         * the task makes, reset and reused across tasks instead of
+         * churning the heap.
          * Results are bit-identical either way; "false" restores the
          * per-task-churn baseline (the pool equivalence tests pin
          * this). */
         std::optional<bool> slotPool;
-        /** Fold each server's scan into streaming per-worker
-         * OnlineHistogram sinks as tasks finish, merged after the
-         * run (scanSinks()). The sinks answer quantile/CDF queries
-         * bit-identically to the materialized Distributions at any
-         * thread count — the fleet-scale path that drops the
-         * O(servers) sample vectors (CTG_STREAM_SCANS). */
-        bool streamScans = false;
 
         /** Checkpoint directory (CTG_CHECKPOINT): every server's
          * state at its uptime boundary is written here as an
@@ -117,32 +113,23 @@ class Fleet
          * either way. Empty disables restoring. */
         std::string restoreDir;
 
-        /** Shard-internal knobs (set by runShardedFleet, not user
-         * config): run only servers [rangeBegin, rangeEnd) while
-         * sampling the full population's configs, so every shard
-         * consumes the identical seed stream. 0/0 = whole fleet.
-         * Neither field enters the fleet fingerprint — a sharded
-         * run checkpoints/restores against the same manifest as a
-         * single-process one. */
-        unsigned rangeBegin = 0;
-        unsigned rangeEnd = 0;
-        /** Shard-internal: stash each server's span events in
-         * takeCapturedSpans() order instead of publishing them to
-         * the process-local collector, so a shard child can ship
-         * them across the pipe for the parent to publish. */
-        bool captureSpans = false;
-
         /** Overlay environment-derived fields (sim::EnvConfig) onto
          * any still-unset knobs (threads, workloadOverride,
-         * exactPref, coarseStep, slotPool, streamScans,
-         * checkpointDir, restoreDir). */
+         * exactPref, coarseStep, slotPool, checkpointDir,
+         * restoreDir). */
         void applyEnvOverlay();
     };
 
+    /** Servers dispatched per worker thread before the merge
+     * drains them: run() keeps at most kMergeWindowPerThread ×
+     * threads results in flight. Results do not depend on it. */
+    static constexpr unsigned kMergeWindowPerThread = 64;
+
     /** Streaming scan statistics: one mergeable sink per telemetry
-     * Distribution. Workers fold scans into per-worker partials;
-     * run() merges them (order-insensitively) into the fleet's
-     * sinks. */
+     * Distribution, owned by the caller and fed from run()'s
+     * per-server callback. Quantiles are bit-identical to
+     * materialized CDFs of the same scans, in O(distinct values)
+     * memory. */
     struct ScanSinks
     {
         OnlineHistogram freeContiguity2m;
@@ -152,9 +139,11 @@ class Fleet
 
         /** Fold one server's scan. */
         void absorb(const ServerScan &scan);
-        /** Fold another partial sink. */
-        void merge(const ScanSinks &other);
     };
+
+    /** Per-server result callback: server index and its scan. */
+    using ScanCallback =
+        std::function<void(unsigned server, const ServerScan &)>;
 
     explicit Fleet(const Config &config);
 
@@ -177,6 +166,15 @@ class Fleet
                          StatSampler *sampler = nullptr,
                          const std::string &prefix = "fleet");
 
+    /** Run every server, calling `onScan` once per server, in
+     * server order, on the calling thread (during the merge of the
+     * window that ran it). A task failure rethrows after every
+     * server below the failing one has been merged — the same
+     * servers at any thread count. (No manifest is written then;
+     * which orphan snapshot files the failing window left behind
+     * depends on the window size.) */
+    void run(const ScanCallback &onScan);
+
     /** Run every server and collect its scan, indexed by server. */
     std::vector<ServerScan> run();
 
@@ -185,10 +183,6 @@ class Fleet
 
     /** Worker threads the last run() used. */
     unsigned lastRunThreads() const { return runThreads_; }
-
-    /** Merged streaming sinks of the last run(); empty unless
-     * Config::streamScans was set. */
-    const ScanSinks &scanSinks() const { return streamSinks_; }
 
     /** The population's shared calibration tables (built once in the
      * constructor and stamped into every sampled Server::Config). */
@@ -204,31 +198,11 @@ class Fleet
      * restating the stamping rules. */
     Server::Config baseServerConfig() const;
 
-    /** Span events captured by the last run() under
-     * Config::captureSpans, one vector per server in the run's
-     * range, in server order (moves them out; empty otherwise). */
-    std::vector<std::vector<spans::Event>> takeCapturedSpans()
-    {
-        return std::move(capturedSpans_);
-    }
-
-    /** Manifest entries the last ranged run() produced instead of
-     * writing a manifest (a partial range never writes one — the
-     * shard parent merges entries from every shard and writes the
-     * single manifest itself). Moves them out. */
-    std::vector<snap::ManifestEntry> takePendingManifestEntries()
-    {
-        return std::move(pendingManifestEntries_);
-    }
-
     const Config &config() const { return config_; }
 
   private:
     Config config_;
     std::shared_ptr<const SharedFleetTables> tables_;
-    ScanSinks streamSinks_;
-    std::vector<std::vector<spans::Event>> capturedSpans_;
-    std::vector<snap::ManifestEntry> pendingManifestEntries_;
     StatSampler *sampler_ = nullptr;
     Distribution *freeContiguity2m_ = nullptr;
     Distribution *unmovableBlocks2m_ = nullptr;
@@ -240,12 +214,12 @@ class Fleet
 };
 
 /** Fingerprint of everything in a Fleet::Config that shapes the
- * population (thread count, shard range and streaming/telemetry
- * knobs excluded — they are bit-identical by contract). Stamped into
- * the checkpoint manifest; a restore against a different fleet
- * configuration is refused up front. The workload override is mixed
- * in resolved form, so an unknown name fingerprints like no
- * override — it leaves the same sampled population. */
+ * population (thread count and telemetry knobs excluded — they are
+ * bit-identical by contract). Stamped into the checkpoint manifest;
+ * a restore against a different fleet configuration is refused up
+ * front. The workload override is mixed in resolved form, so an
+ * unknown name fingerprints like no override — it leaves the same
+ * sampled population. */
 std::uint64_t fleetConfigFingerprint(const Fleet::Config &config);
 
 } // namespace ctg

@@ -3,9 +3,10 @@
  * Per-worker pooled server storage for fleet runs.
  *
  * A ServerSlot pairs one Arena (base/arena.hh) with the Server
- * currently living inside it. Fleet workers keep one slot per
- * thread and recycle it across tasks: begin() tears the previous
- * server down and rewinds the arena in O(blocks), then the task
+ * currently living inside it. Fleet tasks take a slot from an idle
+ * list (at most one per worker exists) and recycle it across tasks:
+ * begin() tears the previous server down and rewinds the arena in
+ * O(blocks), then the task
  * constructs (or snapshot-restores) the next server into the same
  * storage — eliminating the per-task heap churn that dominates
  * setup/teardown cost at 10⁵–10⁶-server populations. Simulation

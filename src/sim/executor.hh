@@ -15,8 +15,11 @@
  * need schedule-independent output must (a) keep tasks independent —
  * no shared mutable state except commutative/atomic counters — and
  * (b) write results into per-task slots and merge them by task index
- * after run() returns. Fleet::run() is the canonical client; see
- * DESIGN.md §10 for the full set of rules.
+ * after run() returns. Fleet::run() is the canonical client: it
+ * calls run() once per bounded window of servers and merges each
+ * window in server order before dispatching the next, so its memory
+ * stays O(window) at any population size. See DESIGN.md §10 for the
+ * full set of rules.
  *
  * threads == 1 never spawns: tasks run inline, in index order, on
  * the calling thread. This is the legacy sequential path and the

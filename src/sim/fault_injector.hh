@@ -221,18 +221,6 @@ class FaultInjector
         std::uint64_t fires = 0;
     };
 
-    /** Fold one site's counter deltas into this injector. The shard
-     * merge path: a shard child ships (after − before) counts and
-     * the parent absorbs them here, leaving its own specs and RNG
-     * streams untouched (loadFrom would clobber them). */
-    void
-    absorbSiteStats(FaultSite site, const SiteStats &delta)
-    {
-        SiteStats &stats = sites_[index(site)].stats;
-        stats.evaluations += delta.evaluations;
-        stats.fires += delta.fires;
-    }
-
     const SiteStats &
     siteStats(FaultSite site) const
     {

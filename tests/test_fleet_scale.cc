@@ -26,7 +26,6 @@
 #include "base/units.hh"
 #include "bench/bench_util.hh"
 #include "fleet/fleet.hh"
-#include "fleet/sharding.hh"
 #include "fleet/shared_tables.hh"
 #include "mem/auditor.hh"
 #include "mem/buddy.hh"
@@ -852,9 +851,21 @@ scaleTierFleet(bool contiguitas, unsigned servers)
     config.minIntensity = 0.7;
     config.maxIntensity = 1.3;
     config.prefragmentFrac = 0.25;
-    config.streamScans = true;
     config.seed = 0x5ca1e ^ (contiguitas ? 1 : 0);
     return config;
+}
+
+/** Run `fleet` through the per-server callback, folding every scan
+ * into `sinks`; returns the scans in callback order. */
+std::vector<ServerScan>
+runIntoSinks(Fleet &fleet, Fleet::ScanSinks &sinks)
+{
+    std::vector<ServerScan> scans;
+    fleet.run([&](unsigned, const ServerScan &scan) {
+        sinks.absorb(scan);
+        scans.push_back(scan);
+    });
+    return scans;
 }
 
 class FleetScaleTier : public ::testing::Test
@@ -873,14 +884,14 @@ TEST_F(FleetScaleTier, BitIdenticalAcrossThreadCounts)
             Fleet::Config config = scaleTierFleet(contiguitas, 24);
             config.threads = threads;
             Fleet fleet(config);
-            const auto scans = scansBits(fleet.run());
+            Fleet::ScanSinks sinks;
+            const auto scans = scansBits(runIntoSinks(fleet, sinks));
             std::vector<std::uint64_t> quantiles;
             for (const double f : {0.0, 0.25, 0.5, 0.9, 1.0}) {
                 quantiles.push_back(
-                    bits(fleet.scanSinks().freeContiguity2m
-                             .quantile(f)));
+                    bits(sinks.freeContiguity2m.quantile(f)));
                 quantiles.push_back(
-                    bits(fleet.scanSinks().uptimeSec.quantile(f)));
+                    bits(sinks.uptimeSec.quantile(f)));
             }
             if (baseline.empty()) {
                 baseline = scans;
@@ -895,6 +906,45 @@ TEST_F(FleetScaleTier, BitIdenticalAcrossThreadCounts)
                     << " threads";
             }
         }
+    }
+}
+
+TEST_F(FleetScaleTier, ScanCallbackStreamsServerOrderAcrossMergeWindows)
+{
+    // 200 servers are more than three merge windows at one thread
+    // (Fleet::kMergeWindowPerThread = 64), two at two threads and one
+    // at four. At every thread count the callback must see each
+    // server exactly once, in index order, with the scans run()
+    // returns; the sampler must tick once per server in the same
+    // order.
+    const unsigned servers = 200;
+    ASSERT_GT(servers, 3 * Fleet::kMergeWindowPerThread);
+    Fleet::Config config = scaleTierFleet(true, servers);
+    config.threads = 1;
+    Fleet reference(config);
+    const auto expected = scansBits(reference.run());
+
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        config.threads = threads;
+        StatRegistry registry;
+        StatSampler sampler(registry);
+        Fleet fleet(config);
+        fleet.attachTelemetry(registry, &sampler);
+        std::vector<unsigned> order;
+        std::vector<ServerScan> scans;
+        fleet.run([&](unsigned server, const ServerScan &scan) {
+            order.push_back(server);
+            scans.push_back(scan);
+        });
+        ASSERT_EQ(order.size(), servers) << threads << " threads";
+        for (unsigned i = 0; i < servers; ++i)
+            EXPECT_EQ(order[i], i) << threads << " threads";
+        EXPECT_EQ(scansBits(scans), expected)
+            << "callback scans drift at " << threads << " threads";
+        const std::vector<Tick> &ticks = sampler.ticks();
+        ASSERT_EQ(ticks.size(), servers);
+        for (unsigned i = 0; i < servers; ++i)
+            EXPECT_EQ(ticks[i], static_cast<Tick>(i));
     }
 }
 
@@ -1116,8 +1166,7 @@ TEST(Arena, UncapturedSpansOutliveTheArenaTheyWereOpenedIn)
 
 /** Everything observable about a span event except wallUs (wall
  * clock is explicitly non-deterministic) — names and arg keys by
- * string value, so events that crossed a process boundary compare
- * equal to in-process ones. */
+ * string value. */
 std::string
 eventRecord(const spans::Event &e)
 {
@@ -1143,7 +1192,7 @@ eventRecord(const spans::Event &e)
 
 /** Per-server span events of the last run, in collection order
  * (stream 0 — the main thread's fleet phase spans — excluded, since
- * shard children cannot ship those). */
+ * their `threads` args name the run configuration). */
 std::vector<std::string>
 serverSpanRecords()
 {
@@ -1177,13 +1226,14 @@ TEST_F(FleetScaleTier, PooledSlotsMatchFreshConstructionBitExact)
             config.threads = v.threads;
             config.slotPool = v.pooled;
             Fleet fleet(config);
+            Fleet::ScanSinks sinks;
             std::vector<std::uint64_t> record =
-                scansBits(fleet.run());
+                scansBits(runIntoSinks(fleet, sinks));
             for (const double f : {0.0, 0.25, 0.5, 0.9, 1.0}) {
-                record.push_back(bits(
-                    fleet.scanSinks().freeContiguity2m.quantile(f)));
-                record.push_back(bits(
-                    fleet.scanSinks().unmovableBlocks2m.quantile(f)));
+                record.push_back(
+                    bits(sinks.freeContiguity2m.quantile(f)));
+                record.push_back(
+                    bits(sinks.unmovableBlocks2m.quantile(f)));
             }
             const std::vector<std::string> spanRecords =
                 serverSpanRecords();
@@ -1236,166 +1286,6 @@ TEST_F(FleetScaleTier, PooledSlotsMatchFreshWithEveryFaultSiteArmed)
 }
 
 // ---------------------------------------------------------------
-// Process sharding: bit-identical to single-process
-// ---------------------------------------------------------------
-
-/** Sink fingerprint: count, mean and a quantile ladder of every
- * streamed histogram, as bits. */
-std::vector<std::uint64_t>
-sinkBits(const Fleet::ScanSinks &sinks)
-{
-    std::vector<std::uint64_t> out;
-    const OnlineHistogram *hists[] = {
-        &sinks.freeContiguity2m, &sinks.unmovableBlocks2m,
-        &sinks.unmovablePageRatio, &sinks.uptimeSec};
-    for (const OnlineHistogram *h : hists) {
-        out.push_back(h->count());
-        out.push_back(bits(h->mean()));
-        for (const double f : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0})
-            out.push_back(bits(h->quantile(f)));
-    }
-    return out;
-}
-
-TEST_F(FleetScaleTier, ShardedRunMatchesSingleProcessBitExact)
-{
-    // Forking the population across worker processes is pure
-    // mechanism too: scans, streamed sinks and per-server span
-    // streams must merge back bit-identical to the unsharded run,
-    // and the shard ranges must partition the population exactly.
-    for (const bool contiguitas : {false, true}) {
-        Fleet::Config config = scaleTierFleet(contiguitas, 22);
-        config.threads = 2;
-
-        spans::resetForTest();
-        spans::enableAll();
-        Fleet single(config);
-        auto singleBits = scansBits(single.run());
-        const auto singleSinks = sinkBits(single.scanSinks());
-        const auto singleSpans = serverSpanRecords();
-        spans::resetForTest();
-
-        spans::enableAll();
-        const ShardRunResult sharded =
-            runShardedFleet(config, 3);
-        const auto shardSpans = serverSpanRecords();
-        spans::resetForTest();
-
-        EXPECT_EQ(scansBits(sharded.scans), singleBits)
-            << "ctg=" << contiguitas;
-        EXPECT_EQ(sinkBits(sharded.sinks), singleSinks);
-        EXPECT_EQ(shardSpans, singleSpans);
-
-        ASSERT_EQ(sharded.shards.size(), 3u);
-        unsigned next = 0;
-        for (const ShardStats &s : sharded.shards) {
-            EXPECT_EQ(s.begin, next);
-            EXPECT_GT(s.end, s.begin);
-            next = s.end;
-        }
-        EXPECT_EQ(next, config.servers);
-    }
-}
-
-TEST_F(FleetScaleTier, ShardedRunMatchesSingleProcessWithFaultsArmed)
-{
-    // Chaos across the pipe: with every fault site armed, the shard
-    // children inherit the armed injector through fork, evaluate
-    // their per-task forks exactly as the single process would, and
-    // ship the counter deltas home — the parent's injector must end
-    // with identical evaluation/fire counts.
-    const auto record = [](std::vector<std::uint64_t> scans) {
-        for (unsigned i = 0; i < numFaultSites; ++i) {
-            const auto &s = faultInjector().siteStats(
-                static_cast<FaultSite>(i));
-            scans.push_back(s.evaluations);
-            scans.push_back(s.fires);
-        }
-        faultInjector().reset();
-        return scans;
-    };
-    const auto arm = [] {
-        faultInjector().reset(0xbadc0de);
-        for (unsigned i = 0; i < numFaultSites; ++i)
-            faultInjector().arm(static_cast<FaultSite>(i),
-                                FaultSpec::chance(0.02));
-    };
-    Fleet::Config config = scaleTierFleet(true, 18);
-    config.threads = 1;
-
-    arm();
-    Fleet single(config);
-    const auto baseline = record(scansBits(single.run()));
-
-    arm();
-    const ShardRunResult sharded = runShardedFleet(config, 3);
-    EXPECT_EQ(record(scansBits(sharded.scans)), baseline);
-}
-
-TEST_F(FleetScaleTier, ShardedCheckpointMatchesSingleProcessBytes)
-{
-    // A sharded run must leave behind the same checkpoint directory
-    // a single-process run writes: every snapshot image and the one
-    // manifest (written by the parent from the shards' merged
-    // entries), byte for byte.
-    namespace fs = std::filesystem;
-    const std::string singleDir =
-        ::testing::TempDir() + "ctgsnap_shard_single";
-    const std::string shardDir =
-        ::testing::TempDir() + "ctgsnap_shard_forked";
-    fs::remove_all(singleDir);
-    fs::remove_all(shardDir);
-    fs::create_directories(singleDir);
-    fs::create_directories(shardDir);
-
-    Fleet::Config config = scaleTierFleet(true, 12);
-    config.memBytes = 32_MiB;
-    config.threads = 1;
-
-    Fleet::Config singleConfig = config;
-    singleConfig.checkpointDir = singleDir;
-    Fleet single(singleConfig);
-    const auto singleBits = scansBits(single.run());
-
-    Fleet::Config shardConfig = config;
-    shardConfig.checkpointDir = shardDir;
-    const ShardRunResult sharded = runShardedFleet(shardConfig, 3);
-    EXPECT_EQ(scansBits(sharded.scans), singleBits);
-
-    const auto slurp = [](const fs::path &p) {
-        std::string out;
-        if (FILE *f = std::fopen(p.c_str(), "rb")) {
-            char buf[4096];
-            std::size_t n;
-            while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-                out.append(buf, n);
-            std::fclose(f);
-        }
-        return out;
-    };
-    std::vector<std::string> names;
-    for (const auto &entry : fs::directory_iterator(singleDir))
-        names.push_back(entry.path().filename().string());
-    std::sort(names.begin(), names.end());
-    EXPECT_GT(names.size(), 1u);
-    unsigned compared = 0;
-    for (const std::string &name : names) {
-        ASSERT_TRUE(fs::exists(fs::path(shardDir) / name))
-            << "sharded run missing " << name;
-        EXPECT_EQ(slurp(fs::path(shardDir) / name),
-                  slurp(fs::path(singleDir) / name))
-            << "checkpoint file differs: " << name;
-        ++compared;
-    }
-    EXPECT_EQ(compared, names.size());
-    ASSERT_TRUE(std::find(names.begin(), names.end(),
-                          snap::manifestFileName()) != names.end());
-
-    fs::remove_all(singleDir);
-    fs::remove_all(shardDir);
-}
-
-// ---------------------------------------------------------------
 // Coarse (scale) stepping
 // ---------------------------------------------------------------
 
@@ -1440,8 +1330,9 @@ TEST_F(FleetScaleTier, CoarseStepPreservesConfinementAndCdfShape)
         Fleet::Config config = scaleTierFleet(contiguitas, 24);
         config.coarseStep = true;
         Fleet fleet(config);
-        fleet.run();
-        return fleet.scanSinks();
+        Fleet::ScanSinks sinks;
+        runIntoSinks(fleet, sinks);
+        return sinks;
     };
     const Fleet::ScanSinks vanilla = runSystem(false);
     const Fleet::ScanSinks ctg = runSystem(true);

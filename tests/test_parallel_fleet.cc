@@ -378,9 +378,13 @@ TEST(ParallelFleet, StreamedSinksMatchMaterializedQuantiles)
     for (const unsigned threads : {1u, 4u, 8u}) {
         Fleet::Config config = smallFleet();
         config.threads = threads;
-        config.streamScans = true;
         Fleet fleet(config);
-        const std::vector<ServerScan> scans = fleet.run();
+        Fleet::ScanSinks sinks;
+        std::vector<ServerScan> scans;
+        fleet.run([&](unsigned, const ServerScan &scan) {
+            sinks.absorb(scan);
+            scans.push_back(scan);
+        });
         ASSERT_FALSE(scans.empty());
 
         // Materialized reference: the sample vectors the streaming
@@ -396,7 +400,6 @@ TEST(ParallelFleet, StreamedSinksMatchMaterializedQuantiles)
             uptime.add(scan.uptimeSec);
         }
 
-        const Fleet::ScanSinks &sinks = fleet.scanSinks();
         EXPECT_EQ(sinks.freeContiguity2m.count(), scans.size());
         EXPECT_EQ(sinks.uptimeSec.count(), scans.size());
 

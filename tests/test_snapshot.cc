@@ -257,7 +257,6 @@ TEST(EnvStrictTest, BoolParsersAcceptOnlyDocumentedSpellings)
         bool defaultValue;
     };
     const Knob knobs[] = {
-        {"CTG_STREAM_SCANS", &sim::EnvConfig::streamScans, false},
         {"CTG_EXACT_PREF", &sim::EnvConfig::exactPref, false},
     };
     for (const Knob &knob : knobs) {

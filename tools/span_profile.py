@@ -11,7 +11,8 @@ span only when no enclosing span on its track has the same name, so
 recursive spans are not counted twice. Tracks (the main thread and
 one per server) run concurrently, so the self times of different
 tracks overlap in wall time: on a threaded fleet, the main track's
-fleet.simulate is time spent waiting for the server tracks.
+fleet.simulate is time spent waiting for the server tracks plus the
+in-order merge of each window.
 
 Usage: span_profile.py trace.json
 
