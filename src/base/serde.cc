@@ -41,6 +41,8 @@ crc32(const void *data, std::size_t len, std::uint32_t seed)
 void
 Writer::putBytes(const void *data, std::size_t len)
 {
+    if (len == 0)
+        return; // data may be null (an empty vector's data())
     const auto *p = static_cast<const std::uint8_t *>(data);
     buf_.insert(buf_.end(), p, p + len);
 }
@@ -85,6 +87,8 @@ Reader::getString()
 void
 Reader::getBytes(void *out, std::size_t len)
 {
+    if (len == 0)
+        return; // out may be null (an empty vector's data())
     need(len);
     std::memcpy(out, data_ + pos_, len);
     pos_ += len;

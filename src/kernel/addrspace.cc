@@ -124,20 +124,16 @@ AddressSpace::munmap(Addr base)
     ctg_assert(it != regions_.end());
     const Region region = it->second;
 
-    Vpn vpn = region.baseVpn;
+    // Mapped leaves are exactly the chunk heads; visit them in
+    // ascending vpn order.
     const Vpn end = region.baseVpn + region.pages;
-    while (vpn < end) {
-        if (const std::uint32_t *corder = chunks_.find(vpn)) {
-            const unsigned order = *corder;
-            // Process teardown drops any remaining DMA pins.
-            const Translation tr = tables_.translate(vpn);
-            if (tr.valid && kernel_.mem().frame(tr.pfn).isPinned())
-                kernel_.unpinPages(tr.pfn);
-            unbackChunk(vpn, order);
-            vpn += Vpn{1} << order;
-        } else {
-            ++vpn;
-        }
+    Translation tr;
+    for (Vpn vpn = tables_.nextLeaf(region.baseVpn, end, &tr); vpn < end;
+         vpn = tables_.nextLeaf(vpn + (Vpn{1} << tr.order), end, &tr)) {
+        // Process teardown drops any remaining DMA pins.
+        if (kernel_.mem().frame(tr.pfn).isPinned())
+            kernel_.unpinPages(tr.pfn);
+        unbackChunk(vpn, tr.order);
     }
     regions_.erase(it);
 }

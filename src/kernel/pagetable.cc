@@ -1,5 +1,9 @@
 #include "kernel/pagetable.hh"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "base/serde.hh"
 
 namespace ctg
@@ -25,20 +29,184 @@ leafNodeLevel(unsigned order)
     }
 }
 
+/** Order of a leaf held at the given level (1..3). */
+constexpr unsigned
+leafOrderAt(unsigned level)
+{
+    return (level - 1) * PageTables::bitsPerLevel;
+}
+
+/** Highest level that can hold a leaf (PUD, 1 GB). */
+constexpr unsigned maxLeafLevel = 3;
+
+static_assert(leafOrderAt(2) == hugeOrder && leafOrderAt(3) == gigaOrder);
+
 } // namespace
+
+/**
+ * One radix table. Level-1 tables allocate their dense array with
+ * the first entry; upper tables start with sorted pairs and turn
+ * dense on the entry after sparseMaxEntries. A table that empties
+ * drops its host storage (its simulated frame stays).
+ */
+struct PageTables::Table
+{
+    struct Slot
+    {
+        std::uint16_t index;
+        Word word;
+    };
+
+    explicit Table(Pfn backing_pfn) : backing(backing_pfn) {}
+
+    /** Deletes the child tables it owns (host memory only; frames
+     * are freed by PageTables::freeTable). */
+    ~Table()
+    {
+        forEach([](unsigned, Word word) {
+            if (!isLeaf(word))
+                delete asTable(word);
+        });
+    }
+
+    Table(const Table &) = delete;
+    Table &operator=(const Table &) = delete;
+
+    static bool isLeaf(Word word) { return (word & 1) != 0; }
+    static Table *asTable(Word word)
+    {
+        return reinterpret_cast<Table *>(word);
+    }
+    static Word tableWord(Table *table)
+    {
+        static_assert(sizeof(Table *) <= sizeof(Word));
+        static_assert(alignof(Table) >= 2,
+                      "table pointers must be even to tell them from "
+                      "leaves");
+        return reinterpret_cast<Word>(table);
+    }
+    static Word leafWord(Pfn pfn) { return pfn << 1 | 1; }
+    static Pfn leafPfn(Word word) { return word >> 1; }
+
+    /** Position of the first sparse slot whose index is >= idx. */
+    std::size_t
+    lowerBound(unsigned idx) const
+    {
+        return static_cast<std::size_t>(
+            std::lower_bound(
+                sparse.begin(), sparse.end(), idx,
+                [](const Slot &s, unsigned i) { return s.index < i; }) -
+            sparse.begin());
+    }
+
+    /** The word at idx (0 if empty). */
+    Word
+    get(unsigned idx) const
+    {
+        if (dense)
+            return dense[idx];
+        const std::size_t i = lowerBound(idx);
+        return i < sparse.size() && sparse[i].index == idx
+                   ? sparse[i].word
+                   : 0;
+    }
+
+    /** The live word at idx, or nullptr. */
+    Word *
+    find(unsigned idx)
+    {
+        if (dense)
+            return dense[idx] != 0 ? &dense[idx] : nullptr;
+        const std::size_t i = lowerBound(idx);
+        return i < sparse.size() && sparse[i].index == idx
+                   ? &sparse[i].word
+                   : nullptr;
+    }
+
+    /** Fill the empty slot idx of a table at the given level. */
+    void
+    insert(unsigned idx, Word word, unsigned level)
+    {
+        if (!dense && (level == 1 || count == sparseMaxEntries)) {
+            dense = std::make_unique<Word[]>(entriesPerTable);
+            for (const Slot &s : sparse)
+                dense[s.index] = s.word;
+            std::vector<Slot>().swap(sparse);
+        }
+        ++count;
+        if (dense) {
+            dense[idx] = word;
+            return;
+        }
+        sparse.insert(sparse.begin() + lowerBound(idx),
+                      Slot{static_cast<std::uint16_t>(idx), word});
+    }
+
+    /** Empty the live slot idx. */
+    void
+    erase(unsigned idx)
+    {
+        if (dense)
+            dense[idx] = 0;
+        else
+            sparse.erase(sparse.begin() + lowerBound(idx));
+        if (--count == 0)
+            dropStorage();
+    }
+
+    void
+    dropStorage()
+    {
+        dense.reset();
+        std::vector<Slot>().swap(sparse);
+    }
+
+    /** First live index >= idx, or entriesPerTable. */
+    unsigned
+    next(unsigned idx) const
+    {
+        if (dense) {
+            while (idx < entriesPerTable && dense[idx] == 0)
+                ++idx;
+            return idx;
+        }
+        const std::size_t i = lowerBound(idx);
+        return i < sparse.size() ? sparse[i].index : entriesPerTable;
+    }
+
+    /** Visit live (index, word) pairs in index order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        if (dense) {
+            for (unsigned i = 0; i < entriesPerTable; ++i)
+                if (dense[i] != 0)
+                    fn(i, dense[i]);
+        } else {
+            for (const Slot &s : sparse)
+                fn(s.index, s.word);
+        }
+    }
+
+    Pfn backing;                  //!< frame holding this table
+    unsigned count = 0;           //!< live entries
+    std::unique_ptr<Word[]> dense; //!< entriesPerTable words, or null
+    std::vector<Slot> sparse;     //!< sorted by index while not dense
+};
 
 unsigned
 PageTables::indexAt(Vpn vpn, unsigned level)
 {
     ctg_assert(level >= 1 && level <= levels);
     return static_cast<unsigned>(
-        (vpn >> ((level - 1) * bitsPerLevel)) & 0x1ff);
+        (vpn >> ((level - 1) * bitsPerLevel)) & (entriesPerTable - 1));
 }
 
 PageTables::PageTables(Kernel &kernel)
     : kernel_(kernel)
 {
-    root_ = allocNode();
+    root_ = allocTable();
     if (!root_)
         fatal("cannot allocate page-table root");
 }
@@ -48,9 +216,7 @@ PageTables::PageTables(Kernel &kernel, serde::Reader &in)
 {
     const std::uint64_t tablePages = in.getU64();
     const std::uint64_t mappings = in.getU64();
-    root_ = loadNode(in, levels);
-    if (!root_)
-        throw serde::Error("pagetable: missing root node");
+    root_ = loadTable(in, levels);
     if (tablePages_ != tablePages || mappings_ != mappings)
         throw serde::Error("pagetable: node/mapping counts disagree "
                            "with serialized tree");
@@ -58,56 +224,68 @@ PageTables::PageTables(Kernel &kernel, serde::Reader &in)
 
 PageTables::~PageTables()
 {
-    freeNode(std::move(root_));
+    freeTable(std::move(root_));
 }
 
 void
-PageTables::saveNode(const Node &node, serde::Writer &out)
+PageTables::saveTable(const Table &table, unsigned level,
+                      serde::Writer &out)
 {
-    out.putU64(node.backing);
-    out.putU32(static_cast<std::uint32_t>(node.entries.size()));
-    for (const auto &[idx, entry] : node.entries) {
+    out.putU64(table.backing);
+    out.putU32(table.count);
+    table.forEach([level, &out](unsigned idx, Word word) {
+        const bool leaf = Table::isLeaf(word);
         out.putU16(static_cast<std::uint16_t>(idx));
-        out.putBool(entry.leaf);
-        out.putU32(entry.order);
-        out.putU64(entry.pfn);
-        out.putBool(entry.child != nullptr);
-        if (entry.child)
-            saveNode(*entry.child, out);
-    }
+        out.putBool(leaf);
+        out.putU32(leaf ? leafOrderAt(level) : 0);
+        out.putU64(leaf ? Table::leafPfn(word) : invalidPfn);
+        out.putBool(!leaf);
+        if (!leaf)
+            saveTable(*Table::asTable(word), level - 1, out);
+    });
 }
 
-std::unique_ptr<PageTables::Node>
-PageTables::loadNode(serde::Reader &in, unsigned depthLeft)
+std::unique_ptr<PageTables::Table>
+PageTables::loadTable(serde::Reader &in, unsigned level)
 {
-    if (depthLeft == 0)
+    if (level == 0)
         throw serde::Error("pagetable: tree deeper than 4 levels");
-    auto node = std::make_unique<Node>();
-    node->backing = in.getU64();
+    auto table = std::make_unique<Table>(in.getU64());
     ++tablePages_;
     const std::uint32_t count = in.getU32();
-    if (count > pageBytes / 8)
+    if (count > entriesPerTable)
         throw serde::Error("pagetable: node entry count too large");
     unsigned prev = 0;
     for (std::uint32_t i = 0; i < count; ++i) {
         const unsigned idx = in.getU16();
-        if (idx >= (1u << bitsPerLevel) || (i > 0 && idx <= prev))
+        if (idx >= entriesPerTable || (i > 0 && idx <= prev))
             throw serde::Error("pagetable: entry index out of order");
         prev = idx;
-        Entry &entry = node->entries[idx];
-        entry.present = true;
-        entry.leaf = in.getBool();
-        entry.order = in.getU32();
-        entry.pfn = in.getU64();
+        const bool leaf = in.getBool();
+        const unsigned order = in.getU32();
+        const Pfn pfn = in.getU64();
         const bool hasChild = in.getBool();
-        if (entry.leaf == hasChild)
+        if (leaf == hasChild)
             throw serde::Error("pagetable: leaf/child disagreement");
-        if (hasChild)
-            entry.child = loadNode(in, depthLeft - 1);
-        else
-            ++mappings_;
+        if (hasChild) {
+            if (order != 0 || pfn != invalidPfn)
+                throw serde::Error("pagetable: table entry carries "
+                                   "a leaf target");
+            table->insert(idx,
+                          Table::tableWord(
+                              loadTable(in, level - 1).release()),
+                          level);
+            continue;
+        }
+        if (level > maxLeafLevel || order != leafOrderAt(level))
+            throw serde::Error("pagetable: leaf order does not match "
+                               "its level");
+        if (pfn >> 63 != 0)
+            throw serde::Error("pagetable: leaf pfn out of range");
+        table->insert(idx, Table::leafWord(pfn), level);
+        ++mappings_;
     }
-    return node;
+    return table;
 }
 
 void
@@ -115,11 +293,11 @@ PageTables::saveTo(serde::Writer &out) const
 {
     out.putU64(tablePages_);
     out.putU64(mappings_);
-    saveNode(*root_, out);
+    saveTable(*root_, levels, out);
 }
 
-std::unique_ptr<PageTables::Node>
-PageTables::allocNode()
+std::unique_ptr<PageTables::Table>
+PageTables::allocTable()
 {
     AllocRequest req;
     req.order = 0;
@@ -129,25 +307,22 @@ PageTables::allocNode()
     const Pfn backing = kernel_.allocPages(req);
     if (backing == invalidPfn)
         return nullptr;
-    auto node = std::make_unique<Node>();
-    node->backing = backing;
     ++tablePages_;
-    return node;
+    return std::make_unique<Table>(backing);
 }
 
 void
-PageTables::freeNode(std::unique_ptr<Node> node)
+PageTables::freeTable(std::unique_ptr<Table> table)
 {
-    if (!node)
-        return;
-    for (auto &[idx, entry] : node->entries) {
-        (void)idx;
-        if (entry.child)
-            freeNode(std::move(entry.child));
-    }
-    kernel_.freePages(node->backing);
+    table->forEach([this](unsigned, Word word) {
+        if (!Table::isLeaf(word))
+            freeTable(std::unique_ptr<Table>(Table::asTable(word)));
+    });
+    kernel_.freePages(table->backing);
     ctg_assert(tablePages_ > 0);
     --tablePages_;
+    // The children are gone; keep ~Table from deleting them again.
+    table->dropStorage();
 }
 
 bool
@@ -155,80 +330,56 @@ PageTables::map(Vpn vpn, Pfn pfn, unsigned order)
 {
     const unsigned leaf_level = leafNodeLevel(order);
     ctg_assert((vpn & ((Vpn{1} << order) - 1)) == 0);
+    ctg_assert(pfn >> 63 == 0);
 
-    Node *node = root_.get();
+    Table *table = root_.get();
     for (unsigned level = levels; level > leaf_level; --level) {
-        Entry &entry = node->entries[indexAt(vpn, level)];
-        if (entry.present && entry.leaf)
+        const unsigned idx = indexAt(vpn, level);
+        Word word = table->get(idx);
+        if (Table::isLeaf(word))
             panic("mapping conflict: leaf already present at level %u",
                   level);
-        if (!entry.present) {
-            entry.child = allocNode();
-            if (!entry.child) {
-                node->entries.erase(indexAt(vpn, level));
+        if (word == 0) {
+            std::unique_ptr<Table> child = allocTable();
+            if (!child)
                 return false;
-            }
-            entry.present = true;
-            entry.leaf = false;
+            word = Table::tableWord(child.release());
+            table->insert(idx, word, level);
         }
-        node = entry.child.get();
+        table = Table::asTable(word);
     }
 
-    Entry &entry = node->entries[indexAt(vpn, leaf_level)];
-    if (entry.present && !entry.leaf &&
-        entry.child->entries.empty()) {
+    const unsigned idx = indexAt(vpn, leaf_level);
+    if (Word *slot = table->find(idx)) {
         // A lower-level table that was fully unmapped (e.g. before a
         // khugepaged collapse) can be retired in place.
-        freeNode(std::move(entry.child));
-        entry.present = false;
+        ctg_assert(!Table::isLeaf(*slot) &&
+                   Table::asTable(*slot)->count == 0);
+        freeTable(std::unique_ptr<Table>(Table::asTable(*slot)));
+        *slot = Table::leafWord(pfn);
+    } else {
+        table->insert(idx, Table::leafWord(pfn), leaf_level);
     }
-    ctg_assert(!entry.present);
-    entry.present = true;
-    entry.leaf = true;
-    entry.order = order;
-    entry.pfn = pfn;
     ++mappings_;
     return true;
-}
-
-PageTables::Entry *
-PageTables::findLeaf(Vpn vpn)
-{
-    Node *node = root_.get();
-    for (unsigned level = levels; level >= 1; --level) {
-        auto it = node->entries.find(indexAt(vpn, level));
-        if (it == node->entries.end() || !it->second.present)
-            return nullptr;
-        Entry &entry = it->second;
-        if (entry.leaf)
-            return &entry;
-        node = entry.child.get();
-    }
-    return nullptr;
-}
-
-const PageTables::Entry *
-PageTables::findLeaf(Vpn vpn) const
-{
-    return const_cast<PageTables *>(this)->findLeaf(vpn);
 }
 
 bool
 PageTables::unmap(Vpn vpn)
 {
-    Node *node = root_.get();
+    Table *table = root_.get();
     for (unsigned level = levels; level >= 1; --level) {
         const unsigned idx = indexAt(vpn, level);
-        auto it = node->entries.find(idx);
-        if (it == node->entries.end() || !it->second.present)
+        const Word word = table->get(idx);
+        if (word == 0)
             return false;
-        if (it->second.leaf) {
-            node->entries.erase(it);
+        if (Table::isLeaf(word)) {
+            table->erase(idx);
             ctg_assert(mappings_ > 0);
             --mappings_;
             return true;
         }
-        node = it->second.child.get();
+        table = Table::asTable(word);
     }
     return false;
 }
@@ -236,27 +387,78 @@ PageTables::unmap(Vpn vpn)
 bool
 PageTables::repoint(Vpn vpn, Pfn new_pfn)
 {
-    Entry *entry = findLeaf(vpn);
-    if (entry == nullptr)
-        return false;
-    entry->pfn = new_pfn;
-    return true;
+    ctg_assert(new_pfn >> 63 == 0);
+    Table *table = root_.get();
+    for (unsigned level = levels; level >= 1; --level) {
+        Word *slot = table->find(indexAt(vpn, level));
+        if (slot == nullptr)
+            return false;
+        if (Table::isLeaf(*slot)) {
+            *slot = Table::leafWord(new_pfn);
+            return true;
+        }
+        table = Table::asTable(*slot);
+    }
+    return false;
 }
 
 Translation
 PageTables::translate(Vpn vpn) const
 {
     Translation result;
-    const Entry *entry = findLeaf(vpn);
-    if (entry == nullptr)
-        return result;
-    result.valid = true;
-    result.order = entry->order;
-    result.level = leafNodeLevel(entry->order);
-    // Offset within the huge leaf.
-    const Vpn mask = (Vpn{1} << entry->order) - 1;
-    result.pfn = entry->pfn + (vpn & mask);
+    const Table *table = root_.get();
+    for (unsigned level = levels; level >= 1; --level) {
+        const Word word = table->get(indexAt(vpn, level));
+        if (word == 0)
+            break;
+        if (Table::isLeaf(word)) {
+            result.valid = true;
+            result.order = leafOrderAt(level);
+            result.level = level;
+            // Offset within the huge leaf.
+            const Vpn mask = (Vpn{1} << result.order) - 1;
+            result.pfn = Table::leafPfn(word) + (vpn & mask);
+            break;
+        }
+        table = Table::asTable(word);
+    }
     return result;
+}
+
+Vpn
+PageTables::nextLeaf(Vpn from, Vpn end, Translation *tr) const
+{
+    return nextLeafIn(*root_, levels, 0, from, end, tr);
+}
+
+Vpn
+PageTables::nextLeafIn(const Table &table, unsigned level, Vpn base,
+                       Vpn from, Vpn end, Translation *tr)
+{
+    const unsigned shift = (level - 1) * bitsPerLevel;
+    const Vpn first = from > base ? (from - base) >> shift : 0;
+    for (unsigned i = table.next(static_cast<unsigned>(
+             std::min<Vpn>(first, entriesPerTable)));
+         i < entriesPerTable; i = table.next(i + 1)) {
+        const Vpn head = base + (Vpn{i} << shift);
+        if (head >= end)
+            break;
+        const Word word = table.get(i);
+        if (!Table::isLeaf(word)) {
+            const Vpn found =
+                nextLeafIn(*Table::asTable(word), level - 1, head,
+                           std::max(from, head), end, tr);
+            if (found != end)
+                return found;
+        } else if (head >= from) {
+            tr->valid = true;
+            tr->order = leafOrderAt(level);
+            tr->level = level;
+            tr->pfn = Table::leafPfn(word);
+            return head;
+        }
+    }
+    return end;
 }
 
 std::array<Addr, PageTables::levels>
@@ -264,18 +466,15 @@ PageTables::walkAddrs(Vpn vpn, unsigned *depth) const
 {
     std::array<Addr, levels> addrs{};
     unsigned count = 0;
-    const Node *node = root_.get();
-    for (unsigned level = levels; level >= 1 && node != nullptr;
-         --level) {
+    const Table *table = root_.get();
+    for (unsigned level = levels; level >= 1; --level) {
         const unsigned idx = indexAt(vpn, level);
-        addrs[count++] = pfnToAddr(node->backing) +
+        addrs[count++] = pfnToAddr(table->backing) +
                          static_cast<Addr>(idx) * 8;
-        auto it = node->entries.find(idx);
-        if (it == node->entries.end() || !it->second.present ||
-            it->second.leaf) {
+        const Word word = table->get(idx);
+        if (word == 0 || Table::isLeaf(word))
             break;
-        }
-        node = it->second.child.get();
+        table = Table::asTable(word);
     }
     if (depth != nullptr)
         *depth = count;

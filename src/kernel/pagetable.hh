@@ -10,6 +10,14 @@
  *
  * Supported leaf sizes mirror x86-64: 4 KB (PTE), 2 MB (PMD leaf)
  * and 1 GB (PUD leaf).
+ *
+ * Each table entry is one 64-bit word, as in hardware: 0 is empty,
+ * an odd word is a leaf (pfn << 1 | 1, its order implied by the
+ * level) and a nonzero even word owns the next-level table. PTE
+ * tables hold a dense 512-word array; upper tables keep sorted
+ * (index, word) pairs until they pass sparseMaxEntries, because a
+ * process keeps many one-entry PMD tables alive (every heap segment
+ * maps its own gigabyte) and dense arrays there cost host RSS.
  */
 
 #ifndef CTG_KERNEL_PAGETABLE_HH
@@ -17,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 
 #include "base/types.hh"
@@ -79,6 +86,13 @@ class PageTables
     Translation translate(Vpn vpn) const;
 
     /**
+     * Head vpn of the first leaf that starts in [from, end), in
+     * ascending vpn order, with its translation in *tr; end if there
+     * is none. Safe to call again after unmapping the leaf found.
+     */
+    Vpn nextLeaf(Vpn from, Vpn end, Translation *tr) const;
+
+    /**
      * Physical addresses of the table entries a hardware walk of
      * vpn reads, root first. Size equals the number of levels
      * actually traversed (shorter for huge leaves).
@@ -95,41 +109,34 @@ class PageTables
     void saveTo(serde::Writer &out) const;
 
   private:
-    struct Node;
-    struct Entry
-    {
-        bool present = false;
-        bool leaf = false;
-        unsigned order = 0;
-        Pfn pfn = invalidPfn;        //!< leaf target
-        std::unique_ptr<Node> child; //!< next-level table
-    };
+    /** One table entry; see the file comment for the encoding. */
+    using Word = std::uint64_t;
+    struct Table;
 
-    struct Node
-    {
-        Pfn backing = invalidPfn; //!< frame holding this table
-        /** Ordered: teardown frees table pages in index order, so
-         * the buddy merge pattern (and everything downstream of it)
-         * is independent of any hash layout — required for
-         * bit-identical checkpoint resume. */
-        std::map<unsigned, Entry> entries;
-    };
+    static constexpr unsigned entriesPerTable = 1u << bitsPerLevel;
+    /** An upper table switches from sorted pairs to a dense array
+     * when it passes this many entries. */
+    static constexpr unsigned sparseMaxEntries = 32;
 
     static unsigned indexAt(Vpn vpn, unsigned level);
 
-    std::unique_ptr<Node> allocNode();
-    void freeNode(std::unique_ptr<Node> node);
+    std::unique_ptr<Table> allocTable();
+    /** Free the subtree's frames in index order, children first, so
+     * the buddy merge pattern (and everything downstream of it) is
+     * a function of the tree alone, as bit-identical checkpoint
+     * resume requires. */
+    void freeTable(std::unique_ptr<Table> table);
 
-    static void saveNode(const Node &node, serde::Writer &out);
-    std::unique_ptr<Node> loadNode(serde::Reader &in,
-                                   unsigned depthLeft);
+    static void saveTable(const Table &table, unsigned level,
+                          serde::Writer &out);
+    std::unique_ptr<Table> loadTable(serde::Reader &in, unsigned level);
 
-    /** Find the entry whose leaf covers vpn, or nullptr. */
-    Entry *findLeaf(Vpn vpn);
-    const Entry *findLeaf(Vpn vpn) const;
+    /** nextLeaf within one table whose first entry maps vpn base. */
+    static Vpn nextLeafIn(const Table &table, unsigned level, Vpn base,
+                          Vpn from, Vpn end, Translation *tr);
 
     Kernel &kernel_;
-    std::unique_ptr<Node> root_;
+    std::unique_ptr<Table> root_;
     std::uint64_t tablePages_ = 0;
     std::uint64_t mappings_ = 0;
 };

@@ -53,6 +53,11 @@ makeAccessProfile(WorkloadKind kind)
         p.codeZipfTheta = 0.6;
         p.writeFrac = 0.35;
         break;
+      case WorkloadKind::Aging:
+      case WorkloadKind::FsCacheHeavy:
+      case WorkloadKind::UnmovableBursty:
+        panic("no access profile for workload kind %s",
+              workloadName(kind));
     }
     return p;
 }

@@ -36,7 +36,9 @@ struct AccessProfile
     Cycles computePerOp = 60;
 };
 
-/** Per-service reference profiles calibrated to Figure 3. */
+/** Per-service reference profiles calibrated to Figure 3. Panics
+ * for the kinds that have none (Aging, FsCacheHeavy,
+ * UnmovableBursty). */
 AccessProfile makeAccessProfile(WorkloadKind kind);
 
 /** "Ads" appears only in Figure 3; give it a profile too. */

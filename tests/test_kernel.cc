@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <vector>
+
+#include "base/rng.hh"
+#include "base/serde.hh"
 #include "base/units.hh"
 #include "kernel/addrspace.hh"
 #include "kernel/churn.hh"
@@ -16,6 +23,7 @@
 #include "kernel/pagetable.hh"
 #include "kernel/psi.hh"
 #include "kernel/slab.hh"
+#include "kernel/vanilla_policy.hh"
 #include "mem/mem_stats.hh"
 #include "mem/scanner.hh"
 
@@ -241,6 +249,355 @@ TEST(PageTablesTest, WalkDepthVariesWithPageSize)
     tables.walkAddrs(pagesPerGiga, &depth2m);
     EXPECT_EQ(depth4k, 4u);
     EXPECT_EQ(depth2m, 3u);
+}
+
+/** FNV-1a (64-bit) over a byte buffer. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** A fixed op sequence over every table shape: 4 KB leaves across
+ * three PTE tables, 40 huge leaves in one PMD table (past the
+ * sparse limit, then back below it), a gigantic leaf, several PGD
+ * entries, unmaps that leave an empty PTE table which a huge leaf
+ * then retires in place, and repoints. */
+void
+buildFixedTables(PageTables &tables)
+{
+    for (Vpn vpn = 0; vpn < 3 * pagesPerHuge; vpn += 3)
+        ASSERT_TRUE(tables.map(vpn, 1000 + vpn, 0));
+    for (Vpn i = 0; i < 40; ++i)
+        ASSERT_TRUE(tables.map(pagesPerGiga + i * pagesPerHuge,
+                               0x10000 + i * pagesPerHuge, hugeOrder));
+    ASSERT_TRUE(tables.map(5 * pagesPerGiga, 0x4000000, gigaOrder));
+    for (Vpn i = 1; i < 6; ++i)
+        ASSERT_TRUE(tables.map(i << 27 | i << 9 | i, 7 * i, 0));
+    for (Vpn vpn = 0; vpn < 3 * pagesPerHuge; vpn += 3) {
+        if (vpn >= pagesPerHuge && vpn < 2 * pagesPerHuge) {
+            ASSERT_TRUE(tables.unmap(vpn));
+        }
+    }
+    ASSERT_TRUE(tables.map(pagesPerHuge, 0x20000, hugeOrder));
+    ASSERT_TRUE(tables.repoint(3, 4242));
+    ASSERT_TRUE(tables.repoint(pagesPerGiga + 5 * pagesPerHuge, 0x30000));
+    for (Vpn i = 10; i < 40; i += 2)
+        ASSERT_TRUE(tables.unmap(pagesPerGiga + i * pagesPerHuge));
+    ASSERT_TRUE(tables.unmap(Vpn{2} << 27 | 2 << 9 | 2));
+}
+
+TEST(PageTablesTest, SnapshotBytesMatchParentFormat)
+{
+    // The hash was captured on the std::map-based implementation:
+    // checkpoint bytes must not move without a snapshot format
+    // version bump.
+    Kernel kernel(smallConfig());
+    PageTables tables(kernel);
+    buildFixedTables(tables);
+    serde::Writer out;
+    tables.saveTo(out);
+    EXPECT_EQ(fnv1a(out.bytes()), 0x683363817f2d6b24ull);
+}
+
+TEST(PageTablesTest, LeafOrderMustMatchItsLevel)
+{
+    Kernel kernel(smallConfig());
+    PageTables tables(kernel);
+    ASSERT_TRUE(tables.map(0, 5, 0));
+    serde::Writer out;
+    tables.saveTo(out);
+    std::vector<std::uint8_t> bytes = out.bytes();
+    // Header (two u64), then per table a u64 backing and a u32
+    // count, per entry u16 index, bool leaf, u32 order, u64 pfn and
+    // bool child. The PTE leaf is the fourth table's only entry.
+    constexpr std::size_t header = 16, table = 12, entry = 16;
+    const std::size_t order_at = header + 3 * (table + entry) + table + 3;
+    ASSERT_EQ(bytes.size(), header + 4 * (table + entry));
+    ASSERT_EQ(bytes[order_at], 0u);
+    bytes[order_at] = hugeOrder;
+    serde::Reader in(bytes);
+    try {
+        PageTables restored(kernel, in);
+        ADD_FAILURE() << "a 2 MB-order leaf in a PTE table was accepted";
+    } catch (const serde::Error &e) {
+        EXPECT_NE(std::string(e.what()).find("order"), std::string::npos)
+            << e.what();
+    }
+}
+
+/**
+ * Reference model for the property test: leaves by head vpn, and
+ * live tables by (level, vpn >> (9 * level)) with their entry counts
+ * and the backing frame walks reported for them.
+ */
+class PageTableModel
+{
+  public:
+    struct Leaf
+    {
+        Pfn pfn;
+        unsigned order;
+    };
+    using TableKey = std::pair<unsigned, Vpn>;
+    struct TableInfo
+    {
+        unsigned entries = 0;
+        Pfn backing = invalidPfn;
+    };
+
+    static TableKey
+    keyAt(Vpn vpn, unsigned level)
+    {
+        return {level, vpn >> (PageTables::bitsPerLevel * level)};
+    }
+
+    static unsigned
+    levelOf(unsigned order)
+    {
+        return order / PageTables::bitsPerLevel + 1;
+    }
+
+    /** Head and leaf covering vpn, or nullptr. */
+    const std::pair<const Vpn, Leaf> *
+    covering(Vpn vpn) const
+    {
+        auto it = leaves_.upper_bound(vpn);
+        if (it == leaves_.begin())
+            return nullptr;
+        --it;
+        return vpn - it->first < (Vpn{1} << it->second.order) ? &*it
+                                                              : nullptr;
+    }
+
+    /** Would PageTables::map accept this leaf without a panic? */
+    bool
+    canMap(Vpn vpn, unsigned order) const
+    {
+        if (covering(vpn) != nullptr)
+            return false;
+        const unsigned level = levelOf(order);
+        if (level == 1)
+            return true;
+        auto it = tables_.find(keyAt(vpn, level - 1));
+        return it == tables_.end() || it->second.entries == 0;
+    }
+
+    void
+    map(Vpn vpn, Pfn pfn, unsigned order)
+    {
+        const unsigned leaf_level = levelOf(order);
+        for (unsigned level = PageTables::levels; level > leaf_level;
+             --level) {
+            if (tables_.emplace(keyAt(vpn, level - 1), TableInfo{})
+                    .second)
+                bump(keyAt(vpn, level), +1);
+        }
+        leaves_[vpn] = Leaf{pfn, order};
+        auto child = leaf_level > 1 ? tables_.find(keyAt(vpn, leaf_level - 1))
+                                    : tables_.end();
+        if (child != tables_.end()) {
+            // Retired in place: the slot goes from table to leaf.
+            backings_.erase(child->second.backing);
+            tables_.erase(child);
+            ++retires_;
+        } else {
+            bump(keyAt(vpn, leaf_level), +1);
+        }
+    }
+
+    bool
+    unmap(Vpn vpn)
+    {
+        const auto *hit = covering(vpn);
+        if (hit == nullptr)
+            return false;
+        const Vpn head = hit->first;
+        bump(keyAt(head, levelOf(hit->second.order)), -1);
+        leaves_.erase(head);
+        return true;
+    }
+
+    bool
+    repoint(Vpn vpn, Pfn pfn)
+    {
+        const auto *hit = covering(vpn);
+        if (hit == nullptr)
+            return false;
+        leaves_[hit->first].pfn = pfn;
+        return true;
+    }
+
+    /** Check translate and walkAddrs of one vpn against the model. */
+    void
+    check(const PageTables &tables, Vpn vpn)
+    {
+        const Translation tr = tables.translate(vpn);
+        const auto *hit = covering(vpn);
+        ASSERT_EQ(tr.valid, hit != nullptr) << "vpn " << vpn;
+        if (hit != nullptr) {
+            EXPECT_EQ(tr.order, hit->second.order);
+            EXPECT_EQ(tr.level, levelOf(hit->second.order));
+            EXPECT_EQ(tr.pfn, hit->second.pfn + (vpn - hit->first));
+        }
+
+        unsigned depth = 0;
+        const auto addrs = tables.walkAddrs(vpn, &depth);
+        unsigned want = 0;
+        for (unsigned level = PageTables::levels; level >= 1; --level) {
+            TableInfo &info = tables_.at(keyAt(vpn, level));
+            ASSERT_LT(want, depth) << "vpn " << vpn;
+            const Addr addr = addrs[want++];
+            const unsigned idx = static_cast<unsigned>(
+                (vpn >> ((level - 1) * PageTables::bitsPerLevel)) &
+                0x1ff);
+            EXPECT_EQ(addr % pageBytes, idx * 8u);
+            const Pfn backing = addr / pageBytes;
+            if (info.backing == invalidPfn) {
+                const bool fresh =
+                    backings_.emplace(backing, keyAt(vpn, level)).second;
+                EXPECT_TRUE(fresh) << "two live tables share frame "
+                                   << backing;
+                info.backing = backing;
+            }
+            EXPECT_EQ(info.backing, backing);
+            if (level == 1 || !tables_.count(keyAt(vpn, level - 1)))
+                break;
+        }
+        EXPECT_EQ(depth, want) << "vpn " << vpn;
+    }
+
+    void
+    checkCounts(const PageTables &tables) const
+    {
+        EXPECT_EQ(tables.tablePages(), tables_.size());
+        EXPECT_EQ(tables.mappings(), leaves_.size());
+    }
+
+    const std::map<Vpn, Leaf> &leaves() const { return leaves_; }
+    unsigned retires() const { return retires_; }
+    unsigned maxEntries() const { return maxEntries_; }
+    unsigned emptied() const { return emptied_; }
+
+  private:
+    void
+    bump(const TableKey &key, int delta)
+    {
+        TableInfo &info = tables_.at(key);
+        info.entries = static_cast<unsigned>(
+            static_cast<int>(info.entries) + delta);
+        maxEntries_ = std::max(maxEntries_, info.entries);
+        emptied_ += info.entries == 0;
+    }
+
+    std::map<Vpn, Leaf> leaves_;
+    std::map<TableKey, TableInfo> tables_{
+        {keyAt(0, PageTables::levels), TableInfo{}}};
+    std::map<Pfn, TableKey> backings_;
+    unsigned retires_ = 0;
+    unsigned maxEntries_ = 0;
+    unsigned emptied_ = 0;
+};
+
+TEST(PageTablesProperty, RandomOpsMatchOracle)
+{
+    KernelConfig config = smallConfig();
+    Kernel kernel(config);
+    std::vector<std::uint8_t> saved;
+    {
+        PageTables tables(kernel);
+        PageTableModel model;
+        Rng rng(15);
+        // Two PGD entries. 1 GB leaves spread over 48 PUD slots and
+        // 2 MB leaves over 48 PMD slots, so upper tables cross the
+        // sparse limit; 4 KB leaves share a few PTE tables, which
+        // fill and drain often.
+        auto randomVpn = [&rng](unsigned order) {
+            Vpn vpn = rng.below(2) << 27;
+            if (order == gigaOrder)
+                return vpn | rng.below(48) << 18;
+            vpn |= rng.below(2) << 18;
+            if (order == hugeOrder)
+                return vpn | rng.below(48) << 9;
+            return vpn | rng.below(4) << 9 | rng.below(16);
+        };
+        auto randomOrder = [&rng] {
+            const std::uint64_t r = rng.below(10);
+            return r < 5 ? 0u : r < 8 ? hugeOrder : gigaOrder;
+        };
+        // Alternate growing and shrinking phases so tables fill
+        // past the limit and drain back to empty; end on a growing
+        // phase so the snapshot below holds a full tree.
+        for (int op = 0; op < 14000; ++op) {
+            const bool grow = (op / 2000) % 2 == 0;
+            Vpn vpn = 0;
+            const std::uint64_t kind = rng.below(10);
+            if (kind < (grow ? 7u : 2u)) {
+                const unsigned order = randomOrder();
+                vpn = randomVpn(order);
+                if (!model.canMap(vpn, order))
+                    continue;
+                const Pfn pfn = rng.below(Pfn{1} << 40) >> order << order;
+                ASSERT_TRUE(tables.map(vpn, pfn, order));
+                model.map(vpn, pfn, order);
+            } else if (kind < 9 && !model.leaves().empty()) {
+                // Unmap a live leaf through any vpn it covers.
+                auto it = model.leaves().begin();
+                std::advance(it, rng.below(model.leaves().size()));
+                vpn = it->first + rng.below(Vpn{1} << it->second.order);
+                EXPECT_TRUE(tables.unmap(vpn));
+                EXPECT_TRUE(model.unmap(vpn));
+            } else {
+                vpn = randomVpn(randomOrder());
+                const Pfn pfn = rng.below(Pfn{1} << 40);
+                const bool hit = model.repoint(vpn, pfn);
+                EXPECT_EQ(tables.repoint(vpn, pfn), hit);
+                if (rng.chance(0.3)) {
+                    EXPECT_EQ(tables.unmap(vpn), model.unmap(vpn));
+                }
+            }
+            model.check(tables, vpn);
+            for (int probe = 0; probe < 3; ++probe)
+                model.check(tables, randomVpn(randomOrder()));
+            model.checkCounts(tables);
+            if (HasFailure())
+                FAIL() << "diverged at op " << op;
+        }
+        for (const auto &[head, leaf] : model.leaves())
+            model.check(tables, head + (Vpn{1} << leaf.order) - 1);
+        EXPECT_GT(model.retires(), 0u);
+        EXPECT_GT(model.maxEntries(), 32u);
+        EXPECT_GT(model.emptied(), 0u);
+        EXPECT_GT(tables.mappings(), 200u);
+
+        serde::Writer out;
+        kernel.saveTo(out);
+        tables.saveTo(out);
+        saved = out.take();
+    }
+
+    // Restore into a fresh kernel (the frames belong to it) and
+    // check that the tree serializes to the same bytes.
+    serde::Reader in(saved);
+    Kernel restored_kernel(
+        config,
+        [&in](Kernel &k) {
+            return std::make_unique<VanillaPolicy>(k.mem(), in);
+        },
+        in);
+    const std::size_t tables_at = saved.size() - in.remaining();
+    PageTables restored(restored_kernel, in);
+    EXPECT_EQ(in.remaining(), 0u);
+    serde::Writer again;
+    restored.saveTo(again);
+    EXPECT_EQ(again.bytes(),
+              std::vector<std::uint8_t>(saved.begin() + tables_at,
+                                        saved.end()));
 }
 
 TEST(AddressSpaceTest, TouchBacksWithThp)

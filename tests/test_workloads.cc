@@ -301,5 +301,23 @@ TEST(AccessStreamTest, PopularitySkewed)
     EXPECT_GT(hottest, 20 * uniform_share);
 }
 
+TEST(AccessStreamTest, KindsWithoutAnAccessProfilePanicWithTheirName)
+{
+    // panic() throws PanicError, so the "death" is asserted as a throw.
+    for (const WorkloadKind kind :
+         {WorkloadKind::Aging, WorkloadKind::FsCacheHeavy,
+          WorkloadKind::UnmovableBursty}) {
+        try {
+            makeAccessProfile(kind);
+            ADD_FAILURE() << workloadName(kind) << " did not panic";
+        } catch (const PanicError &e) {
+            EXPECT_NE(std::string(e.what()).find(workloadName(kind)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_GT(makeAccessProfile(WorkloadKind::Nginx).dataBytes, 0u);
+}
+
 } // namespace
 } // namespace ctg
