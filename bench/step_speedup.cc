@@ -1,12 +1,17 @@
 /**
  * @file
- * ContigIndex write-side microbenchmark: a fixed alloc/free/pin churn
+ * ContigIndex maintenance microbenchmark: a fixed alloc/free/pin churn
  * on the fig11 2 GiB shape and the 64 MiB scale-tier shape, each
  * mutation published through ContigIndex::resync the way the buddy
- * allocator publishes its blocks. It reports ns per resync (the churn
- * timed with and without the resync calls, the difference divided by
- * the calls), plus the resyncs and frames rescanned per machine, the
- * index build time and its host bytes per frame.
+ * allocator publishes its blocks, with one index read every K
+ * mutations (K = 1, 64, 4096). resync only marks the words it
+ * covers and the read flushes them, so the cost of a mutation
+ * depends on how many mutations share a flush: K = 1 is the eager
+ * worst case. It reports ns per mutation with the flushes amortized
+ * (the churn timed with and without the index, the difference
+ * divided by the mutations), plus the resyncs and frames marked per
+ * machine, the index build time (construction plus the first read)
+ * and its host bytes per frame.
  *
  * The read side of the hot paths (compaction, region resizing,
  * gigantic-window search) has no second implementation left to time
@@ -18,7 +23,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "base/rng.hh"
 #include "bench/bench_util.hh"
@@ -31,6 +39,9 @@ namespace
 
 constexpr unsigned writeOps = 200000; //!< churn mutations per machine
 constexpr unsigned writeReps = 5;     //!< timed churns, best kept
+/** Mutations between two index reads. */
+constexpr unsigned readEvery[] = {1, 64, 4096};
+constexpr unsigned numCadences = std::size(readEvery);
 
 double
 msSince(const std::chrono::steady_clock::time_point &start)
@@ -44,7 +55,8 @@ msSince(const std::chrono::steady_clock::time_point &start)
 struct WriteResult
 {
     double buildUs = 0.0;
-    double nsPerResync = 0.0;
+    /** Per readEvery entry. */
+    double nsPerMutation[numCadences] = {};
     std::uint64_t resyncs = 0;
     std::uint64_t framesRescanned = 0;
     double indexBytesPerFrame = 0.0;
@@ -56,12 +68,13 @@ struct WriteResult
  * have their pin bits flipped, with random migratetypes and sources
  * — the mutation mix of the buddy allocator and the pin API. When
  * idx is set, every mutation is published through idx->resync over
- * the block, as the allocator does; without it the same mutations
- * run alone, which is the baseline the resync cost is measured
- * against. Returns the churn's wall time in ns.
+ * the block, as the allocator does, and every `read_every` mutations
+ * (and once at the end) one read flushes the marks; without it the
+ * same mutations run alone, which is the baseline the index cost is
+ * measured against. Returns the churn's wall time in ns.
  */
 double
-runChurn(FrameArray &frames, ContigIndex *idx)
+runChurn(FrameArray &frames, ContigIndex *idx, unsigned read_every = 1)
 {
     const Pfn n = frames.size();
     Rng rng(0x3417e);
@@ -97,9 +110,14 @@ runChurn(FrameArray &frames, ContigIndex *idx)
                     f.setPinned(pin);
             }
         }
-        if (idx)
+        if (idx) {
             idx->resync(lo, hi);
+            if ((op + 1) % read_every == 0)
+                idx->freePages();
+        }
     }
+    if (idx)
+        idx->freePages();
     return std::chrono::duration<double, std::nano>(
                std::chrono::steady_clock::now() - start)
         .count();
@@ -119,28 +137,38 @@ WriteResult
 benchWrite(std::uint64_t mem_bytes)
 {
     WriteResult out;
-    double best_with = std::numeric_limits<double>::infinity();
-    double best_without = best_with;
-    out.buildUs = best_with;
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    double best_with[numCadences];
+    std::fill(std::begin(best_with), std::end(best_with), inf);
+    double best_without = inf;
+    out.buildUs = inf;
     for (unsigned rep = 0; rep < writeReps; ++rep) {
         FrameArray bare = freeFrames(mem_bytes);
         best_without = std::min(best_without, runChurn(bare, nullptr));
 
-        FrameArray frames = freeFrames(mem_bytes);
-        const auto start = std::chrono::steady_clock::now();
-        ContigIndex idx(frames);
-        out.buildUs = std::min(out.buildUs, 1000.0 * msSince(start));
-        const std::uint64_t calls0 = idx.resyncCalls();
-        const std::uint64_t frames0 = idx.framesRescanned();
-        best_with = std::min(best_with, runChurn(frames, &idx));
-        out.resyncs = idx.resyncCalls() - calls0;
-        out.framesRescanned = idx.framesRescanned() - frames0;
-        out.indexBytesPerFrame = static_cast<double>(idx.bytesUsed()) /
-                                 static_cast<double>(frames.size());
+        for (unsigned k = 0; k < numCadences; ++k) {
+            FrameArray frames = freeFrames(mem_bytes);
+            const auto start = std::chrono::steady_clock::now();
+            ContigIndex idx(frames);
+            idx.freePages();
+            out.buildUs = std::min(out.buildUs, 1000.0 * msSince(start));
+            const std::uint64_t calls0 = idx.resyncCalls();
+            const std::uint64_t frames0 = idx.framesRescanned();
+            best_with[k] = std::min(best_with[k],
+                                    runChurn(frames, &idx, readEvery[k]));
+            out.resyncs = idx.resyncCalls() - calls0;
+            out.framesRescanned = idx.framesRescanned() - frames0;
+            out.indexBytesPerFrame =
+                static_cast<double>(idx.bytesUsed()) /
+                static_cast<double>(frames.size());
+        }
     }
-    out.nsPerResync = std::max(0.0, best_with - best_without) /
-                      static_cast<double>(std::max<std::uint64_t>(
-                          out.resyncs, 1));
+    for (unsigned k = 0; k < numCadences; ++k) {
+        out.nsPerMutation[k] =
+            std::max(0.0, best_with[k] - best_without) /
+            static_cast<double>(
+                std::max<std::uint64_t>(out.resyncs, 1));
+    }
     return out;
 }
 
@@ -151,7 +179,7 @@ main(int argc, char **argv)
 {
     bench::parseArgs(argc, argv);
     bench::banner("Step speedup",
-                  "ContigIndex write side: resync cost per mutation");
+                  "ContigIndex maintenance: cost per mutation");
 
     const struct
     {
@@ -163,17 +191,25 @@ main(int argc, char **argv)
                                                          << 20}};
     WriteResult writes[2];
     Table write_table;
-    write_table.header({"Write side", "Build (us)", "ns/resync",
-                        "Resyncs", "Frames rescanned", "Index B/frame"});
+    std::vector<std::string> header = {"Write side", "Build (us)"};
+    for (const unsigned k : readEvery)
+        header.push_back("ns/mut K=" + std::to_string(k));
+    for (const char *col : {"Resyncs", "Frames marked", "Index B/frame"})
+        header.push_back(col);
+    write_table.header(header);
     for (int i = 0; i < 2; ++i) {
         writes[i] = benchWrite(shapes[i].bytes);
-        write_table.row({shapes[i].name, cell(writes[i].buildUs, 1),
-                         cell(writes[i].nsPerResync, 1),
-                         std::to_string(writes[i].resyncs),
-                         std::to_string(writes[i].framesRescanned),
-                         cell(writes[i].indexBytesPerFrame, 3)});
+        std::vector<std::string> row = {shapes[i].name,
+                                        cell(writes[i].buildUs, 1)};
+        for (const double ns : writes[i].nsPerMutation)
+            row.push_back(cell(ns, 1));
+        row.push_back(std::to_string(writes[i].resyncs));
+        row.push_back(std::to_string(writes[i].framesRescanned));
+        row.push_back(cell(writes[i].indexBytesPerFrame, 3));
+        write_table.row(row);
     }
-    std::printf("\n%u-op alloc/free/pin churn per machine:\n",
+    std::printf("\n%u-op alloc/free/pin churn per machine, one index "
+                "read every K mutations:\n",
                 writeOps);
     write_table.print();
 
@@ -183,12 +219,17 @@ main(int argc, char **argv)
         const std::string key = shapes[i].key;
         group.settableGauge(key + "_build_us", "index build us")
             .set(writes[i].buildUs);
-        group.settableGauge(key + "_ns_per_resync", "ns per resync")
-            .set(writes[i].nsPerResync);
+        for (unsigned k = 0; k < numCadences; ++k) {
+            const std::string every = std::to_string(readEvery[k]);
+            group.settableGauge(key + "_ns_per_mutation_k" + every,
+                                "ns per mutation, one read every " +
+                                    every + " mutations")
+                .set(writes[i].nsPerMutation[k]);
+        }
         group.settableGauge(key + "_resyncs", "resyncs per machine")
             .set(static_cast<double>(writes[i].resyncs));
         group.settableGauge(key + "_frames_rescanned",
-                            "frames rescanned per machine")
+                            "frames marked per machine")
             .set(static_cast<double>(writes[i].framesRescanned));
         group.settableGauge(key + "_index_bytes_per_frame",
                             "index host bytes per frame")

@@ -4,6 +4,7 @@
 
 #include "base/env_config.hh"
 #include "base/serde.hh"
+#include "base/span_trace.hh"
 #include "base/trace.hh"
 #include "fleet/shared_tables.hh"
 #include "mem/auditor.hh"
@@ -279,9 +280,12 @@ Server::attachTelemetry(StatRegistry &registry, StatSampler *sampler,
 void
 Server::runSegment(double seconds)
 {
+    if (seconds <= 0.0)
+        return;
+    CTG_SPAN(Fleet, "server.segment",
+             {{"pages", std::int64_t(config_.memBytes / pageBytes)},
+              {"prefragment", config_.prefragment ? 1 : 0}});
     if (sampler_ == nullptr && auditor_ == nullptr) {
-        if (seconds <= 0.0)
-            return;
         if (!config_.coarseStep.value_or(
                 sim::EnvConfig::fromEnv().coarseStep)) {
             workload_->runFor(seconds, config_.stepSec);
@@ -326,7 +330,12 @@ Server::runSegment(double seconds)
 void
 Server::runToCheckpoint()
 {
+    // Phase spans split a traced server.run for span_profile.py; the
+    // args give the machine size and whether it was prefragmented.
+    const std::int64_t pages = config_.memBytes / pageBytes;
+    const int prefragment = config_.prefragment ? 1 : 0;
     if (config_.prefragment) {
+        CTG_SPAN(Fleet, "server.fragment", {{"pages", pages}});
         Fragmenter::Config fc;
         fragmenter_ = std::make_unique<Fragmenter>(
             *kernel_, fc, config_.seed ^ 0xf7a6);
@@ -334,7 +343,11 @@ Server::runToCheckpoint()
         if (auditor_)
             auditor_->auditOrDie();
     }
-    workload_->start();
+    {
+        CTG_SPAN(Fleet, "workload.start",
+                 {{"pages", pages}, {"prefragment", prefragment}});
+        workload_->start();
+    }
     if (auditor_)
         auditor_->auditOrDie();
     if (sampler_) {

@@ -177,10 +177,11 @@ MemHierarchy::resolveLine(CoreId core, Addr line_addr,
     if (entry->mode == ChwMode::Noncacheable) {
         *noncacheable = true;
         // First touch from a core that missed the notification gets
-        // NACKed and retried as noncacheable (Section 3.3).
-        const std::uint32_t bit = std::uint32_t{1} << core;
-        if (core != ~CoreId{0} && !(entry->notified & bit)) {
-            entry->notified |= bit;
+        // NACKed and retried as noncacheable (Section 3.3); a device
+        // access (core ~0) has no private copy and is never NACKed.
+        if (core != ~CoreId{0} &&
+            !(entry->notified & (std::uint32_t{1} << core))) {
+            entry->notified |= std::uint32_t{1} << core;
             *extra += config_.l2Lat + config_.ringHopLat;
             ++stats_.nackRetries;
             // Purge any stale private copies of both names.

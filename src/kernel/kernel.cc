@@ -496,13 +496,21 @@ Kernel::regStats(StatGroup group) const
     index_group.gauge(
         "resync_calls",
         [this] { return double(mem_->contigIndex().resyncCalls()); },
-        "incremental index update calls");
+        "frame ranges marked for the next index read");
     index_group.gauge(
         "frames_rescanned",
         [this] {
             return double(mem_->contigIndex().framesRescanned());
         },
-        "frames re-read by index updates");
+        "frames covered by those marks");
+    index_group.gauge(
+        "flushes",
+        [this] { return double(mem_->contigIndex().flushes()); },
+        "index reads that found marked words");
+    index_group.gauge(
+        "words_rebuilt",
+        [this] { return double(mem_->contigIndex().wordsRebuilt()); },
+        "64-frame plane words rebuilt by those reads");
     index_group.gauge(
         "free_pages",
         [this] { return double(mem_->contigIndex().freePages()); });

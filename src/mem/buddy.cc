@@ -1,6 +1,7 @@
 #include "mem/buddy.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "base/serde.hh"
 #include "base/trace.hh"
@@ -72,12 +73,14 @@ BuddyAllocator::BuddyAllocator(PhysMem &mem, serde::Reader &in)
     prefScanCap_ = in.getU32();
     if (prefScanCap_ < 1)
         throw serde::Error("buddy: prefScanCap out of range");
-    for (auto &per_mt : heads_)
-        for (auto &head : per_mt) {
-            head = in.getU32();
-            if (head != FrameArray::nil &&
-                (head < start_ || head >= end_))
+    for (unsigned mi = 0; mi < numMigrateTypes; ++mi)
+        for (unsigned o = 0; o <= maxOrder; ++o) {
+            const std::uint32_t head = heads_[mi][o] = in.getU32();
+            if (head == FrameArray::nil)
+                continue;
+            if (head < start_ || head >= end_)
                 throw serde::Error("buddy: list head out of range");
+            nonEmpty_[mi] |= std::uint32_t{1} << o;
         }
     for (auto &count : freeCount_) {
         count = in.getU64();
@@ -140,6 +143,7 @@ BuddyAllocator::pushFree(Pfn head, unsigned order, MigrateType list_mt)
     if (list_head != FrameArray::nil)
         frames_.prev(list_head) = static_cast<std::uint32_t>(head);
     list_head = static_cast<std::uint32_t>(head);
+    nonEmpty_[mi] |= std::uint32_t{1} << order;
 
     freeCount_[mi] += std::uint64_t{1} << order;
     ++blockCount_[mi][order];
@@ -157,8 +161,8 @@ BuddyAllocator::removeFree(Pfn head)
     const std::uint32_t prv = frames_.prev(head);
     if (prv != FrameArray::nil)
         frames_.next(prv) = nxt;
-    else
-        heads_[mi][order] = nxt;
+    else if ((heads_[mi][order] = nxt) == FrameArray::nil)
+        nonEmpty_[mi] &= ~(std::uint32_t{1} << order);
     if (nxt != FrameArray::nil)
         frames_.prev(nxt) = prv;
     frames_.next(head) = FrameArray::nil;
@@ -175,9 +179,8 @@ Pfn
 BuddyAllocator::popFree(MigrateType mt, unsigned order, AddrPref pref)
 {
     const unsigned mi = mtIndex(mt);
-    std::uint32_t cursor = heads_[mi][order];
-    if (cursor == FrameArray::nil)
-        return invalidPfn;
+    const std::uint32_t cursor = heads_[mi][order];
+    ctg_assert(cursor != FrameArray::nil);
 
     Pfn best = cursor;
     if (pref != AddrPref::None) {
@@ -301,10 +304,10 @@ BuddyAllocator::allocPages(unsigned order, MigrateType mt,
     }
 
     // Native path: smallest sufficient block of the requested type.
-    for (unsigned o = order; o <= maxOrder; ++o) {
+    const std::uint32_t orders_from = ~std::uint32_t{0} << order;
+    if (const std::uint32_t native = nonEmpty_[mtIndex(mt)] & orders_from) {
+        const unsigned o = static_cast<unsigned>(std::countr_zero(native));
         const Pfn head = popFree(mt, o, pref);
-        if (head == invalidPfn)
-            continue;
         splitTo(head, o, order, mt);
         markAllocated(head, order, mt, src, owner);
         return head;
@@ -321,26 +324,24 @@ BuddyAllocator::allocPages(unsigned order, MigrateType mt,
     // type; otherwise the allocation pollutes a foreign pageblock —
     // the scattering mechanism of Section 2.5.
     for (const MigrateType victim : fallbackOrder[mtIndex(mt)]) {
-        for (int o = static_cast<int>(maxOrder);
-             o >= static_cast<int>(order); --o) {
-            const Pfn head =
-                popFree(victim, static_cast<unsigned>(o), pref);
-            if (head == invalidPfn)
-                continue;
+        if (const std::uint32_t stealable =
+                nonEmpty_[mtIndex(victim)] & orders_from) {
+            const unsigned o =
+                static_cast<unsigned>(std::bit_width(stealable)) - 1;
+            const Pfn head = popFree(victim, o, pref);
             ++stats_.fallbackAllocs;
             CTG_DPRINTF(Buddy,
-                        "%s: fallback steal order %d from %s list "
+                        "%s: fallback steal order %u from %s list "
                         "for order-%u %s alloc at pfn %llu",
                         name_.c_str(), o, migrateTypeName(victim),
                         order, migrateTypeName(mt),
                         static_cast<unsigned long long>(head));
-            const bool claim = claimSmallSteals_ ||
-                               static_cast<unsigned>(o) >= hugeOrder;
+            const bool claim = claimSmallSteals_ || o >= hugeOrder;
             if (claim) {
                 // Stealing at pageblock granularity claims the
                 // block: retag it and keep the remainder on the new
                 // type's lists.
-                const Pfn span = Pfn{1} << static_cast<unsigned>(o);
+                const Pfn span = Pfn{1} << o;
                 for (Pfn p = head; p < head + span; p += pagesPerHuge)
                     mem_.setBlockMt(p, mt);
                 ++stats_.pageblockSteals;
@@ -348,8 +349,7 @@ BuddyAllocator::allocPages(unsigned order, MigrateType mt,
             // A small dirty steal leaves the remainder with its
             // owner, so the next foreign request falls back again
             // somewhere else — the scattering mechanism.
-            splitTo(head, static_cast<unsigned>(o), order,
-                    claim ? mt : victim);
+            splitTo(head, o, order, claim ? mt : victim);
             markAllocated(head, order, mt, src, owner);
             return head;
         }
@@ -715,6 +715,11 @@ BuddyAllocator::auditFreeLists(std::vector<std::string> &out) const
                 ++blocks;
                 free_from_lists[mi] += std::uint64_t{1} << o;
             }
+            const bool listed = (nonEmpty_[mi] >> o) & 1u;
+            if (listed != (heads_[mi][o] != FrameArray::nil))
+                report(detail::formatMessage(
+                    "non-empty mask mt=%u order=%u says %d, head %u",
+                    mi, o, int(listed), heads_[mi][o]));
             if (blocks != blockCount_[mi][o])
                 report(detail::formatMessage(
                     "block count mismatch mt=%u order=%u "

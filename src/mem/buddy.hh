@@ -206,10 +206,10 @@ class BuddyAllocator
     /** Unlink a free head from its list (fields identify the list). */
     void removeFree(Pfn head);
 
-    /** Pop a block from (mt, order) honoring the address preference;
-     * scans at most prefScanCap list entries — or, when
-     * PhysMem::exactAddrPref() is on, finds the exact extreme entry
-     * via an index descent. */
+    /** Pop a block from the non-empty list (mt, order) honoring the
+     * address preference; scans at most prefScanCap list entries —
+     * or, when PhysMem::exactAddrPref() is on, finds the exact
+     * extreme entry via an index descent. */
     Pfn popFree(MigrateType mt, unsigned order, AddrPref pref);
 
     /** Exact lowest/highest-address (mt, order) free-list entry,
@@ -253,6 +253,10 @@ class BuddyAllocator
 
     bool claimSmallSteals_ = false;
     std::uint32_t heads_[numMigrateTypes][maxOrder + 1];
+    /** Derived from heads_ (not serialized): bit o of entry mt is set
+     * when list (mt, o) is non-empty, so allocPages jumps straight to
+     * the first usable order. */
+    std::uint32_t nonEmpty_[numMigrateTypes] = {};
     std::uint64_t freeCount_[numMigrateTypes] = {};
     std::uint64_t blockCount_[numMigrateTypes][maxOrder + 1] = {};
     Stats stats_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "base/logging.hh"
 
@@ -128,12 +129,14 @@ ContigIndex::ContigIndex(const FrameArray &frames)
     const std::uint64_t blocks = (n_ + pagesPerHuge - 1) >> hugeOrder;
     words_.assign(blocks * wordsPerBlock, PlaneWord{});
     wordMaxFF_.assign(blocks * wordsPerBlock, -1);
+    dirty_.assign((words_.size() + 63) / 64, 0);
     for (unsigned order = hugeOrder; order <= top_; ++order) {
-        level(order).assign(
+        foldLevel(order).assign(
             (n_ + (Pfn{1} << order) - 1) >> order, Node{});
     }
     // All-zero planes and nodes describe frames with no predicate
-    // bit set (consistent with each other); publish the real state.
+    // bit set (consistent with each other); the first read publishes
+    // the real state.
     resync(0, n_);
 }
 
@@ -161,7 +164,7 @@ ContigIndex::blockMaxFF(std::uint64_t block) const
 void
 ContigIndex::countTransition(unsigned order, std::uint64_t index,
                              bool was_full, bool was_tainted,
-                             const Node &now)
+                             const Node &now) const
 {
     const bool full = now.free == (std::uint64_t{1} << order);
     const bool tainted = now.unmov > 0;
@@ -175,13 +178,14 @@ ContigIndex::countTransition(unsigned order, std::uint64_t index,
 }
 
 void
-ContigIndex::applyBlockDelta(std::uint64_t block, const BlockDelta &d)
+ContigIndex::applyBlockDelta(std::uint64_t block,
+                             const BlockDelta &d) const
 {
     freePages_ += static_cast<std::uint64_t>(d.free);
     unmovablePages_ += static_cast<std::uint64_t>(d.unmov);
     pinnedPages_ += static_cast<std::uint64_t>(d.pinned);
 
-    Node &node = level(hugeOrder)[block];
+    Node &node = foldLevel(hugeOrder)[block];
     const bool was_full = node.free == pagesPerHuge;
     const bool was_tainted = node.unmov > 0;
     const std::uint32_t was_mixed = node.mixed;
@@ -212,7 +216,7 @@ ContigIndex::applyBlockDelta(std::uint64_t block, const BlockDelta &d)
     for (unsigned order = hugeOrder + 1; order <= top_; ++order) {
         const std::vector<Node> &children = level(order - 1);
         index >>= 1;
-        Node &parent = level(order)[index];
+        Node &parent = foldLevel(order)[index];
         const std::uint64_t span = std::uint64_t{1} << order;
         const bool parent_was_full = parent.free == span;
         const bool parent_was_tainted = parent.unmov > 0;
@@ -245,99 +249,121 @@ ContigIndex::resync(Pfn lo, Pfn hi)
     ++resyncCalls_;
     framesRescanned_ += hi - lo;
 
+    // Dirty bits [w0, w1): one per plane word covering [lo, hi).
+    const std::uint64_t w0 = lo >> 6;
+    const std::uint64_t w1 = ((hi - 1) >> 6) + 1;
+    const std::uint64_t d0 = w0 >> 6;
+    const std::uint64_t d1 = ((w1 - 1) >> 6) + 1;
+    for (std::uint64_t d = d0; d < d1; ++d)
+        dirty_[d] |= wordMask(d, w0, w1);
+    dirtyLo_ = std::min(dirtyLo_, d0);
+    dirtyHi_ = std::max(dirtyHi_, d1);
+}
+
+bool
+ContigIndex::rebuildWord(std::uint64_t w, BlockDelta &d) const
+{
     constexpr std::uint16_t movable =
         static_cast<std::uint16_t>(MigrateType::Movable);
-    std::uint64_t block = lo >> hugeOrder;
-    BlockDelta delta;
-    bool pending = false;
-    const auto flush = [&] {
-        if (pending)
-            applyBlockDelta(block, delta);
-        delta = BlockDelta{};
-        pending = false;
-    };
-
-    // Leaf pass, one plane word at a time: rebuild the word's bits
-    // from the frame truth, keep the per-source attribution of
-    // unmovable frames current, and sum the word's count deltas into
-    // its pageblock.
-    const std::uint64_t w_end = ((hi - 1) >> 6) + 1;
-    for (std::uint64_t w = lo >> 6; w < w_end; ++w) {
-        const Pfn base = w << 6;
-        PlaneWord &word = words_[w];
-        const std::uint64_t old_u = word.unmov;
-        std::uint64_t nf = 0, nu = 0, np = 0, nm = 0;
-        const Pfn end = std::min(hi, base + 64);
-        for (Pfn pfn = std::max(lo, base); pfn < end; ++pfn) {
-            const std::uint16_t m = frames_.meta(pfn);
-            const std::uint64_t bit = std::uint64_t{1} << (pfn & 63);
-            if (m & PageFrame::FlagFree) {
-                nf |= bit;
-                continue;
-            }
-            const bool pinned = m & PageFrame::FlagPinned;
-            const bool movable_mt =
-                ((m >> FrameArray::metaMtShift) &
-                 FrameArray::metaMtMask) == movable;
-            if (pinned)
-                np |= bit;
-            if (movable_mt)
-                nm |= bit;
-            if (movable_mt && !pinned)
-                continue;
-            nu |= bit;
-            const std::uint8_t src = static_cast<std::uint8_t>(
-                (m >> FrameArray::metaSrcShift) &
-                FrameArray::metaSrcMask);
-            std::uint8_t &cached = leafSrc_[pfn];
-            if (!(old_u & bit)) {
-                ++bySource_[src];
-                cached = src;
-            } else if (cached != src) {
-                --bySource_[cached];
-                ++bySource_[src];
-                cached = src;
-            }
-        }
-        const std::uint64_t mask = wordMask(w, lo, hi);
-        // Frames that left the unmovable plane release their source.
-        for (std::uint64_t gone = old_u & ~nu & mask; gone != 0;
-             gone &= gone - 1)
-            --bySource_[leafSrc_[base + std::countr_zero(gone)]];
-
-        const std::uint64_t of = word.free & mask;
-        const std::uint64_t ou = old_u & mask;
-        const std::uint64_t op = word.pinned & mask;
-        const std::uint64_t om = word.movableMt & mask;
-        if (of == nf && ou == nu && op == np && om == nm)
+    // Leaf pass: rebuild the word's bits from the frame truth and
+    // keep the per-source attribution of unmovable frames current.
+    // Padding bits past the machine stay zero on both sides.
+    const Pfn base = w << 6;
+    PlaneWord &word = words_[w];
+    const std::uint64_t old_u = word.unmov;
+    std::uint64_t nf = 0, nu = 0, np = 0, nm = 0;
+    const Pfn end = std::min<Pfn>(n_, base + 64);
+    for (Pfn pfn = base; pfn < end; ++pfn) {
+        const std::uint16_t m = frames_.meta(pfn);
+        const std::uint64_t bit = std::uint64_t{1} << (pfn & 63);
+        if (m & PageFrame::FlagFree) {
+            nf |= bit;
             continue;
-        if (w / wordsPerBlock != block) {
-            flush();
-            block = w / wordsPerBlock;
         }
-        pending = true;
-        // Most mutations flip one or two planes; popcount is not a
-        // single instruction on baseline x86-64, so skip the rest.
-        if (of != nf) {
-            delta.free += std::popcount(nf) - std::popcount(of);
-            delta.freeMoved = true;
-            word.free ^= of ^ nf;
-            wordMaxFF_[w] = wordMaxFF(word.free);
-        }
-        if (ou != nu) {
-            delta.unmov += std::popcount(nu) - std::popcount(ou);
-            word.unmov ^= ou ^ nu;
-        }
-        if (op != np) {
-            delta.pinned += std::popcount(np) - std::popcount(op);
-            word.pinned ^= op ^ np;
-        }
-        if (om != nm) {
-            delta.movableMt += std::popcount(nm) - std::popcount(om);
-            word.movableMt ^= om ^ nm;
+        const bool pinned = m & PageFrame::FlagPinned;
+        const bool movable_mt =
+            ((m >> FrameArray::metaMtShift) & FrameArray::metaMtMask) ==
+            movable;
+        if (pinned)
+            np |= bit;
+        if (movable_mt)
+            nm |= bit;
+        if (movable_mt && !pinned)
+            continue;
+        nu |= bit;
+        const std::uint8_t src = static_cast<std::uint8_t>(
+            (m >> FrameArray::metaSrcShift) & FrameArray::metaSrcMask);
+        std::uint8_t &cached = leafSrc_[pfn];
+        if (!(old_u & bit)) {
+            ++bySource_[src];
+            cached = src;
+        } else if (cached != src) {
+            --bySource_[cached];
+            ++bySource_[src];
+            cached = src;
         }
     }
-    flush();
+    // Frames that left the unmovable plane release their source.
+    for (std::uint64_t gone = old_u & ~nu; gone != 0; gone &= gone - 1)
+        --bySource_[leafSrc_[base + std::countr_zero(gone)]];
+
+    if (word.free == nf && word.unmov == nu && word.pinned == np &&
+        word.movableMt == nm)
+        return false;
+    // Most rebuilds flip one or two planes; popcount is not a single
+    // instruction on baseline x86-64, so skip the rest.
+    if (word.free != nf) {
+        d.free += std::popcount(nf) - std::popcount(word.free);
+        d.freeMoved = true;
+        word.free = nf;
+        wordMaxFF_[w] = wordMaxFF(nf);
+    }
+    if (word.unmov != nu) {
+        d.unmov += std::popcount(nu) - std::popcount(word.unmov);
+        word.unmov = nu;
+    }
+    if (word.pinned != np) {
+        d.pinned += std::popcount(np) - std::popcount(word.pinned);
+        word.pinned = np;
+    }
+    if (word.movableMt != nm) {
+        d.movableMt += std::popcount(nm) - std::popcount(word.movableMt);
+        word.movableMt = nm;
+    }
+    return true;
+}
+
+void
+ContigIndex::flush() const
+{
+    if (dirtyLo_ >= dirtyHi_)
+        return;
+    ++flushes_;
+    // Dirty words come in ascending order, so the words of one
+    // pageblock are adjacent: sum their deltas and fold each touched
+    // pageblock up the tree once.
+    std::uint64_t block = ~std::uint64_t{0};
+    BlockDelta delta;
+    bool pending = false;
+    for (std::uint64_t di = dirtyLo_; di < dirtyHi_; ++di) {
+        for (std::uint64_t bits = std::exchange(dirty_[di], 0);
+             bits != 0; bits &= bits - 1) {
+            const std::uint64_t w = (di << 6) + std::countr_zero(bits);
+            if (w / wordsPerBlock != block) {
+                if (pending)
+                    applyBlockDelta(block, delta);
+                block = w / wordsPerBlock;
+                delta = BlockDelta{};
+                pending = false;
+            }
+            pending |= rebuildWord(w, delta);
+            ++wordsRebuilt_;
+        }
+    }
+    if (pending)
+        applyBlockDelta(block, delta);
+    dirtyLo_ = noDirty;
+    dirtyHi_ = 0;
 }
 
 std::uint64_t
@@ -450,6 +476,7 @@ ContigIndex::planeFind(Plane plane, Pfn lo, Pfn hi, unsigned order,
 std::uint64_t
 ContigIndex::fullyFreeBlocks(unsigned order) const
 {
+    flush();
     if (order == 0)
         return freePages_;
     ctg_assert(order <= maxQueryOrder);
@@ -463,6 +490,7 @@ ContigIndex::fullyFreeBlocks(unsigned order) const
 std::uint64_t
 ContigIndex::taintedBlocks(unsigned order) const
 {
+    flush();
     if (order == 0)
         return unmovablePages_;
     ctg_assert(order <= maxQueryOrder);
@@ -476,6 +504,7 @@ ContigIndex::taintedBlocks(unsigned order) const
 std::uint64_t
 ContigIndex::freePagesIn(Pfn lo, Pfn hi) const
 {
+    flush();
     if (lo == 0 && hi == n_)
         return freePages_;
     return pagesIn(freeBits, &Node::free, lo, hi);
@@ -484,6 +513,7 @@ ContigIndex::freePagesIn(Pfn lo, Pfn hi) const
 std::uint64_t
 ContigIndex::unmovablePagesIn(Pfn lo, Pfn hi) const
 {
+    flush();
     if (lo == 0 && hi == n_)
         return unmovablePages_;
     return pagesIn(unmovBits, &Node::unmov, lo, hi);
@@ -492,12 +522,14 @@ ContigIndex::unmovablePagesIn(Pfn lo, Pfn hi) const
 std::uint64_t
 ContigIndex::movableMtPagesIn(Pfn lo, Pfn hi) const
 {
+    flush();
     return pagesIn(movableMtBits, &Node::movableMt, lo, hi);
 }
 
 std::uint64_t
 ContigIndex::fullyFreeBlocksIn(Pfn lo, Pfn hi, unsigned order) const
 {
+    flush();
     const Pfn span = Pfn{1} << order;
     ctg_assert(lo % span == 0 && hi % span == 0);
     ctg_assert(lo <= hi && hi <= n_);
@@ -517,6 +549,7 @@ ContigIndex::fullyFreeBlocksIn(Pfn lo, Pfn hi, unsigned order) const
 std::uint64_t
 ContigIndex::taintedBlocksIn(Pfn lo, Pfn hi, unsigned order) const
 {
+    flush();
     const Pfn span = Pfn{1} << order;
     ctg_assert(lo % span == 0 && hi % span == 0);
     ctg_assert(lo <= hi && hi <= n_);
@@ -536,6 +569,7 @@ ContigIndex::taintedBlocksIn(Pfn lo, Pfn hi, unsigned order) const
 std::uint32_t
 ContigIndex::nodeFreePages(unsigned order, std::uint64_t index) const
 {
+    flush();
     ctg_assert(order >= 1 && order <= top_);
     if (order < hugeOrder) {
         ctg_assert((index << order) < n_);
@@ -550,6 +584,7 @@ std::uint32_t
 ContigIndex::nodeUnmovablePages(unsigned order,
                                 std::uint64_t index) const
 {
+    flush();
     ctg_assert(order >= 1 && order <= top_);
     if (order < hugeOrder) {
         ctg_assert((index << order) < n_);
@@ -563,6 +598,7 @@ ContigIndex::nodeUnmovablePages(unsigned order,
 ContigIndex::BlockClass
 ContigIndex::blockClass(Pfn pfn) const
 {
+    flush();
     ctg_assert(pfn < n_);
     const std::uint64_t index = pfn >> hugeOrder;
     const Node &node = level(hugeOrder)[index];
@@ -581,6 +617,7 @@ ContigIndex::blockClass(Pfn pfn) const
 std::uint64_t
 ContigIndex::mixedBlocksIn(Pfn lo, Pfn hi) const
 {
+    flush();
     ctg_assert(lo % pagesPerHuge == 0 && hi % pagesPerHuge == 0);
     ctg_assert(lo <= hi && hi <= n_);
     std::uint64_t total = 0;
@@ -652,6 +689,7 @@ ContigIndex::descend(Pfn lo, Pfn hi, unsigned stop, bool highest,
 Pfn
 ContigIndex::firstMixedBlock(Pfn lo, Pfn hi) const
 {
+    flush();
     ctg_assert(lo % pagesPerHuge == 0 && hi % pagesPerHuge == 0);
     // With pageblock-aligned bounds, a pageblock node that intersects
     // the range lies fully inside it.
@@ -667,6 +705,7 @@ Pfn
 ContigIndex::firstFullyFreeSpan(unsigned order, Pfn lo, Pfn hi,
                                 AddrPref pref) const
 {
+    flush();
     ctg_assert(order <= maxQueryOrder);
     ctg_assert(lo <= hi && hi <= n_);
     const Pfn span = Pfn{1} << order;
@@ -709,6 +748,7 @@ ContigIndex::findFrame(Plane plane, bool invert, Pfn lo, Pfn hi,
 Pfn
 ContigIndex::firstAllocatedFrame(Pfn lo, Pfn hi) const
 {
+    flush();
     return findFrame(freeBits, /*invert=*/true, lo, hi,
                      [](const Node &node, Pfn coverage) {
                          return node.free < coverage;
@@ -718,6 +758,7 @@ ContigIndex::firstAllocatedFrame(Pfn lo, Pfn hi) const
 Pfn
 ContigIndex::firstUnmovableFrame(Pfn lo, Pfn hi) const
 {
+    flush();
     return findFrame(
         unmovBits, /*invert=*/false, lo, hi,
         [](const Node &node, Pfn) { return node.unmov > 0; });
@@ -726,6 +767,7 @@ ContigIndex::firstUnmovableFrame(Pfn lo, Pfn hi) const
 Pfn
 ContigIndex::firstMovableMtFrame(Pfn lo, Pfn hi) const
 {
+    flush();
     return findFrame(
         movableMtBits, /*invert=*/false, lo, hi,
         [](const Node &node, Pfn) { return node.movableMt > 0; });
@@ -737,6 +779,7 @@ ContigIndex::bytesUsed() const
     std::uint64_t bytes =
         sizeof(*this) + leafSrc_.capacity() + wordMaxFF_.capacity();
     bytes += words_.capacity() * sizeof(PlaneWord);
+    bytes += dirty_.capacity() * sizeof(std::uint64_t);
     for (const std::vector<Node> &nodes : levels_)
         bytes += nodes.capacity() * sizeof(Node);
     return bytes;

@@ -19,23 +19,35 @@
  *    contain at least one unmovable page.
  *
  * The index is *derived state*: it never interprets allocator
- * semantics. Mutation sites re-publish the frame range they touched
- * via resync(), which re-reads the per-frame truth (PageFrame flags),
- * diffs it word by word against the planes, and adds the count
- * deltas to each touched pageblock node and its ancestors — O(range +
- * pageblocks touched · tree height), with the tree height
- * log2(machine) - hugeOrder rather than log2(machine).
- * Because every counter is recomputed from the same predicate the
- * reference scanners use (PageFrame::isFree / isUnmovableAllocation),
- * the index is bit-identical to a fresh full scan at all times,
- * including across fault-injected rollbacks; the MemAuditor
- * cross-checks this.
+ * semantics, and it is maintained lazily, mark-then-flush. Mutation
+ * sites re-publish the frame range they touched via resync(), which
+ * only sets one dirty bit per 64-frame plane word covering the range
+ * — O(k / 64) bit sets for k frames. Every read first flushes: it
+ * rebuilds each dirty word, in ascending order, from the per-frame
+ * truth (PageFrame flags), diffs it against the planes and folds the
+ * summed count deltas of each touched pageblock into its node and
+ * the node's ancestors — one pass over the dirty words, with the
+ * tree height log2(machine) - hugeOrder rather than log2(machine).
+ * Most mutations are overwritten before anything reads them (on the
+ * perfbench workloads 96-98 % of marks land on a word already marked
+ * since the last read), so a word and its ancestors are folded once
+ * per read, not once per mutation. Because every counter is recomputed from the same
+ * predicate the reference scanners use (PageFrame::isFree /
+ * isUnmovableAllocation), a read sees the index of the current
+ * frames — bit-identical to a fresh full scan, including across
+ * fault-injected rollbacks; the MemAuditor cross-checks this.
  *
- * Reads: whole-machine counts are O(1) for order 0 and orders >=
- * hugeOrder (the orders the figures report) and one popcount pass
- * over a plane for orders 1..hugeOrder-1. Arbitrary [lo, hi) ranges
- * take their unaligned ends from the planes and the pageblock-aligned
- * middle from tree nodes, without touching the frame array.
+ * Threading: reads are const but rewrite the derived state (it is
+ * `mutable`). An index is only ever touched by the thread that owns
+ * its server — the fleet runs each server on one worker and hands it
+ * to another thread only after that worker is done with it — so no
+ * read races a flush; TSan checks the threaded fleet tests.
+ *
+ * Reads: past the flush, whole-machine counts are O(1) for order 0
+ * and orders >= hugeOrder (the orders the figures report) and one
+ * popcount pass over a plane for orders 1..hugeOrder-1. Arbitrary
+ * [lo, hi) ranges take their unaligned ends from the planes and the
+ * pageblock-aligned middle from tree nodes.
  *
  * Descent queries (DESIGN.md §12): beyond counting, the tree supports
  * positional search — "first mixed pageblock at or after lo", "first
@@ -76,19 +88,35 @@ class ContigIndex
     static constexpr unsigned maxQueryOrder = gigaOrder;
 
     /**
-     * Re-read frames [lo, hi) from the frame array and fold any state
-     * changes into the index. Every code path that mutates a frame's
-     * free/unmovable/pinned/source state must call this (via
-     * PhysMem::noteFramesChanged) before the next metric read.
+     * Mark frames [lo, hi) for re-reading: the next read rebuilds the
+     * plane words covering them from the frame array. Every code path
+     * that mutates a frame's free/unmovable/pinned/source state must
+     * call this (via PhysMem::noteFramesChanged) before the next
+     * metric read.
      */
     void resync(Pfn lo, Pfn hi);
 
     /** @{ Whole-machine counters: O(1) for order 0 and orders >=
      * hugeOrder, one plane pass for the orders in between. */
     std::uint64_t numFrames() const { return n_; }
-    std::uint64_t freePages() const { return freePages_; }
-    std::uint64_t unmovablePages() const { return unmovablePages_; }
-    std::uint64_t pinnedPages() const { return pinnedPages_; }
+    std::uint64_t
+    freePages() const
+    {
+        flush();
+        return freePages_;
+    }
+    std::uint64_t
+    unmovablePages() const
+    {
+        flush();
+        return unmovablePages_;
+    }
+    std::uint64_t
+    pinnedPages() const
+    {
+        flush();
+        return pinnedPages_;
+    }
     /** Aligned order-blocks fully inside the machine. */
     std::uint64_t
     alignedBlocks(unsigned order) const
@@ -103,6 +131,7 @@ class ContigIndex
     const std::array<std::uint64_t, numAllocSources> &
     unmovableBySource() const
     {
+        flush();
         return bySource_;
     }
     /** @} */
@@ -192,14 +221,25 @@ class ContigIndex
 
     /** @} */
 
-    /** @{ Maintenance counters (observability). */
+    /** @{ Maintenance counters (observability); reading them does
+     * not flush. resync() calls and the frames they marked: */
     std::uint64_t resyncCalls() const { return resyncCalls_; }
     std::uint64_t framesRescanned() const { return framesRescanned_; }
-    /** Host bytes held by the index (planes, source cache, tree). */
+    /** Reads that found dirty words, and the words they rebuilt. */
+    std::uint64_t flushes() const { return flushes_; }
+    std::uint64_t wordsRebuilt() const { return wordsRebuilt_; }
+    /** Host bytes held by the index (planes, source cache, tree,
+     * dirty bitmap). */
     std::uint64_t bytesUsed() const;
     /** @} */
 
   private:
+    /** Bring the derived state up to date with the frames: rebuild
+     * every dirty plane word in ascending order and fold each touched
+     * pageblock's summed delta up the tree. Every public read calls
+     * this first; it returns at once when nothing is dirty. */
+    void flush() const;
+
     /** Per-block occupancy counts and search aggregates of one tree
      * node (level >= hugeOrder). The counts are additive, so a
      * change moves every ancestor by the same delta; the aggregates
@@ -241,8 +281,9 @@ class ContigIndex
     static constexpr Plane movableMtBits = &PlaneWord::movableMt;
     static constexpr unsigned wordsPerBlock = pagesPerHuge / 64;
 
+    /** Level `order` for flush() to update. */
     std::vector<Node> &
-    level(unsigned order)
+    foldLevel(unsigned order) const
     {
         return levels_[order - hugeOrder];
     }
@@ -260,12 +301,15 @@ class ContigIndex
      * and their maxFF is refolded from the two children. Keeps the
      * machine totals and per-order global counters current. */
     struct BlockDelta;
-    void applyBlockDelta(std::uint64_t block, const BlockDelta &d);
+    void applyBlockDelta(std::uint64_t block, const BlockDelta &d) const;
+    /** Rebuild plane word w from its in-machine frames and add its
+     * count deltas to d; false when no bit changed. */
+    bool rebuildWord(std::uint64_t w, BlockDelta &d) const;
     /** Per-order global counter update for one node that was fully
      * free / tainted before and is `now` (in-machine nodes only). */
     void countTransition(unsigned order, std::uint64_t index,
                          bool was_full, bool was_tainted,
-                         const Node &now);
+                         const Node &now) const;
 
     /** Popcount of plane bits in [lo, hi). */
     std::uint64_t planeCount(Plane plane, Pfn lo, Pfn hi) const;
@@ -319,32 +363,45 @@ class ContigIndex
      * [hugeOrder, maxQueryOrder]. */
     unsigned top_;
 
+    /** One bit per plane word marked by resync() since the last
+     * flush; dirtyLo_/dirtyHi_ bound the bitmap entries holding set
+     * bits (none when dirtyLo_ >= dirtyHi_). flush() clears them. */
+    mutable std::vector<std::uint64_t> dirty_;
+    static constexpr std::uint64_t noDirty = ~std::uint64_t{0};
+    mutable std::uint64_t dirtyLo_ = noDirty;
+    mutable std::uint64_t dirtyHi_ = 0;
+
+    // Everything below, up to the counters, is derived from the
+    // frames and rewritten by flush().
+
     /** The planes, 64 frames per entry, padded to whole pageblocks
      * (padding bits stay zero). */
-    std::vector<PlaneWord> words_;
+    mutable std::vector<PlaneWord> words_;
     /** Per free-plane word: the largest order o <= 6 of an aligned
      * fully-free block inside it, -1 when none (6 = whole word).
      * Lets a free-plane change refold its pageblock's maxFF without
      * re-searching the seven unchanged words. */
-    std::vector<std::int8_t> wordMaxFF_;
+    mutable std::vector<std::int8_t> wordMaxFF_;
     /** Cached AllocSource of each unmovable frame. */
-    std::vector<std::uint8_t> leafSrc_;
+    mutable std::vector<std::uint8_t> leafSrc_;
     /** levels_[L - hugeOrder] holds level L, L in hugeOrder..top_
      * (empty above top_). */
-    std::array<std::vector<Node>, maxQueryOrder - hugeOrder + 1>
+    mutable std::array<std::vector<Node>, maxQueryOrder - hugeOrder + 1>
         levels_;
 
-    std::uint64_t freePages_ = 0;
-    std::uint64_t unmovablePages_ = 0;
-    std::uint64_t pinnedPages_ = 0;
+    mutable std::uint64_t freePages_ = 0;
+    mutable std::uint64_t unmovablePages_ = 0;
+    mutable std::uint64_t pinnedPages_ = 0;
     /** Indexed by order; only entries hugeOrder..top_ are maintained
      * (smaller orders answer from the planes, larger ones are 0). */
-    std::array<std::uint64_t, maxQueryOrder + 1> fullFree_{};
-    std::array<std::uint64_t, maxQueryOrder + 1> tainted_{};
-    std::array<std::uint64_t, numAllocSources> bySource_{};
+    mutable std::array<std::uint64_t, maxQueryOrder + 1> fullFree_{};
+    mutable std::array<std::uint64_t, maxQueryOrder + 1> tainted_{};
+    mutable std::array<std::uint64_t, numAllocSources> bySource_{};
 
     std::uint64_t resyncCalls_ = 0;
     std::uint64_t framesRescanned_ = 0;
+    mutable std::uint64_t flushes_ = 0;
+    mutable std::uint64_t wordsRebuilt_ = 0;
 };
 
 } // namespace ctg

@@ -113,7 +113,7 @@ class PhysMem
 
     /** Serialize frames, links, pageblock tags and the clock. The
      * ContigIndex is deliberately NOT serialized: it is derived
-     * state, rebuilt from the restored frames by a full resync in
+     * state, marked for a full rebuild from the restored frames in
      * loadFrom() (and cross-checked against a reference scan by the
      * MemAuditor before a restored server may run). */
     void saveTo(serde::Writer &out) const;

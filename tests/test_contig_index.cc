@@ -292,17 +292,28 @@ randomSource(Rng &rng)
 
 /**
  * Random alloc/free/pin/setBlockPinned sequence on one machine size,
- * checking the index against the reference scans every `check_every`
- * steps (and the descent queries when `descents` is set).
+ * checking the index against the reference scans (and the descent
+ * queries when `descents` is set) right after construction, then
+ * after every next_gap() mutations, and twice at the end with no
+ * mutation in between. Each check is an index read, so the gaps set
+ * how much marked state one flush folds.
  */
+template <typename NextGap>
 void
 runAllocFreePinProperty(std::uint64_t bytes, std::uint64_t seed,
-                        int steps, int check_every, bool descents)
+                        int steps, bool descents, NextGap next_gap)
 {
     PhysMem mem(bytes);
     BuddyAllocator buddy(mem, 0, mem.numFrames(), "prop");
     Rng rng(seed);
     Rng range_rng(~seed);
+    const auto check = [&] {
+        expectIndexExact(mem, rng, range_rng);
+        if (descents)
+            expectDescentQueriesExact(mem, rng);
+    };
+    check();
+    int next_check = next_gap();
 
     struct Live
     {
@@ -347,22 +358,103 @@ runAllocFreePinProperty(std::uint64_t bytes, std::uint64_t seed,
                               });
             entry.pinned = mem.frame(entry.head).isPinned();
         }
-        if (step % check_every == 0) {
-            expectIndexExact(mem, rng, range_rng);
-            if (descents)
-                expectDescentQueriesExact(mem, rng);
+        if (step + 1 == next_check) {
+            check();
+            next_check += next_gap();
         }
         if (::testing::Test::HasFailure())
             FAIL() << bytes << " bytes: diverged at step " << step;
     }
-    expectIndexExact(mem, rng, range_rng);
-    if (descents)
-        expectDescentQueriesExact(mem, rng);
+    check();
+    check();
+    if (::testing::Test::HasFailure())
+        FAIL() << bytes << " bytes: diverged on a repeated read";
+}
+
+/** Checks every `gap` mutations. */
+auto
+every(int gap)
+{
+    return [gap] { return gap; };
 }
 
 TEST(ContigIndexProperty, RandomAllocFreePinSequencesStayExact)
 {
-    runAllocFreePinProperty(64_MiB, 0xc0117, 400, 4, false);
+    runAllocFreePinProperty(64_MiB, 0xc0117, 400, false, every(4));
+}
+
+/** Reads at a random cadence: 1 to 4096 mutations between reads,
+ * log-uniform so short and long gaps both occur. A read folds every
+ * word marked since the previous one, whatever their number. */
+TEST(ContigIndexProperty, RandomReadCadenceStaysExact)
+{
+    Rng cadence(0xcade);
+    const auto gap = [&] {
+        const std::uint64_t span = std::uint64_t{1} << cadence.below(13);
+        return 1 + static_cast<int>(cadence.below(span));
+    };
+    runAllocFreePinProperty(64_MiB, 0x1a2e, 20000, true, gap);
+}
+
+/** Marks alone rebuild nothing; the next read rebuilds at most the
+ * distinct words marked, and a read with nothing marked is free. */
+TEST(ContigIndexLazy, MarksRebuildNothingUntilTheNextRead)
+{
+    FrameArray frames(64_MiB / pageBytes);
+    const Pfn n = frames.size();
+    for (Pfn p = 0; p < n; ++p)
+        frames.frame(p).setFree(true);
+    ContigIndex idx(frames);
+    EXPECT_EQ(idx.wordsRebuilt(), 0u);
+    EXPECT_EQ(idx.freePages(), n);
+    EXPECT_EQ(idx.flushes(), 1u);
+    EXPECT_EQ(idx.wordsRebuilt(), n / 64);
+
+    Rng rng(0x1a2f);
+    std::vector<std::uint64_t> marked;
+    std::uint64_t free_frames = n;
+    const std::uint64_t calls0 = idx.resyncCalls();
+    constexpr unsigned mutations = 1000;
+    for (unsigned i = 0; i < mutations; ++i) {
+        // Unaligned ranges of 1..200 frames, so some straddle words.
+        const Pfn lo = rng.below(n - 200);
+        const Pfn hi = lo + 1 + rng.below(200);
+        const bool free = rng.chance(0.5);
+        for (Pfn p = lo; p < hi; ++p) {
+            auto f = frames.frame(p);
+            if (f.isFree() == free)
+                continue;
+            if (free) {
+                f.setFree(true);
+                ++free_frames;
+            } else {
+                f.stampAllocated(0, randomMt(rng), randomSource(rng),
+                                 true);
+                --free_frames;
+            }
+        }
+        idx.resync(lo, hi);
+        for (std::uint64_t w = lo >> 6; w <= (hi - 1) >> 6; ++w)
+            marked.push_back(w);
+    }
+    idx.resync(n, n); // an empty range marks nothing
+    EXPECT_EQ(idx.resyncCalls() - calls0, mutations);
+    EXPECT_EQ(idx.flushes(), 1u);
+    EXPECT_EQ(idx.wordsRebuilt(), n / 64);
+
+    std::sort(marked.begin(), marked.end());
+    marked.erase(std::unique(marked.begin(), marked.end()),
+                 marked.end());
+    EXPECT_EQ(idx.fullyFreeBlocks(0), free_frames);
+    EXPECT_EQ(idx.flushes(), 2u);
+    EXPECT_LE(idx.wordsRebuilt() - n / 64, marked.size());
+
+    const std::uint64_t rebuilt = idx.wordsRebuilt();
+    EXPECT_EQ(idx.firstAllocatedFrame(0, n) == invalidPfn,
+              free_frames == n);
+    EXPECT_EQ(idx.freePages(), free_frames);
+    EXPECT_EQ(idx.flushes(), 2u);
+    EXPECT_EQ(idx.wordsRebuilt(), rebuilt);
 }
 
 /** Machines whose size is not a power of two: the tree's top order is
@@ -371,8 +463,9 @@ TEST(ContigIndexProperty, RandomAllocFreePinSequencesStayExact)
  * holding one pageblock). */
 TEST(ContigIndexProperty, NonPowerOfTwoMachinesStayExact)
 {
-    runAllocFreePinProperty(6_MiB, 0x6b6b, 400, 4, true);
-    runAllocFreePinProperty(1_GiB + 2_MiB, 0x1602, 400, 100, true);
+    runAllocFreePinProperty(6_MiB, 0x6b6b, 400, true, every(4));
+    runAllocFreePinProperty(1_GiB + 2_MiB, 0x1602, 400, true,
+                            every(100));
 }
 
 TEST(ContigIndexProperty, GiganticAndRangeOpsStayExact)
