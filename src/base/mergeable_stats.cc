@@ -15,14 +15,6 @@ OnlineHistogram::add(double value, std::uint64_t weight)
     total_ += weight;
 }
 
-void
-OnlineHistogram::merge(const OnlineHistogram &other)
-{
-    for (const auto &entry : other.counts_)
-        counts_[entry.first] += entry.second;
-    total_ += other.total_;
-}
-
 double
 OnlineHistogram::min() const
 {
@@ -39,7 +31,7 @@ double
 OnlineHistogram::sum() const
 {
     // Sorted-order walk: the result depends only on the multiset,
-    // not on insertion order or pre-merge partitioning.
+    // not on insertion order.
     double sum = 0.0;
     for (const auto &entry : counts_)
         sum += entry.first * static_cast<double>(entry.second);

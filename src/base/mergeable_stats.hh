@@ -1,6 +1,6 @@
 /**
  * @file
- * Order-insensitive, mergeable online statistics.
+ * Order-insensitive online statistics.
  *
  * The fleet studies build their CDFs by materializing one sample per
  * server (EmpiricalCdf keeps the raw vector and sorts on read). That
@@ -8,8 +8,8 @@
  * 10⁵–10⁶ fleets ROADMAP item 1 targets. OnlineHistogram is the
  * streaming replacement: a sorted value → count map that can be fed
  * incrementally (Fleet::run's per-server callback feeds
- * Fleet::ScanSinks), merged across partial sinks, and asked the
- * *same* questions with bit-identical answers:
+ * Fleet::ScanSinks) and asked the *same* questions with
+ * bit-identical answers:
  *
  *  - quantile(f) returns the exact sample EmpiricalCdf::quantile
  *    would return for the same multiset (index floor(f·(n−1)) of the
@@ -17,14 +17,11 @@
  *  - fractionAtOrBelow(x) matches EmpiricalCdf bit-for-bit;
  *  - count/min/max/mean/sum are computed on read by walking the map
  *    in sorted-value order, so they depend only on the *multiset* of
- *    samples — never on insertion order or on how the samples were
- *    partitioned across sinks before merging.
+ *    samples — never on insertion order.
  *
- * That last property is the determinism contract: merge() is a
- * commutative, associative count union, so partial sinks merged in
- * any order produce the same bits as a single sequential sink
- * (test_base; sinks fed from the fleet callback match materialized
- * CDFs at 1/4/8 threads in test_parallel_fleet). Memory is
+ * That last property is the determinism contract: sinks fed from
+ * the fleet callback match materialized CDFs at 1/4/8 threads
+ * (test_parallel_fleet). Memory is
  * O(distinct values), which for scan metrics (ratios snapped by
  * discrete block counts) is far below O(servers).
  */
@@ -45,11 +42,6 @@ class OnlineHistogram
   public:
     /** Fold one sample (NaN is not a valid sample value). */
     void add(double value, std::uint64_t weight = 1);
-
-    /** Fold another sink's samples into this one (count union).
-     * Commutative and associative; the merged sink is bit-identical
-     * to one that saw every sample directly, in any order. */
-    void merge(const OnlineHistogram &other);
 
     /** Total samples (sum of weights). */
     std::uint64_t count() const { return total_; }

@@ -313,6 +313,7 @@ Fleet::run(const ScanCallback &onScan)
             // attempt only ever probes snap.* fault sites, which
             // have their own RNG streams).
             bool restored = false;
+            std::unique_ptr<Server> restoredServer;
             if (restoreManifest) {
                 const snap::ManifestEntry *entry =
                     restoreManifest->find(i);
@@ -332,7 +333,8 @@ Fleet::run(const ScanCallback &onScan)
                                 slot->adopt(std::move(server))
                                     .resume();
                         } else {
-                            out.scan = server->resume();
+                            restoredServer = std::move(server);
+                            out.scan = restoredServer->resume();
                         }
                         restored = true;
                     } catch (const serde::Error &e) {
@@ -375,6 +377,14 @@ Fleet::run(const ScanCallback &onScan)
             srv_span.arg("free_2m_bp",
                          static_cast<std::int64_t>(
                              out.scan.freeContiguity[0] * 10000.0));
+            CTG_SPAN(Fleet, "server.destroy",
+                     {{"pages",
+                       static_cast<std::int64_t>(sc.memBytes / pageBytes)},
+                      {"prefragment", sc.prefragment ? 1 : 0}});
+            localServer.reset();
+            restoredServer.reset();
+            if (slot != nullptr)
+                slot->release();
         }
         CTG_DPRINTF(Fleet,
                     "server %u done: free_contig_2m=%.3f "

@@ -125,7 +125,7 @@ class Fleet
      * threads results in flight. Results do not depend on it. */
     static constexpr unsigned kMergeWindowPerThread = 64;
 
-    /** Streaming scan statistics: one mergeable sink per telemetry
+    /** Streaming scan statistics: one sink per telemetry
      * Distribution, owned by the caller and fed from run()'s
      * per-server callback. Quantiles are bit-identical to
      * materialized CDFs of the same scans, in O(distinct values)

@@ -86,6 +86,15 @@ class ServerSlot
         return *current_;
     }
 
+    /** Destroy the task's server now, under the task's open
+     * ArenaScope, so teardown is charged to that task; begin() still
+     * rewinds the arena. */
+    void
+    release()
+    {
+        current_.reset();
+    }
+
     /** The arena tasks should scope their allocations into. */
     Arena &arena() { return arena_; }
 

@@ -45,8 +45,7 @@ AddressSpace::AddressSpace(Kernel &kernel, serde::Reader &in)
     // The chunk slot order is RNG-visible state (releasePages samples
     // it uniformly), so the dense array is adopted verbatim. Each
     // entry is cross-checked against the restored page tables; the
-    // per-size counters and the 2 MB-range occupancy map are derived
-    // and rebuilt here.
+    // per-size counters are derived and rebuilt here.
     const std::uint64_t chunk_count = in.getU64();
     if (chunk_count != tables_.mappings())
         throw serde::Error("address space: chunk count mismatch");
@@ -62,14 +61,12 @@ AddressSpace::AddressSpace(Kernel &kernel, serde::Reader &in)
             throw serde::Error(
                 "address space: chunk/page-table mismatch");
         entries.push_back(ChunkTable::Entry{vpn, order});
-        if (order == 0) {
+        if (order == 0)
             ++pages4k_;
-            ++hugeRangeUse_[vpn >> hugeOrder];
-        } else if (order == hugeOrder) {
+        else if (order == hugeOrder)
             ++chunks2m_;
-        } else {
+        else
             ++chunks1g_;
-        }
     }
     chunks_.restoreEntries(std::move(entries));
     nextBaseVpn_ = in.getU64();
@@ -124,17 +121,16 @@ AddressSpace::munmap(Addr base)
     ctg_assert(it != regions_.end());
     const Region region = it->second;
 
-    // Mapped leaves are exactly the chunk heads; visit them in
+    // Mapped leaves are exactly the chunk heads; remove them in
     // ascending vpn order.
-    const Vpn end = region.baseVpn + region.pages;
-    Translation tr;
-    for (Vpn vpn = tables_.nextLeaf(region.baseVpn, end, &tr); vpn < end;
-         vpn = tables_.nextLeaf(vpn + (Vpn{1} << tr.order), end, &tr)) {
-        // Process teardown drops any remaining DMA pins.
-        if (kernel_.mem().frame(tr.pfn).isPinned())
-            kernel_.unpinPages(tr.pfn);
-        unbackChunk(vpn, tr.order);
-    }
+    tables_.unmapRange(
+        region.baseVpn, region.baseVpn + region.pages,
+        [this](Vpn vpn, const Translation &tr) {
+            // Process teardown drops any remaining DMA pins.
+            if (kernel_.mem().frame(tr.pfn).isPinned())
+                kernel_.unpinPages(tr.pfn);
+            dropChunk(vpn, tr);
+        });
     regions_.erase(it);
 }
 
@@ -155,33 +151,32 @@ AddressSpace::backChunk(Vpn vpn, unsigned order)
         return false;
     }
     chunks_.insert(vpn, order);
-    if (order == 0) {
+    if (order == 0)
         ++pages4k_;
-        ++hugeRangeUse_[vpn >> hugeOrder];
-    } else if (order == hugeOrder) {
+    else if (order == hugeOrder)
         ++chunks2m_;
-    }
     return true;
 }
 
 void
 AddressSpace::unbackChunk(Vpn vpn, unsigned order)
 {
-    const Translation tr = tables_.translate(vpn);
+    const Translation tr = tables_.unmap(vpn);
     ctg_assert(tr.valid && tr.order == order);
-    tables_.unmap(vpn);
+    dropChunk(vpn, tr);
+}
+
+void
+AddressSpace::dropChunk(Vpn vpn, const Translation &tr)
+{
     kernel_.freePages(tr.pfn);
     chunks_.erase(vpn);
-    if (order == 0) {
+    if (tr.order == 0) {
         --pages4k_;
-        auto it = hugeRangeUse_.find(vpn >> hugeOrder);
-        ctg_assert(it != hugeRangeUse_.end() && it->second > 0);
-        if (--it->second == 0)
-            hugeRangeUse_.erase(it);
-    } else if (order == hugeOrder) {
+    } else if (tr.order == hugeOrder) {
         --chunks2m_;
     } else {
-        ctg_assert(order == gigaOrder);
+        ctg_assert(tr.order == gigaOrder);
         --chunks1g_;
     }
 }
@@ -189,34 +184,27 @@ AddressSpace::unbackChunk(Vpn vpn, unsigned order)
 std::uint64_t
 AddressSpace::touchRange(Addr addr, std::uint64_t bytes)
 {
-    const Vpn first = addrToPfn(addr);
-    const Vpn last = addrToPfn(addr + bytes - 1);
+    const Vpn end = addrToPfn(addr + bytes - 1) + 1;
     std::uint64_t backed = 0;
 
-    Vpn vpn = first;
-    while (vpn <= last) {
-        if (tables_.translate(vpn).valid) {
-            ++vpn;
-            continue;
-        }
+    Vpn vpn = tables_.nextHole(addrToPfn(addr), end);
+    while (vpn < end) {
         // THP policy: aligned 2 MB chunk fully inside the requested
-        // range gets a huge-page attempt first.
+        // range, with no 4 KB page mapped in it, gets a huge-page
+        // attempt first.
         const bool huge_aligned = (vpn % pagesPerHuge) == 0;
-        const bool huge_fits = vpn + pagesPerHuge - 1 <= last;
-        const bool huge_clear =
-            hugeRangeUse_.find(vpn >> hugeOrder) ==
-            hugeRangeUse_.end();
-        if (kernel_.config().thpEnabled && huge_aligned &&
-            huge_fits && huge_clear) {
-            if (backChunk(vpn, hugeOrder)) {
-                backed += pagesPerHuge;
-                vpn += pagesPerHuge;
-                continue;
-            }
+        const bool huge_fits = vpn + pagesPerHuge <= end;
+        if (kernel_.config().thpEnabled && huge_aligned && huge_fits &&
+            tables_.ptesInRange(vpn) == 0 &&
+            backChunk(vpn, hugeOrder)) {
+            backed += pagesPerHuge;
+            vpn += pagesPerHuge;
+        } else {
+            if (backChunk(vpn, 0))
+                ++backed;
+            ++vpn;
         }
-        if (backChunk(vpn, 0))
-            ++backed;
-        ++vpn;
+        vpn = tables_.nextHole(vpn, end);
     }
     return backed;
 }
@@ -283,9 +271,7 @@ AddressSpace::releaseRange(Addr base, std::uint64_t bytes,
         if (!tr.valid || tr.order > hugeOrder)
             continue;
         const Vpn head = vpn & ~((Vpn{1} << tr.order) - 1);
-        const Translation head_tr = tables_.translate(head);
-        ctg_assert(head_tr.valid);
-        if (kernel_.mem().frame(head_tr.pfn).isPinned())
+        if (kernel_.mem().frame(tr.pfn - (vpn - head)).isPinned())
             continue;
         unbackChunk(head, tr.order);
         freed += Pfn{1} << tr.order;
@@ -298,31 +284,18 @@ AddressSpace::promoteHugeRanges(std::uint64_t budget)
 {
     if (budget == 0 || !kernel_.config().thpEnabled)
         return 0;
-    // Gather candidates first: collapsing mutates hugeRangeUse_.
-    std::vector<Vpn> candidates;
-    for (const auto &[range, used] : hugeRangeUse_) {
-        if (used == pagesPerHuge)
-            candidates.push_back(range);
-        if (candidates.size() >= budget * 4)
-            break;
-    }
+    // Candidates are the fully 4K-backed ranges in ascending order,
+    // gathered before any collapse changes the tables.
+    const std::vector<Vpn> candidates = tables_.fullPteRanges(budget * 4);
 
     std::uint64_t promoted = 0;
-    for (const Vpn range : candidates) {
+    for (const Vpn head : candidates) {
         if (promoted >= budget)
             break;
-        const Vpn head = range << hugeOrder;
         // Skip ranges with pinned pages (DMA may target them).
-        bool pinned = false;
-        for (Vpn vpn = head; vpn < head + pagesPerHuge; ++vpn) {
-            const Translation tr = tables_.translate(vpn);
-            ctg_assert(tr.valid && tr.order == 0);
-            if (kernel_.mem().frame(tr.pfn).isPinned()) {
-                pinned = true;
-                break;
-            }
-        }
-        if (pinned)
+        if (tables_.anyPteIn(head, [this](Pfn pfn) {
+                return kernel_.mem().frame(pfn).isPinned();
+            }))
             continue;
 
         AllocRequest req;
@@ -337,8 +310,11 @@ AddressSpace::promoteHugeRanges(std::uint64_t budget)
 
         // Migrate ("copy") each base page into the huge frame and
         // retire the old mapping.
-        for (Vpn vpn = head; vpn < head + pagesPerHuge; ++vpn)
-            unbackChunk(vpn, 0);
+        tables_.unmapRange(head, head + pagesPerHuge,
+                           [this](Vpn vpn, const Translation &tr) {
+                               ctg_assert(tr.order == 0);
+                               dropChunk(vpn, tr);
+                           });
         const bool ok = tables_.map(head, huge, hugeOrder);
         ctg_assert(ok);
         chunks_.insert(head, hugeOrder);
@@ -357,11 +333,7 @@ AddressSpace::translate(Addr vaddr) const
 bool
 AddressSpace::relocate(std::uint64_t tag, Pfn old_head, Pfn new_head)
 {
-    const Vpn vpn = tag;
-    const Translation tr = tables_.translate(vpn);
-    if (!tr.valid || tr.pfn != old_head)
-        return false;
-    return tables_.repoint(vpn, new_head);
+    return tables_.repoint(tag, old_head, new_head);
 }
 
 std::uint64_t

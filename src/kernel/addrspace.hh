@@ -185,6 +185,9 @@ class AddressSpace : public PageOwnerClient
     PageTables &pageTables() { return tables_; }
     const PageTables &pageTables() const { return tables_; }
 
+    /** Mapped chunk heads, in the slot order churn samples from. */
+    const ChunkTable &chunks() const { return chunks_; }
+
     /** @{ Backing-page statistics by mapping size. */
     std::uint64_t pages4k() const { return pages4k_; }
     std::uint64_t chunks2m() const { return chunks2m_; }
@@ -212,7 +215,12 @@ class AddressSpace : public PageOwnerClient
     /** Back one aligned chunk with a fresh allocation. */
     bool backChunk(Vpn vpn, unsigned order);
 
+    /** Unmap the chunk at vpn and free its frames. */
     void unbackChunk(Vpn vpn, unsigned order);
+
+    /** Free the frames of a chunk whose leaf was just removed and
+     * forget the chunk. */
+    void dropChunk(Vpn vpn, const Translation &tr);
 
     Kernel &kernel_;
     std::uint32_t pid_;
@@ -221,10 +229,6 @@ class AddressSpace : public PageOwnerClient
     std::map<Vpn, Region> regions_;
     /** Mapped chunk heads: vpn -> order (0, 9 or 18). */
     ChunkTable chunks_;
-    /** 4 KB mappings per 2 MB-aligned range, so the THP fault path
-     * can tell whether a huge mapping would collide. Ordered so the
-     * khugepaged candidate walk is independent of hash layout. */
-    std::map<Vpn, std::uint32_t> hugeRangeUse_;
     Vpn nextBaseVpn_ = Vpn{1} << gigaOrder; // skip the zero GB
     std::uint64_t pages4k_ = 0;
     std::uint64_t chunks2m_ = 0;

@@ -41,6 +41,19 @@ constexpr unsigned maxLeafLevel = 3;
 
 static_assert(leafOrderAt(2) == hugeOrder && leafOrderAt(3) == gigaOrder);
 
+/** Translation of vpn through the leaf at the given level whose
+ * head frame is head_pfn. */
+Translation
+leafTranslation(Pfn head_pfn, unsigned level, Vpn vpn)
+{
+    Translation tr;
+    tr.valid = true;
+    tr.order = leafOrderAt(level);
+    tr.level = level;
+    tr.pfn = head_pfn + (vpn & ((Vpn{1} << tr.order) - 1));
+    return tr;
+}
+
 } // namespace
 
 /**
@@ -364,7 +377,7 @@ PageTables::map(Vpn vpn, Pfn pfn, unsigned order)
     return true;
 }
 
-bool
+Translation
 PageTables::unmap(Vpn vpn)
 {
     Table *table = root_.get();
@@ -372,20 +385,20 @@ PageTables::unmap(Vpn vpn)
         const unsigned idx = indexAt(vpn, level);
         const Word word = table->get(idx);
         if (word == 0)
-            return false;
+            break;
         if (Table::isLeaf(word)) {
             table->erase(idx);
             ctg_assert(mappings_ > 0);
             --mappings_;
-            return true;
+            return leafTranslation(Table::leafPfn(word), level, vpn);
         }
         table = Table::asTable(word);
     }
-    return false;
+    return Translation{};
 }
 
 bool
-PageTables::repoint(Vpn vpn, Pfn new_pfn)
+PageTables::repoint(Vpn vpn, Pfn old_pfn, Pfn new_pfn)
 {
     ctg_assert(new_pfn >> 63 == 0);
     Table *table = root_.get();
@@ -394,6 +407,8 @@ PageTables::repoint(Vpn vpn, Pfn new_pfn)
         if (slot == nullptr)
             return false;
         if (Table::isLeaf(*slot)) {
+            if (Table::leafPfn(*slot) != old_pfn)
+                return false;
             *slot = Table::leafWord(new_pfn);
             return true;
         }
@@ -405,35 +420,131 @@ PageTables::repoint(Vpn vpn, Pfn new_pfn)
 Translation
 PageTables::translate(Vpn vpn) const
 {
-    Translation result;
     const Table *table = root_.get();
     for (unsigned level = levels; level >= 1; --level) {
         const Word word = table->get(indexAt(vpn, level));
         if (word == 0)
             break;
-        if (Table::isLeaf(word)) {
-            result.valid = true;
-            result.order = leafOrderAt(level);
-            result.level = level;
-            // Offset within the huge leaf.
-            const Vpn mask = (Vpn{1} << result.order) - 1;
-            result.pfn = Table::leafPfn(word) + (vpn & mask);
-            break;
-        }
+        if (Table::isLeaf(word))
+            return leafTranslation(Table::leafPfn(word), level, vpn);
         table = Table::asTable(word);
     }
-    return result;
+    return Translation{};
 }
 
 Vpn
-PageTables::nextLeaf(Vpn from, Vpn end, Translation *tr) const
+PageTables::nextHole(Vpn from, Vpn end) const
 {
-    return nextLeafIn(*root_, levels, 0, from, end, tr);
+    return from < end ? holeIn(*root_, levels, 0, from, end) : end;
 }
 
 Vpn
-PageTables::nextLeafIn(const Table &table, unsigned level, Vpn base,
-                       Vpn from, Vpn end, Translation *tr)
+PageTables::holeIn(const Table &table, unsigned level, Vpn base,
+                   Vpn from, Vpn end)
+{
+    const unsigned shift = (level - 1) * bitsPerLevel;
+    const Vpn stop =
+        std::min(end, base + (Vpn{entriesPerTable} << shift));
+    if (level == 1) {
+        if (table.count == 0)
+            return from;
+        if (table.count == entriesPerTable)
+            return stop;
+        Vpn vpn = from;
+        while (vpn < stop && table.dense[vpn - base] != 0)
+            ++vpn;
+        return vpn;
+    }
+    for (Vpn vpn = from; vpn < stop;) {
+        const unsigned idx = static_cast<unsigned>((vpn - base) >> shift);
+        const Vpn head = base + (Vpn{idx} << shift);
+        const Vpn next = std::min(stop, head + (Vpn{1} << shift));
+        const Word word = table.get(idx);
+        if (word == 0)
+            return vpn;
+        if (!Table::isLeaf(word)) {
+            const Vpn hole = holeIn(*Table::asTable(word), level - 1,
+                                    head, vpn, next);
+            if (hole < next)
+                return hole;
+        }
+        vpn = next;
+    }
+    return stop;
+}
+
+const PageTables::Table *
+PageTables::pteTable(Vpn vpn) const
+{
+    const Table *table = root_.get();
+    for (unsigned level = levels; level > 1; --level) {
+        const Word word = table->get(indexAt(vpn, level));
+        if (word == 0 || Table::isLeaf(word))
+            return nullptr;
+        table = Table::asTable(word);
+    }
+    return table;
+}
+
+unsigned
+PageTables::ptesInRange(Vpn vpn) const
+{
+    const Table *table = pteTable(vpn);
+    return table != nullptr ? table->count : 0;
+}
+
+bool
+PageTables::anyPteIn(Vpn vpn, const std::function<bool(Pfn)> &pred) const
+{
+    const Table *table = pteTable(vpn);
+    if (table == nullptr || table->count == 0)
+        return false;
+    for (unsigned i = 0; i < entriesPerTable; ++i)
+        if (table->dense[i] != 0 && pred(Table::leafPfn(table->dense[i])))
+            return true;
+    return false;
+}
+
+std::vector<Vpn>
+PageTables::fullPteRanges(std::size_t max) const
+{
+    std::vector<Vpn> out;
+    if (max > 0)
+        collectFull(*root_, levels, 0, max, out);
+    return out;
+}
+
+void
+PageTables::collectFull(const Table &table, unsigned level, Vpn base,
+                        std::size_t max, std::vector<Vpn> &out)
+{
+    const unsigned shift = (level - 1) * bitsPerLevel;
+    for (unsigned i = table.next(0); i < entriesPerTable;
+         i = table.next(i + 1)) {
+        const Word word = table.get(i);
+        if (Table::isLeaf(word))
+            continue;
+        const Table &child = *Table::asTable(word);
+        const Vpn head = base + (Vpn{i} << shift);
+        if (level > 2)
+            collectFull(child, level - 1, head, max, out);
+        else if (child.count == entriesPerTable)
+            out.push_back(head);
+        if (out.size() >= max)
+            return;
+    }
+}
+
+void
+PageTables::unmapRange(Vpn from, Vpn end, const RemovedFn &fn)
+{
+    if (from < end)
+        unmapIn(*root_, levels, 0, from, end, fn);
+}
+
+void
+PageTables::unmapIn(Table &table, unsigned level, Vpn base, Vpn from,
+                    Vpn end, const RemovedFn &fn)
 {
     const unsigned shift = (level - 1) * bitsPerLevel;
     const Vpn first = from > base ? (from - base) >> shift : 0;
@@ -445,20 +556,20 @@ PageTables::nextLeafIn(const Table &table, unsigned level, Vpn base,
             break;
         const Word word = table.get(i);
         if (!Table::isLeaf(word)) {
-            const Vpn found =
-                nextLeafIn(*Table::asTable(word), level - 1, head,
-                           std::max(from, head), end, tr);
-            if (found != end)
-                return found;
-        } else if (head >= from) {
-            tr->valid = true;
-            tr->order = leafOrderAt(level);
-            tr->level = level;
-            tr->pfn = Table::leafPfn(word);
-            return head;
+            unmapIn(*Table::asTable(word), level - 1, head,
+                    std::max(from, head), end, fn);
+            continue;
         }
+        // A huge leaf that starts before from is not in the range.
+        if (head < from)
+            continue;
+        table.erase(i);
+        ctg_assert(mappings_ > 0);
+        --mappings_;
+        fn(head, leafTranslation(Table::leafPfn(word), level, head));
+        // An erase that empties the table drops its storage; next()
+        // reads it afresh and then finds no entry.
     }
-    return end;
 }
 
 std::array<Addr, PageTables::levels>

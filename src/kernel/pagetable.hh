@@ -25,7 +25,9 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "base/types.hh"
 #include "kernel/kernel.hh"
@@ -76,21 +78,52 @@ class PageTables
      */
     bool map(Vpn vpn, Pfn pfn, unsigned order);
 
-    /** Remove the leaf covering vpn; true if one existed. */
-    bool unmap(Vpn vpn);
+    /** Remove the leaf covering vpn. Returns the translation of vpn
+     * before the removal; invalid if no leaf covered it. The table
+     * that held the leaf stays, even when it empties. */
+    Translation unmap(Vpn vpn);
 
-    /** Repoint an existing leaf at a new frame (migration). */
-    bool repoint(Vpn vpn, Pfn new_pfn);
+    /** Repoint the leaf covering vpn from head frame old_pfn to
+     * new_pfn (migration). False, and nothing changes, if no leaf
+     * covers vpn or its head frame is not old_pfn. */
+    bool repoint(Vpn vpn, Pfn old_pfn, Pfn new_pfn);
 
     /** Look up the leaf covering vpn. */
     Translation translate(Vpn vpn) const;
 
     /**
-     * Head vpn of the first leaf that starts in [from, end), in
-     * ascending vpn order, with its translation in *tr; end if there
-     * is none. Safe to call again after unmapping the leaf found.
+     * First vpn in [from, end) that no leaf covers; end if there is
+     * none. One descent: mapped 4 KB runs are scanned in their PTE
+     * table, 2 MB and 1 GB leaves are stepped over whole.
      */
-    Vpn nextLeaf(Vpn from, Vpn end, Translation *tr) const;
+    Vpn nextHole(Vpn from, Vpn end) const;
+
+    /**
+     * Number of 4 KB leaves in the 2 MB range holding vpn: the entry
+     * count of the PTE table in its PMD slot, 0 if the slot holds no
+     * table. This is the THP occupancy of the range.
+     */
+    unsigned ptesInRange(Vpn vpn) const;
+
+    /** Head vpns of the 2 MB ranges whose PTE table holds all
+     * 512 4 KB leaves, ascending, at most max of them. */
+    std::vector<Vpn> fullPteRanges(std::size_t max) const;
+
+    /** True if pred(pfn) holds for the frame of some 4 KB leaf in
+     * the 2 MB range holding vpn. Leaves are tried in vpn order, and
+     * the first hit ends the scan. */
+    bool anyPteIn(Vpn vpn, const std::function<bool(Pfn)> &pred) const;
+
+    /** Called with the head vpn and translation of a removed leaf. */
+    using RemovedFn = std::function<void(Vpn, const Translation &)>;
+
+    /**
+     * Remove every leaf that starts in [from, end), in ascending vpn
+     * order, in one walk of the tree; fn runs right after each
+     * removal. Emptied tables stay, as with unmap. fn must not
+     * change these tables.
+     */
+    void unmapRange(Vpn from, Vpn end, const RemovedFn &fn);
 
     /**
      * Physical addresses of the table entries a hardware walk of
@@ -131,9 +164,20 @@ class PageTables
                           serde::Writer &out);
     std::unique_ptr<Table> loadTable(serde::Reader &in, unsigned level);
 
-    /** nextLeaf within one table whose first entry maps vpn base. */
-    static Vpn nextLeafIn(const Table &table, unsigned level, Vpn base,
-                          Vpn from, Vpn end, Translation *tr);
+    /** nextHole within one table whose first entry maps vpn base;
+     * the table's span end (capped at end) if it has no hole. */
+    static Vpn holeIn(const Table &table, unsigned level, Vpn base,
+                      Vpn from, Vpn end);
+
+    /** The PTE table of the 2 MB range holding vpn, or nullptr. */
+    const Table *pteTable(Vpn vpn) const;
+
+    static void collectFull(const Table &table, unsigned level, Vpn base,
+                            std::size_t max, std::vector<Vpn> &out);
+
+    /** unmapRange within one table whose first entry maps vpn base. */
+    void unmapIn(Table &table, unsigned level, Vpn base, Vpn from,
+                 Vpn end, const RemovedFn &fn);
 
     Kernel &kernel_;
     std::unique_ptr<Table> root_;

@@ -687,41 +687,6 @@ TEST(OnlineHistogramTest, MatchesEmpiricalCdfExactly)
             << x;
 }
 
-TEST(OnlineHistogramTest, MergeIsOrderAndPartitionInsensitive)
-{
-    Rng rng(123);
-    std::vector<double> samples;
-    for (int i = 0; i < 300; ++i)
-        samples.push_back(rng.gaussian(10.0, 3.0));
-
-    OnlineHistogram sequential;
-    for (const double v : samples)
-        sequential.add(v);
-
-    // Partition into three sinks and merge in two different orders.
-    OnlineHistogram parts[3];
-    for (std::size_t i = 0; i < samples.size(); ++i)
-        parts[i % 3].add(samples[i]);
-    OnlineHistogram forward;
-    forward.merge(parts[0]);
-    forward.merge(parts[1]);
-    forward.merge(parts[2]);
-    OnlineHistogram backward;
-    backward.merge(parts[2]);
-    backward.merge(parts[1]);
-    backward.merge(parts[0]);
-
-    for (const OnlineHistogram *merged : {&forward, &backward}) {
-        EXPECT_EQ(merged->count(), sequential.count());
-        EXPECT_TRUE(merged->buckets() == sequential.buckets());
-        EXPECT_EQ(merged->mean(), sequential.mean());
-        EXPECT_EQ(merged->sum(), sequential.sum());
-        for (const double frac : {0.05, 0.5, 0.95})
-            EXPECT_EQ(merged->quantile(frac),
-                      sequential.quantile(frac));
-    }
-}
-
 TEST(OnlineHistogramTest, WeightsAndMoments)
 {
     OnlineHistogram hist;

@@ -14,6 +14,7 @@
 #include "base/rng.hh"
 #include "base/serde.hh"
 #include "base/units.hh"
+#include "contiguitas/policy.hh"
 #include "kernel/addrspace.hh"
 #include "kernel/churn.hh"
 #include "kernel/compaction.hh"
@@ -198,7 +199,7 @@ TEST(PageTablesTest, MapTranslateUnmap)
     ASSERT_TRUE(t.valid);
     EXPECT_EQ(t.pfn, 777u);
     EXPECT_EQ(t.order, 0u);
-    EXPECT_TRUE(tables.unmap(0x1000));
+    EXPECT_TRUE(tables.unmap(0x1000).valid);
     EXPECT_FALSE(tables.translate(0x1000).valid);
 }
 
@@ -281,15 +282,16 @@ buildFixedTables(PageTables &tables)
         ASSERT_TRUE(tables.map(i << 27 | i << 9 | i, 7 * i, 0));
     for (Vpn vpn = 0; vpn < 3 * pagesPerHuge; vpn += 3) {
         if (vpn >= pagesPerHuge && vpn < 2 * pagesPerHuge) {
-            ASSERT_TRUE(tables.unmap(vpn));
+            ASSERT_TRUE(tables.unmap(vpn).valid);
         }
     }
     ASSERT_TRUE(tables.map(pagesPerHuge, 0x20000, hugeOrder));
-    ASSERT_TRUE(tables.repoint(3, 4242));
-    ASSERT_TRUE(tables.repoint(pagesPerGiga + 5 * pagesPerHuge, 0x30000));
+    ASSERT_TRUE(tables.repoint(3, 1003, 4242));
+    ASSERT_TRUE(tables.repoint(pagesPerGiga + 5 * pagesPerHuge,
+                               0x10000 + 5 * pagesPerHuge, 0x30000));
     for (Vpn i = 10; i < 40; i += 2)
-        ASSERT_TRUE(tables.unmap(pagesPerGiga + i * pagesPerHuge));
-    ASSERT_TRUE(tables.unmap(Vpn{2} << 27 | 2 << 9 | 2));
+        ASSERT_TRUE(tables.unmap(pagesPerGiga + i * pagesPerHuge).valid);
+    ASSERT_TRUE(tables.unmap(Vpn{2} << 27 | 2 << 9 | 2).valid);
 }
 
 TEST(PageTablesTest, SnapshotBytesMatchParentFormat)
@@ -331,8 +333,17 @@ TEST(PageTablesTest, LeafOrderMustMatchItsLevel)
     }
 }
 
+void
+expectSameTranslation(const Translation &got, const Translation &want)
+{
+    EXPECT_EQ(got.valid, want.valid);
+    EXPECT_EQ(got.pfn, want.pfn);
+    EXPECT_EQ(got.order, want.order);
+    EXPECT_EQ(got.level, want.level);
+}
+
 /**
- * Reference model for the property test: leaves by head vpn, and
+ * Reference model for the property tests: leaves by head vpn, and
  * live tables by (level, vpn >> (9 * level)) with their entry counts
  * and the backing frame walks reported for them.
  */
@@ -424,13 +435,78 @@ class PageTableModel
     }
 
     bool
-    repoint(Vpn vpn, Pfn pfn)
+    repoint(Vpn vpn, Pfn old_pfn, Pfn pfn)
     {
         const auto *hit = covering(vpn);
-        if (hit == nullptr)
+        if (hit == nullptr || hit->second.pfn != old_pfn)
             return false;
         leaves_[hit->first].pfn = pfn;
         return true;
+    }
+
+    /** What PageTables::translate(vpn) should return. */
+    Translation
+    translation(Vpn vpn) const
+    {
+        Translation tr;
+        if (const auto *hit = covering(vpn)) {
+            tr.valid = true;
+            tr.order = hit->second.order;
+            tr.level = levelOf(tr.order);
+            tr.pfn = hit->second.pfn + (vpn - hit->first);
+        }
+        return tr;
+    }
+
+    /** First vpn in [from, end) no leaf covers; end if none. */
+    Vpn
+    nextHole(Vpn from, Vpn end) const
+    {
+        Vpn vpn = from;
+        while (vpn < end) {
+            const auto *hit = covering(vpn);
+            if (hit == nullptr)
+                return vpn;
+            vpn = hit->first + (Vpn{1} << hit->second.order);
+        }
+        return end;
+    }
+
+    /** Entry count of the PTE table of vpn's 2 MB range, or -1 if
+     * there is no such table. */
+    int
+    pteEntries(Vpn vpn) const
+    {
+        auto it = tables_.find(keyAt(vpn, 1));
+        return it == tables_.end() ? -1
+                                   : static_cast<int>(it->second.entries);
+    }
+
+    /** Heads of the full PTE tables' ranges, ascending, at most max. */
+    std::vector<Vpn>
+    fullPteRanges(std::size_t max) const
+    {
+        std::vector<Vpn> out;
+        for (auto it = tables_.lower_bound({1, 0});
+             it != tables_.end() && it->first.first == 1 &&
+             out.size() < max;
+             ++it)
+            if (it->second.entries == pagesPerHuge)
+                out.push_back(it->first.second << PageTables::bitsPerLevel);
+        return out;
+    }
+
+    /** Remove the leaves that start in [from, end); returns them in
+     * ascending order. */
+    std::vector<std::pair<Vpn, Leaf>>
+    removeRange(Vpn from, Vpn end)
+    {
+        const auto lo = leaves_.lower_bound(from);
+        const auto hi = from < end ? leaves_.lower_bound(end) : lo;
+        std::vector<std::pair<Vpn, Leaf>> removed(lo, hi);
+        for (const auto &[head, leaf] : removed)
+            unmap(head);
+        return removed;
     }
 
     /** Check translate and walkAddrs of one vpn against the model. */
@@ -550,15 +626,24 @@ TEST(PageTablesProperty, RandomOpsMatchOracle)
                 auto it = model.leaves().begin();
                 std::advance(it, rng.below(model.leaves().size()));
                 vpn = it->first + rng.below(Vpn{1} << it->second.order);
-                EXPECT_TRUE(tables.unmap(vpn));
+                expectSameTranslation(tables.unmap(vpn),
+                                      model.translation(vpn));
                 EXPECT_TRUE(model.unmap(vpn));
             } else {
                 vpn = randomVpn(randomOrder());
                 const Pfn pfn = rng.below(Pfn{1} << 40);
-                const bool hit = model.repoint(vpn, pfn);
-                EXPECT_EQ(tables.repoint(vpn, pfn), hit);
+                // Name the leaf's head frame, and on every fifth op
+                // a wrong one, which must leave the leaf alone.
+                const auto *covering = model.covering(vpn);
+                const Pfn head_pfn =
+                    covering != nullptr ? covering->second.pfn : 0;
+                const Pfn old_pfn = op % 5 == 0 ? head_pfn ^ 1 : head_pfn;
+                const bool hit = model.repoint(vpn, old_pfn, pfn);
+                EXPECT_EQ(tables.repoint(vpn, old_pfn, pfn), hit);
                 if (rng.chance(0.3)) {
-                    EXPECT_EQ(tables.unmap(vpn), model.unmap(vpn));
+                    expectSameTranslation(tables.unmap(vpn),
+                                          model.translation(vpn));
+                    model.unmap(vpn);
                 }
             }
             model.check(tables, vpn);
@@ -598,6 +683,138 @@ TEST(PageTablesProperty, RandomOpsMatchOracle)
     EXPECT_EQ(again.bytes(),
               std::vector<std::uint8_t>(saved.begin() + tables_at,
                                         saved.end()));
+}
+
+TEST(PageTablesProperty, RangeQueriesMatchOracle)
+{
+    Kernel kernel(smallConfig());
+    PageTables tables(kernel);
+    PageTableModel model;
+    Rng rng(16);
+    // Six PUD slots of one PGD entry. 4 KB runs and 2 MB leaves go
+    // to 16 PMD slots in the first two, so PTE tables fill to 512
+    // entries and drain to 0; 1 GB leaves go anywhere.
+    constexpr Vpn universe = 6 * pagesPerGiga;
+    auto smallVpn = [&rng] {
+        return rng.below(2) << 18 | rng.below(8) << 9 | rng.below(512);
+    };
+    auto anyVpn = [&rng, &smallVpn] {
+        return rng.chance(0.7) ? smallVpn() : rng.below(universe);
+    };
+
+    unsigned empty_ptes_seen = 0, full_ptes_seen = 0;
+    std::size_t most_removed = 0;
+    for (int op = 0; op < 3000; ++op) {
+        const bool grow = (op / 500) % 2 == 0;
+        const std::uint64_t kind = rng.below(100);
+        Vpn vpn = smallVpn();
+        if (kind < (grow ? 55u : 15u)) {
+            // A run of 4 KB leaves, possibly crossing into the next
+            // PTE table; vpns that are covered already are skipped.
+            const Vpn len = 1 + rng.below(rng.chance(0.5) ? 16 : 700);
+            for (Vpn v = vpn; v < vpn + len; ++v) {
+                if (!model.canMap(v, 0))
+                    continue;
+                const Pfn pfn = rng.below(Pfn{1} << 40);
+                ASSERT_TRUE(tables.map(v, pfn, 0));
+                model.map(v, pfn, 0);
+            }
+        } else if (kind < (grow ? 75u : 25u)) {
+            const unsigned order = rng.chance(0.8) ? hugeOrder : gigaOrder;
+            vpn = order == hugeOrder ? vpn >> 9 << 9
+                                     : rng.below(6) << gigaOrder;
+            if (model.canMap(vpn, order)) {
+                const Pfn pfn = rng.below(Pfn{1} << 30) << order;
+                ASSERT_TRUE(tables.map(vpn, pfn, order));
+                model.map(vpn, pfn, order);
+            }
+        } else if (kind < (grow ? 85u : 55u)) {
+            if (!model.leaves().empty()) {
+                auto it = model.leaves().begin();
+                std::advance(it, rng.below(model.leaves().size()));
+                vpn = it->first;
+                expectSameTranslation(tables.unmap(vpn),
+                                      model.translation(vpn));
+                model.unmap(vpn);
+            }
+        } else {
+            // Remove a range: often inside one 2 MB range, sometimes
+            // across many tables, now and then most of the universe.
+            vpn = anyVpn();
+            const std::uint64_t r = rng.below(10);
+            const Vpn len = r < 6   ? rng.below(600)
+                            : r < 9 ? rng.below(4 * pagesPerHuge)
+                                    : rng.below(universe);
+            const auto want = model.removeRange(vpn, vpn + len);
+            std::size_t seen = 0;
+            const std::uint64_t before = tables.mappings();
+            tables.unmapRange(
+                vpn, vpn + len, [&](Vpn head, const Translation &tr) {
+                    ASSERT_LT(seen, want.size()) << "extra leaf " << head;
+                    const auto &[want_head, leaf] = want[seen++];
+                    EXPECT_EQ(head, want_head);
+                    EXPECT_TRUE(tr.valid);
+                    EXPECT_EQ(tr.pfn, leaf.pfn);
+                    EXPECT_EQ(tr.order, leaf.order);
+                    // Each leaf is gone before its callback runs.
+                    EXPECT_EQ(tables.mappings(), before - seen);
+                    EXPECT_FALSE(tables.translate(head).valid);
+                });
+            EXPECT_EQ(seen, want.size());
+            most_removed = std::max(most_removed, want.size());
+        }
+
+        model.checkCounts(tables);
+        model.check(tables, vpn);
+        for (int probe = 0; probe < 4; ++probe) {
+            const Vpn from = anyVpn();
+            const Vpn end = from + (rng.chance(0.5) ? rng.below(1200)
+                                                    : rng.below(universe));
+            EXPECT_EQ(tables.nextHole(from, end), model.nextHole(from, end))
+                << "from " << from << " end " << end;
+            const Vpn at = probe == 0 ? vpn : anyVpn();
+            const int entries = model.pteEntries(at);
+            EXPECT_EQ(tables.ptesInRange(at),
+                      static_cast<unsigned>(std::max(entries, 0)))
+                << "vpn " << at;
+            empty_ptes_seen += entries == 0;
+            full_ptes_seen += entries == static_cast<int>(pagesPerHuge);
+
+            // anyPteIn visits the range's 4 KB frames in vpn order
+            // and stops at the first hit.
+            const Vpn range = at >> hugeOrder << hugeOrder;
+            std::vector<Pfn> want_visits;
+            bool want_hit = false;
+            const auto &leaves = model.leaves();
+            for (auto it = leaves.lower_bound(range);
+                 it != leaves.end() && it->first < range + pagesPerHuge;
+                 ++it) {
+                want_visits.push_back(it->second.pfn);
+                if (it->second.pfn % 11 == 0) {
+                    want_hit = true;
+                    break;
+                }
+            }
+            if (entries <= 0)
+                want_visits.clear();
+            std::vector<Pfn> visits;
+            EXPECT_EQ(tables.anyPteIn(at,
+                                      [&visits](Pfn pfn) {
+                                          visits.push_back(pfn);
+                                          return pfn % 11 == 0;
+                                      }),
+                      want_hit && entries > 0);
+            EXPECT_EQ(visits, want_visits) << "vpn " << at;
+        }
+        const std::size_t max = rng.chance(0.5) ? 1 + rng.below(4) : 10000;
+        EXPECT_EQ(tables.fullPteRanges(max), model.fullPteRanges(max));
+        if (HasFailure())
+            FAIL() << "diverged at op " << op;
+    }
+    EXPECT_GT(empty_ptes_seen, 0u);
+    EXPECT_GT(full_ptes_seen, 0u);
+    EXPECT_GT(most_removed, pagesPerHuge);
+    EXPECT_GT(model.retires(), 0u);
 }
 
 TEST(AddressSpaceTest, TouchBacksWithThp)
@@ -658,6 +875,361 @@ TEST(AddressSpaceTest, RelocateUpdatesTranslation)
         kernel.mem().frame(before.pfn).owner();
     ASSERT_TRUE(kernel.owners().relocate(owner, before.pfn, fresh));
     EXPECT_EQ(space.translate(base).pfn, fresh);
+}
+
+/**
+ * The address-space algorithms from before the page tables held the
+ * THP occupancy, kept as an oracle: touchRange translates every vpn,
+ * a std::map counts the 4 KB pages of each 2 MB range, and every
+ * removal translates first. Only the paths the oracle test drives.
+ */
+class LegacyAddressSpace : public PageOwnerClient
+{
+  public:
+    explicit LegacyAddressSpace(Kernel &kernel)
+        : kernel_(kernel),
+          clientId_(kernel.owners().registerClient(this)),
+          tables_(kernel)
+    {}
+
+    ~LegacyAddressSpace() override
+    {
+        while (!regions_.empty())
+            munmap(pfnToAddr(regions_.begin()->first));
+        kernel_.owners().unregisterClient(clientId_);
+    }
+
+    Addr
+    mmap(std::uint64_t bytes)
+    {
+        const std::uint64_t pages = (bytes + pageBytes - 1) / pageBytes;
+        const Vpn base = nextBaseVpn_;
+        nextBaseVpn_ += (pages + pagesPerGiga - 1) / pagesPerGiga *
+                        pagesPerGiga;
+        regions_[base] = pages;
+        return pfnToAddr(base);
+    }
+
+    void
+    munmap(Addr base)
+    {
+        const Vpn lo = addrToPfn(base);
+        const Vpn hi = lo + regions_.at(lo);
+        std::vector<Vpn> heads;
+        for (const ChunkTable::Entry &entry : chunks_.entries())
+            if (entry.vpn >= lo && entry.vpn < hi)
+                heads.push_back(entry.vpn);
+        std::sort(heads.begin(), heads.end());
+        for (const Vpn vpn : heads) {
+            const Translation tr = tables_.translate(vpn);
+            if (kernel_.mem().frame(tr.pfn).isPinned())
+                kernel_.unpinPages(tr.pfn);
+            unbackChunk(vpn, tr.order);
+        }
+        regions_.erase(lo);
+    }
+
+    std::uint64_t
+    touchRange(Addr addr, std::uint64_t bytes)
+    {
+        const Vpn last = addrToPfn(addr + bytes - 1);
+        std::uint64_t backed = 0;
+        Vpn vpn = addrToPfn(addr);
+        while (vpn <= last) {
+            if (tables_.translate(vpn).valid) {
+                ++vpn;
+                continue;
+            }
+            if (kernel_.config().thpEnabled && vpn % pagesPerHuge == 0 &&
+                vpn + pagesPerHuge - 1 <= last &&
+                !hugeRangeUse_.count(vpn >> hugeOrder) &&
+                backChunk(vpn, hugeOrder)) {
+                backed += pagesPerHuge;
+                vpn += pagesPerHuge;
+                continue;
+            }
+            if (backChunk(vpn, 0))
+                ++backed;
+            ++vpn;
+        }
+        return backed;
+    }
+
+    std::uint64_t
+    releasePages(std::uint64_t pages, Rng &rng)
+    {
+        std::uint64_t freed = 0, attempts = 0;
+        const std::uint64_t max_attempts = pages * 8 + 64;
+        while (freed < pages && !chunks_.empty() &&
+               attempts++ < max_attempts) {
+            const ChunkTable::Entry entry =
+                chunks_.at(rng.below(chunks_.size()));
+            const Translation tr = tables_.translate(entry.vpn);
+            if (tr.valid && kernel_.mem().frame(tr.pfn).isPinned())
+                continue;
+            unbackChunk(entry.vpn, entry.order);
+            freed += Pfn{1} << entry.order;
+        }
+        return freed;
+    }
+
+    std::uint64_t
+    releaseRange(Addr base, std::uint64_t bytes, std::uint64_t pages,
+                 Rng &rng)
+    {
+        const Vpn lo = addrToPfn(base);
+        std::uint64_t freed = 0, attempts = 0;
+        const std::uint64_t max_attempts = pages * 4 + 16;
+        while (freed < pages && attempts++ < max_attempts) {
+            const Vpn vpn = lo + rng.below(bytes / pageBytes);
+            const Translation tr = tables_.translate(vpn);
+            if (!tr.valid || tr.order > hugeOrder)
+                continue;
+            const Vpn head = vpn & ~((Vpn{1} << tr.order) - 1);
+            if (kernel_.mem().frame(tables_.translate(head).pfn)
+                    .isPinned())
+                continue;
+            unbackChunk(head, tr.order);
+            freed += Pfn{1} << tr.order;
+        }
+        return freed;
+    }
+
+    std::uint64_t
+    promoteHugeRanges(std::uint64_t budget)
+    {
+        std::vector<Vpn> candidates;
+        for (const auto &[range, used] : hugeRangeUse_) {
+            if (used == pagesPerHuge)
+                candidates.push_back(range);
+            if (candidates.size() >= budget * 4)
+                break;
+        }
+        std::uint64_t promoted = 0;
+        for (const Vpn range : candidates) {
+            if (promoted >= budget)
+                break;
+            const Vpn head = range << hugeOrder;
+            bool pinned = false;
+            for (Vpn vpn = head; vpn < head + pagesPerHuge && !pinned;
+                 ++vpn)
+                pinned = kernel_.mem()
+                             .frame(tables_.translate(vpn).pfn)
+                             .isPinned();
+            if (pinned)
+                continue;
+            AllocRequest req;
+            req.order = hugeOrder;
+            req.mt = MigrateType::Movable;
+            req.source = AllocSource::User;
+            req.owner = OwnerRegistry::makeOwner(clientId_, head);
+            req.lifetime = Lifetime::Short;
+            const Pfn huge = kernel_.allocPages(req);
+            if (huge == invalidPfn)
+                break;
+            for (Vpn vpn = head; vpn < head + pagesPerHuge; ++vpn)
+                unbackChunk(vpn, 0);
+            EXPECT_TRUE(tables_.map(head, huge, hugeOrder));
+            chunks_.insert(head, hugeOrder);
+            ++promoted;
+        }
+        return promoted;
+    }
+
+    bool
+    relocate(std::uint64_t tag, Pfn old_head, Pfn new_head) override
+    {
+        const Translation tr = tables_.translate(tag);
+        if (!tr.valid || tr.pfn != old_head)
+            return false;
+        return tables_.repoint(tag, tr.pfn, new_head);
+    }
+
+    const ChunkTable &chunks() const { return chunks_; }
+    const PageTables &pageTables() const { return tables_; }
+
+  private:
+    bool
+    backChunk(Vpn vpn, unsigned order)
+    {
+        AllocRequest req;
+        req.order = order;
+        req.mt = MigrateType::Movable;
+        req.source = AllocSource::User;
+        req.owner = OwnerRegistry::makeOwner(clientId_, vpn);
+        req.lifetime = Lifetime::Short;
+        const Pfn pfn = kernel_.allocPages(req);
+        if (pfn == invalidPfn)
+            return false;
+        if (!tables_.map(vpn, pfn, order)) {
+            kernel_.freePages(pfn);
+            return false;
+        }
+        chunks_.insert(vpn, order);
+        if (order == 0)
+            ++hugeRangeUse_[vpn >> hugeOrder];
+        return true;
+    }
+
+    void
+    unbackChunk(Vpn vpn, unsigned order)
+    {
+        const Translation tr = tables_.translate(vpn);
+        ASSERT_TRUE(tr.valid && tr.order == order);
+        tables_.unmap(vpn);
+        kernel_.freePages(tr.pfn);
+        chunks_.erase(vpn);
+        if (order == 0 && --hugeRangeUse_.at(vpn >> hugeOrder) == 0)
+            hugeRangeUse_.erase(vpn >> hugeOrder);
+    }
+
+    Kernel &kernel_;
+    std::uint16_t clientId_;
+    PageTables tables_;
+    std::map<Vpn, std::uint64_t> regions_;
+    ChunkTable chunks_;
+    std::map<Vpn, std::uint32_t> hugeRangeUse_;
+    Vpn nextBaseVpn_ = Vpn{1} << gigaOrder;
+};
+
+/** Drive AddressSpace and LegacyAddressSpace, each in its own
+ * kernel, through one random op sequence; after every op the chunk
+ * slots, the page-table bytes and the whole kernel state (buddy free
+ * lists, frame table, pins) must be identical. */
+void
+runAddressSpaceOracle(const Kernel::PolicyFactory &factory,
+                      std::uint64_t seed)
+{
+    KernelConfig config = smallConfig();
+    config.memBytes = 64_MiB;
+    config.thpDirectCompact = true;
+    Kernel kernel(config, factory);
+    Kernel legacy_kernel(config, factory);
+    AddressSpace space(kernel, 1);
+    LegacyAddressSpace legacy(legacy_kernel);
+    Rng rng(seed);
+
+    struct Mapped
+    {
+        Addr base;
+        std::uint64_t bytes;
+    };
+    std::vector<Mapped> regions;
+    std::vector<Pfn> pins;
+    std::uint64_t promoted = 0, moved = 0, most4k = 0, most2m = 0;
+    for (int op = 0; op < 600; ++op) {
+        const std::uint64_t kind = rng.below(100);
+        if (regions.empty() || (kind < 6 && regions.size() < 3)) {
+            const std::uint64_t bytes =
+                (1 + rng.below(16)) * 1_MiB + rng.below(4) * pageBytes;
+            const Addr base = space.mmap(bytes);
+            ASSERT_EQ(legacy.mmap(bytes), base);
+            regions.push_back({base, bytes});
+        } else if (kind < 40) {
+            const Mapped &r = regions[rng.below(regions.size())];
+            const std::uint64_t pages = r.bytes / pageBytes;
+            const std::uint64_t first = rng.below(pages);
+            // A few short touches leave 2 MB ranges with a page or
+            // two mapped, which must keep THP out of them.
+            const std::uint64_t len =
+                1 + rng.below(rng.chance(0.2) ? std::min<std::uint64_t>(
+                                                    3, pages - first)
+                                              : pages - first);
+            const Addr addr = r.base + first * pageBytes;
+            EXPECT_EQ(space.touchRange(addr, len * pageBytes),
+                      legacy.touchRange(addr, len * pageBytes));
+        } else if (kind < 52) {
+            const std::uint64_t pages = 1 + rng.below(700);
+            Rng a(op), b(op);
+            EXPECT_EQ(space.releasePages(pages, a),
+                      legacy.releasePages(pages, b));
+        } else if (kind < 64) {
+            const Mapped &r = regions[rng.below(regions.size())];
+            const std::uint64_t pages = 1 + rng.below(300);
+            Rng a(op), b(op);
+            EXPECT_EQ(space.releaseRange(r.base, r.bytes, pages, a),
+                      legacy.releaseRange(r.base, r.bytes, pages, b));
+        } else if (kind < 74) {
+            const std::uint64_t budget = 1 + rng.below(4);
+            const std::uint64_t n = space.promoteHugeRanges(budget);
+            EXPECT_EQ(legacy.promoteHugeRanges(budget), n);
+            promoted += n;
+        } else if (kind < 84) {
+            const Pfn pfn = space.randomBacked4kFrame(rng);
+            if (pfn != invalidPfn &&
+                !kernel.mem().frame(pfn).isPinned()) {
+                const Pfn at = kernel.pinPages(pfn);
+                EXPECT_EQ(legacy_kernel.pinPages(pfn), at);
+                pins.push_back(at);
+            }
+        } else if (kind < 89) {
+            if (!pins.empty()) {
+                const std::size_t i = rng.below(pins.size());
+                const Pfn pfn = pins[i];
+                pins.erase(pins.begin() + static_cast<long>(i));
+                if (kernel.mem().frame(pfn).isPinned()) {
+                    kernel.unpinPages(pfn);
+                    legacy_kernel.unpinPages(pfn);
+                }
+            }
+        } else if (kind < 94) {
+            // Take every free 2 MB block first, as in
+            // CompactionTest, so compaction has to move pages.
+            std::uint64_t migrated[2];
+            Kernel *kernels[2] = {&kernel, &legacy_kernel};
+            for (int k = 0; k < 2; ++k) {
+                std::vector<Pfn> hogs;
+                for (Pfn p; (p = kernels[k]->policy()
+                                     .movableAllocator()
+                                     .allocPages(hugeOrder,
+                                                 MigrateType::Movable,
+                                                 AllocSource::User, 0,
+                                                 AddrPref::None, true)) !=
+                            invalidPfn;)
+                    hogs.push_back(p);
+                migrated[k] = kernels[k]->compact(hugeOrder).migrated;
+                for (const Pfn p : hogs)
+                    kernels[k]->freePages(p);
+            }
+            EXPECT_EQ(migrated[0], migrated[1]);
+            moved += migrated[0];
+        } else {
+            const std::size_t i = rng.below(regions.size());
+            space.munmap(regions[i].base);
+            legacy.munmap(regions[i].base);
+            regions.erase(regions.begin() + static_cast<long>(i));
+        }
+
+        const auto &got = space.chunks().entries();
+        const auto &want = legacy.chunks().entries();
+        ASSERT_EQ(got.size(), want.size()) << "op " << op;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].vpn, want[i].vpn) << "op " << op;
+            ASSERT_EQ(got[i].order, want[i].order) << "op " << op;
+        }
+        serde::Writer a, b;
+        space.pageTables().saveTo(a);
+        legacy.pageTables().saveTo(b);
+        kernel.saveTo(a);
+        legacy_kernel.saveTo(b);
+        ASSERT_TRUE(a.bytes() == b.bytes()) << "diverged at op " << op;
+        most4k = std::max(most4k, space.pages4k());
+        most2m = std::max(most2m, space.chunks2m());
+    }
+    EXPECT_GT(promoted, 0u);
+    EXPECT_GT(moved, 0u);
+    EXPECT_GT(most4k, pagesPerHuge);
+    EXPECT_GT(most2m, 0u);
+}
+
+TEST(AddressSpaceProperty, MatchesPerVpnOracleVanilla)
+{
+    runAddressSpaceOracle(Kernel::vanillaPolicy(), 21);
+}
+
+TEST(AddressSpaceProperty, MatchesPerVpnOracleContiguitas)
+{
+    runAddressSpaceOracle(ContiguitasPolicy::factory(), 22);
 }
 
 TEST(CompactionTest, FormsHugeBlockFromFragmentedMemory)

@@ -16,16 +16,20 @@ promises:
     id (a tail without a head is only a warning: the migration may
     legitimately still be in flight when the process exits).
 
-Usage: check_spans.py trace.json [more.json ...]
+With --require NAME (repeatable), each file must also hold at least
+one span of that name.
+
+Usage: check_spans.py [--require NAME ...] trace.json [more.json ...]
 
 Exits 0 when every file passes, 1 otherwise.
 """
 
+import argparse
 import json
 import sys
 
 
-def check(path):
+def check(path, required=()):
     errors = []
     warnings = []
 
@@ -41,6 +45,7 @@ def check(path):
     flow_heads = {} # flow id -> count of "f"
     stats = {"events": 0, "spans": 0, "instants": 0,
              "flows": 0, "max_depth": 0}
+    names = set()    # names of the "B" events seen
 
     for n, ev in enumerate(events):
         ph = ev.get("ph")
@@ -64,6 +69,7 @@ def check(path):
         stack = stacks.setdefault(track, [])
         if ph == "B":
             stats["spans"] += 1
+            names.add(name)
             args = ev.get("args", {})
             span_id = args.get("span_id")
             if span_id is None:
@@ -111,18 +117,27 @@ def check(path):
             warnings.append("flow %s: tail (s) without head (f) — "
                             "in flight at exit?" % fid)
 
+    for name in required:
+        if name not in names:
+            errors.append("no span named %r" % name)
+
     stats["tracks"] = len(last_ts)
     return errors, warnings, stats
 
 
 def main(argv):
-    if len(argv) < 2:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
+    ap = argparse.ArgumentParser(
+        description=__doc__.strip().splitlines()[0])
+    ap.add_argument("--require", action="append", default=[],
+                    metavar="NAME",
+                    help="fail unless each file holds a span of this "
+                         "name (repeatable)")
+    ap.add_argument("traces", nargs="+", metavar="trace.json")
+    args = ap.parse_args(argv[1:])
     failed = False
-    for path in argv[1:]:
+    for path in args.traces:
         try:
-            errors, warnings, stats = check(path)
+            errors, warnings, stats = check(path, args.require)
         except (OSError, ValueError) as exc:
             print("%s: FAIL: %s" % (path, exc))
             failed = True
