@@ -76,6 +76,7 @@ ShootdownManager::softwareMigrate(
     const Translation tr = tables.translate(vpn);
     ctg_assert(tr.valid && tr.order == 0);
     const Pfn src = tr.pfn;
+    const std::uint32_t tag = tr.tag;
 
     auto timing = std::make_shared<MigrationTiming>();
     timing->start = eventq_.now();
@@ -134,7 +135,7 @@ ShootdownManager::softwareMigrate(
                 // Step 7: update the PTE — available again.
                 eventq_.schedule(config_.pteUpdateLat,
                                  [=, this, &tables] {
-                    tables.map(vpn, dst, 0);
+                    tables.map(vpn, dst, 0, tag);
                     timing->pteUpdated = eventq_.now();
                     timing->unavailableCycles =
                         timing->pteUpdated - timing->pteCleared;
@@ -182,6 +183,7 @@ ShootdownManager::contiguitasMigrate(
     const Translation tr = tables.translate(vpn);
     ctg_assert(tr.valid && tr.order == 0);
     const Pfn src = tr.pfn;
+    const std::uint32_t tag = tr.tag;
 
     auto timing = std::make_shared<MigrationTiming>();
     timing->start = eventq_.now();
@@ -226,7 +228,7 @@ ShootdownManager::contiguitasMigrate(
         const bool installed = engine.submitMigrate(desc);
         ctg_assert(installed);
         tables.unmap(vpn);
-        tables.map(vpn, dst, 0);
+        tables.map(vpn, dst, 0, tag);
 
         // Lazy local invalidations: each core INVLPGs at its next
         // natural kernel entry — no IPIs, no synchronous acks.

@@ -7,21 +7,6 @@
 namespace ctg
 {
 
-void
-ChunkTable::restoreEntries(std::vector<Entry> entries)
-{
-    slots_ = std::move(entries);
-    index_.clear();
-    index_.reserve(slots_.size());
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        const bool fresh =
-            index_.emplace(slots_[i].vpn,
-                           static_cast<std::uint32_t>(i)).second;
-        if (!fresh)
-            throw serde::Error("chunk table: duplicate vpn");
-    }
-}
-
 AddressSpace::AddressSpace(Kernel &kernel, std::uint32_t pid)
     : kernel_(kernel), pid_(pid),
       clientId_(kernel.owners().registerClient(this)), tables_(kernel)
@@ -44,23 +29,23 @@ AddressSpace::AddressSpace(Kernel &kernel, serde::Reader &in)
 
     // The chunk slot order is RNG-visible state (releasePages samples
     // it uniformly), so the dense array is adopted verbatim. Each
-    // entry is cross-checked against the restored page tables; the
-    // per-size counters are derived and rebuilt here.
+    // entry is cross-checked against the restored page tables and
+    // tags its leaf with its slot; the per-size counters are derived
+    // and rebuilt here.
     const std::uint64_t chunk_count = in.getU64();
     if (chunk_count != tables_.mappings())
         throw serde::Error("address space: chunk count mismatch");
-    std::vector<ChunkTable::Entry> entries;
-    entries.reserve(chunk_count);
     for (std::uint64_t i = 0; i < chunk_count; ++i) {
         const Vpn vpn = in.getU64();
         const std::uint32_t order = in.getU32();
         if (order != 0 && order != hugeOrder && order != gigaOrder)
             throw serde::Error("address space: bad chunk order");
         const Translation tr = tables_.translate(vpn);
-        if (!tr.valid || tr.order != order)
+        if (!tr.valid || tr.order != order ||
+            (vpn & ((Vpn{1} << order) - 1)) != 0)
             throw serde::Error(
                 "address space: chunk/page-table mismatch");
-        entries.push_back(ChunkTable::Entry{vpn, order});
+        tables_.setTag(vpn, chunks_.insert(vpn, order));
         if (order == 0)
             ++pages4k_;
         else if (order == hugeOrder)
@@ -68,7 +53,10 @@ AddressSpace::AddressSpace(Kernel &kernel, serde::Reader &in)
         else
             ++chunks1g_;
     }
-    chunks_.restoreEntries(std::move(entries));
+    // A leaf listed twice keeps only its last slot as tag.
+    for (std::uint32_t slot = 0; slot < chunks_.size(); ++slot)
+        if (tables_.translate(chunks_.at(slot).vpn).tag != slot)
+            throw serde::Error("chunk table: duplicate vpn");
     nextBaseVpn_ = in.getU64();
 }
 
@@ -93,8 +81,16 @@ AddressSpace::saveTo(serde::Writer &out) const
 
 AddressSpace::~AddressSpace()
 {
-    while (!regions_.empty())
-        munmap(pfnToAddr(regions_.begin()->first));
+    // As munmap of every region in ascending order, without the
+    // per-chunk slot bookkeeping: the slot order dies with the
+    // process.
+    for (const auto &[base, region] : regions_)
+        tables_.unmapRange(base, base + region.pages,
+                           [this](Vpn, const Translation &tr) {
+                               if (kernel_.mem().frame(tr.pfn).isPinned())
+                                   kernel_.unpinPages(tr.pfn);
+                               kernel_.freePages(tr.pfn);
+                           });
     kernel_.owners().unregisterClient(clientId_);
 }
 
@@ -146,7 +142,7 @@ AddressSpace::backChunk(Vpn vpn, unsigned order)
     const Pfn pfn = kernel_.allocPages(req);
     if (pfn == invalidPfn)
         return false;
-    if (!tables_.map(vpn, pfn, order)) {
+    if (!tables_.map(vpn, pfn, order, nextSlot())) {
         kernel_.freePages(pfn);
         return false;
     }
@@ -170,7 +166,11 @@ void
 AddressSpace::dropChunk(Vpn vpn, const Translation &tr)
 {
     kernel_.freePages(tr.pfn);
-    chunks_.erase(vpn);
+    const std::uint32_t slot = tr.tag;
+    ctg_assert(chunks_.at(slot).vpn == vpn);
+    chunks_.eraseAt(slot);
+    if (slot < chunks_.size())
+        tables_.setTag(chunks_.at(slot).vpn, slot);
     if (tr.order == 0) {
         --pages4k_;
     } else if (tr.order == hugeOrder) {
@@ -220,7 +220,7 @@ AddressSpace::backWithGigantic(Addr addr)
     const Pfn pfn = kernel_.allocGigantic(owner);
     if (pfn == invalidPfn)
         return false;
-    if (!tables_.map(vpn, pfn, gigaOrder)) {
+    if (!tables_.map(vpn, pfn, gigaOrder, nextSlot())) {
         kernel_.freePages(pfn);
         return false;
     }
@@ -235,8 +235,8 @@ AddressSpace::releasePages(std::uint64_t pages, Rng &rng)
     if (chunks_.empty())
         return 0;
     std::uint64_t freed = 0;
-    // Random eviction: uniform over the dense chunk slots (never
-    // over hash-table internals — see ChunkTable).
+    // Random eviction: uniform over the dense chunk slots (see
+    // ChunkTable).
     std::uint64_t attempts = 0;
     const std::uint64_t max_attempts = pages * 8 + 64;
     while (freed < pages && !chunks_.empty() &&
@@ -315,7 +315,7 @@ AddressSpace::promoteHugeRanges(std::uint64_t budget)
                                ctg_assert(tr.order == 0);
                                dropChunk(vpn, tr);
                            });
-        const bool ok = tables_.map(head, huge, hugeOrder);
+        const bool ok = tables_.map(head, huge, hugeOrder, nextSlot());
         ctg_assert(ok);
         chunks_.insert(head, hugeOrder);
         ++chunks2m_;

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "base/rng.hh"
@@ -29,15 +28,18 @@ class Reader;
 } // namespace serde
 
 /**
- * Mapped-chunk table: vpn -> order with O(1) lookup, O(1)
- * swap-remove erase, and O(1) uniform random sampling over a dense
- * slot array. The churn paths used to sample unordered_map buckets,
- * which made RNG-visible behavior depend on the standard library's
- * internal bucket layout — state that cannot be serialized, so a
- * restored process could never replay bit-identically. Here the only
- * structure the RNG ever sees is the slot array, which is a pure
- * function of the operation history (and is what a snapshot saves);
- * the unordered index is never iterated or sampled.
+ * Mapped-chunk table: the chunk heads (vpn and order) in a dense slot
+ * array, with O(1) append, O(1) swap-remove by slot and O(1) uniform
+ * random sampling. The churn paths used to sample unordered_map
+ * buckets, which made RNG-visible behavior depend on the standard
+ * library's internal bucket layout, state that cannot be serialized.
+ * Here the only structure the RNG ever sees is the slot array, a
+ * pure function of the operation history and what a snapshot saves.
+ *
+ * The table keeps no vpn index. AddressSpace stores each chunk's
+ * slot in the software field of its leaf page-table entry
+ * (PageTables::map's tag), reads it back from the translation when
+ * the chunk goes, and re-tags the chunk that eraseAt moves.
  */
 class ChunkTable
 {
@@ -66,50 +68,29 @@ class ChunkTable
         return slots_[i];
     }
 
-    /** Order of the chunk at vpn, or nullptr. */
-    const std::uint32_t *
-    find(Vpn vpn) const
-    {
-        auto it = index_.find(vpn);
-        return it == index_.end() ? nullptr
-                                  : &slots_[it->second].order;
-    }
-
-    void
+    /** Append a chunk; returns its slot. */
+    std::uint32_t
     insert(Vpn vpn, std::uint32_t order)
     {
-        index_.emplace(vpn, static_cast<std::uint32_t>(slots_.size()));
         slots_.push_back(Entry{vpn, order});
+        return static_cast<std::uint32_t>(slots_.size() - 1);
     }
 
+    /** Remove the chunk at slot: the last chunk moves into it,
+     * unless slot was the last. */
     void
-    erase(Vpn vpn)
+    eraseAt(std::uint32_t slot)
     {
-        auto it = index_.find(vpn);
-        ctg_assert(it != index_.end());
-        const std::uint32_t slot = it->second;
-        index_.erase(it);
-        const std::uint32_t last =
-            static_cast<std::uint32_t>(slots_.size() - 1);
-        if (slot != last) {
-            slots_[slot] = slots_[last];
-            index_[slots_[slot].vpn] = slot;
-        }
+        ctg_assert(slot < slots_.size());
+        slots_[slot] = slots_.back();
         slots_.pop_back();
     }
 
-    /** The dense slot array — serialized verbatim; the index is
-     * rebuilt on load. */
+    /** The dense slot array, serialized verbatim. */
     const std::vector<Entry> &entries() const { return slots_; }
-
-    /** Checkpoint restore: adopt a slot array and rebuild the
-     * index. */
-    void restoreEntries(std::vector<Entry> entries);
 
   private:
     std::vector<Entry> slots_;
-    /** Lookup accelerator only — never iterated, never sampled. */
-    std::unordered_map<Vpn, std::uint32_t> index_;
 };
 
 /**
@@ -212,6 +193,13 @@ class AddressSpace : public PageOwnerClient
         std::uint64_t pages;
     };
 
+    /** Slot, and so leaf tag, of the next chunk inserted. */
+    std::uint32_t
+    nextSlot() const
+    {
+        return static_cast<std::uint32_t>(chunks_.size());
+    }
+
     /** Back one aligned chunk with a fresh allocation. */
     bool backChunk(Vpn vpn, unsigned order);
 
@@ -219,7 +207,7 @@ class AddressSpace : public PageOwnerClient
     void unbackChunk(Vpn vpn, unsigned order);
 
     /** Free the frames of a chunk whose leaf was just removed and
-     * forget the chunk. */
+     * forget the chunk: its slot is the leaf's tag. */
     void dropChunk(Vpn vpn, const Translation &tr);
 
     Kernel &kernel_;
@@ -227,7 +215,8 @@ class AddressSpace : public PageOwnerClient
     std::uint16_t clientId_;
     PageTables tables_;
     std::map<Vpn, Region> regions_;
-    /** Mapped chunk heads: vpn -> order (0, 9 or 18). */
+    /** Mapped chunk heads and orders (0, 9 or 18); each leaf's tag
+     * is its chunk's slot here. */
     ChunkTable chunks_;
     Vpn nextBaseVpn_ = Vpn{1} << gigaOrder; // skip the zero GB
     std::uint64_t pages4k_ = 0;

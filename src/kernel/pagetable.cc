@@ -41,17 +41,28 @@ constexpr unsigned maxLeafLevel = 3;
 
 static_assert(leafOrderAt(2) == hugeOrder && leafOrderAt(3) == gigaOrder);
 
-/** Translation of vpn through the leaf at the given level whose
- * head frame is head_pfn. */
-Translation
-leafTranslation(Pfn head_pfn, unsigned level, Vpn vpn)
+/** A leaf word's tag starts above its leaf bit and 32-bit pfn;
+ * untaggedMask keeps those two. */
+constexpr unsigned tagShift = 33;
+constexpr std::uint64_t untaggedMask = (std::uint64_t{1} << tagShift) - 1;
+static_assert(tagShift + PageTables::tagBits == 64);
+
+/** Panic unless pfn fits the 32 bits a leaf word holds. */
+void
+checkLeafPfn(Pfn pfn)
 {
-    Translation tr;
-    tr.valid = true;
-    tr.order = leafOrderAt(level);
-    tr.level = level;
-    tr.pfn = head_pfn + (vpn & ((Vpn{1} << tr.order) - 1));
-    return tr;
+    if (pfn >> 32 != 0)
+        panic("page-table leaf pfn %#llx does not fit in 32 bits",
+              static_cast<unsigned long long>(pfn));
+}
+
+/** Panic unless tag fits a leaf's software field. */
+void
+checkTag(std::uint32_t tag)
+{
+    if (tag >> PageTables::tagBits != 0)
+        panic("page-table tag %#x does not fit in %u bits", tag,
+              PageTables::tagBits);
 }
 
 } // namespace
@@ -98,8 +109,17 @@ struct PageTables::Table
                       "leaves");
         return reinterpret_cast<Word>(table);
     }
-    static Word leafWord(Pfn pfn) { return pfn << 1 | 1; }
-    static Pfn leafPfn(Word word) { return word >> 1; }
+    static Word
+    leafWord(Pfn pfn, std::uint32_t tag)
+    {
+        return Word{tag} << tagShift | pfn << 1 | 1;
+    }
+    static Pfn leafPfn(Word word) { return (word & untaggedMask) >> 1; }
+    static std::uint32_t
+    leafTag(Word word)
+    {
+        return static_cast<std::uint32_t>(word >> tagShift);
+    }
 
     /** Position of the first sparse slot whose index is >= idx. */
     std::size_t
@@ -208,6 +228,19 @@ struct PageTables::Table
     std::vector<Slot> sparse;     //!< sorted by index while not dense
 };
 
+/** Translation of vpn through the leaf word at the given level. */
+Translation
+PageTables::leafTranslation(Word word, unsigned level, Vpn vpn)
+{
+    Translation tr;
+    tr.valid = true;
+    tr.order = leafOrderAt(level);
+    tr.level = level;
+    tr.pfn = Table::leafPfn(word) + (vpn & ((Vpn{1} << tr.order) - 1));
+    tr.tag = Table::leafTag(word);
+    return tr;
+}
+
 unsigned
 PageTables::indexAt(Vpn vpn, unsigned level)
 {
@@ -293,9 +326,9 @@ PageTables::loadTable(serde::Reader &in, unsigned level)
         if (level > maxLeafLevel || order != leafOrderAt(level))
             throw serde::Error("pagetable: leaf order does not match "
                                "its level");
-        if (pfn >> 63 != 0)
+        if (pfn >> 32 != 0)
             throw serde::Error("pagetable: leaf pfn out of range");
-        table->insert(idx, Table::leafWord(pfn), level);
+        table->insert(idx, Table::leafWord(pfn, 0), level);
         ++mappings_;
     }
     return table;
@@ -327,6 +360,7 @@ PageTables::allocTable()
 void
 PageTables::freeTable(std::unique_ptr<Table> table)
 {
+    pteCache_ = nullptr;
     table->forEach([this](unsigned, Word word) {
         if (!Table::isLeaf(word))
             freeTable(std::unique_ptr<Table>(Table::asTable(word)));
@@ -339,27 +373,37 @@ PageTables::freeTable(std::unique_ptr<Table> table)
 }
 
 bool
-PageTables::map(Vpn vpn, Pfn pfn, unsigned order)
+PageTables::map(Vpn vpn, Pfn pfn, unsigned order, std::uint32_t tag)
 {
     const unsigned leaf_level = leafNodeLevel(order);
     ctg_assert((vpn & ((Vpn{1} << order) - 1)) == 0);
-    ctg_assert(pfn >> 63 == 0);
+    checkLeafPfn(pfn);
+    checkTag(tag);
+    const Word leaf = Table::leafWord(pfn, tag);
 
-    Table *table = root_.get();
-    for (unsigned level = levels; level > leaf_level; --level) {
-        const unsigned idx = indexAt(vpn, level);
-        Word word = table->get(idx);
-        if (Table::isLeaf(word))
-            panic("mapping conflict: leaf already present at level %u",
-                  level);
-        if (word == 0) {
-            std::unique_ptr<Table> child = allocTable();
-            if (!child)
-                return false;
-            word = Table::tableWord(child.release());
-            table->insert(idx, word, level);
+    Table *table = leaf_level == 1 ? cachedPte(vpn) : nullptr;
+    if (table == nullptr) {
+        table = root_.get();
+        for (unsigned level = levels; level > leaf_level; --level) {
+            const unsigned idx = indexAt(vpn, level);
+            Word word = table->get(idx);
+            if (Table::isLeaf(word))
+                panic("mapping conflict: leaf already present at "
+                      "level %u",
+                      level);
+            if (word == 0) {
+                std::unique_ptr<Table> child = allocTable();
+                if (!child)
+                    return false;
+                word = Table::tableWord(child.release());
+                table->insert(idx, word, level);
+            }
+            table = Table::asTable(word);
         }
-        table = Table::asTable(word);
+        if (leaf_level == 1) {
+            pteCache_ = table;
+            pteCacheRange_ = vpn >> bitsPerLevel;
+        }
     }
 
     const unsigned idx = indexAt(vpn, leaf_level);
@@ -369,9 +413,9 @@ PageTables::map(Vpn vpn, Pfn pfn, unsigned order)
         ctg_assert(!Table::isLeaf(*slot) &&
                    Table::asTable(*slot)->count == 0);
         freeTable(std::unique_ptr<Table>(Table::asTable(*slot)));
-        *slot = Table::leafWord(pfn);
+        *slot = leaf;
     } else {
-        table->insert(idx, Table::leafWord(pfn), leaf_level);
+        table->insert(idx, leaf, leaf_level);
     }
     ++mappings_;
     return true;
@@ -390,31 +434,48 @@ PageTables::unmap(Vpn vpn)
             table->erase(idx);
             ctg_assert(mappings_ > 0);
             --mappings_;
-            return leafTranslation(Table::leafPfn(word), level, vpn);
+            return leafTranslation(word, level, vpn);
         }
         table = Table::asTable(word);
     }
     return Translation{};
 }
 
-bool
-PageTables::repoint(Vpn vpn, Pfn old_pfn, Pfn new_pfn)
+PageTables::Word *
+PageTables::leafSlot(Vpn vpn)
 {
-    ctg_assert(new_pfn >> 63 == 0);
+    // A PMD slot holding the cached table holds no leaf, so the leaf
+    // covering vpn, if any, is in that table.
+    if (Table *pte = cachedPte(vpn))
+        return pte->find(indexAt(vpn, 1));
     Table *table = root_.get();
     for (unsigned level = levels; level >= 1; --level) {
         Word *slot = table->find(indexAt(vpn, level));
-        if (slot == nullptr)
-            return false;
-        if (Table::isLeaf(*slot)) {
-            if (Table::leafPfn(*slot) != old_pfn)
-                return false;
-            *slot = Table::leafWord(new_pfn);
-            return true;
-        }
+        if (slot == nullptr || Table::isLeaf(*slot))
+            return slot;
         table = Table::asTable(*slot);
     }
-    return false;
+    return nullptr;
+}
+
+bool
+PageTables::repoint(Vpn vpn, Pfn old_pfn, Pfn new_pfn)
+{
+    checkLeafPfn(new_pfn);
+    Word *slot = leafSlot(vpn);
+    if (slot == nullptr || Table::leafPfn(*slot) != old_pfn)
+        return false;
+    *slot = Table::leafWord(new_pfn, Table::leafTag(*slot));
+    return true;
+}
+
+void
+PageTables::setTag(Vpn vpn, std::uint32_t tag)
+{
+    checkTag(tag);
+    Word *slot = leafSlot(vpn);
+    ctg_assert(slot != nullptr);
+    *slot = (*slot & untaggedMask) | Word{tag} << tagShift;
 }
 
 Translation
@@ -426,7 +487,7 @@ PageTables::translate(Vpn vpn) const
         if (word == 0)
             break;
         if (Table::isLeaf(word))
-            return leafTranslation(Table::leafPfn(word), level, vpn);
+            return leafTranslation(word, level, vpn);
         table = Table::asTable(word);
     }
     return Translation{};
@@ -435,7 +496,17 @@ PageTables::translate(Vpn vpn) const
 Vpn
 PageTables::nextHole(Vpn from, Vpn end) const
 {
-    return from < end ? holeIn(*root_, levels, 0, from, end) : end;
+    if (from >= end)
+        return end;
+    if (const Table *pte = cachedPte(from)) {
+        const Vpn base = from >> bitsPerLevel << bitsPerLevel;
+        const Vpn stop = std::min(end, base + entriesPerTable);
+        const Vpn hole = holeIn(*pte, 1, base, from, stop);
+        if (hole < stop || stop == end)
+            return hole;
+        from = stop;
+    }
+    return holeIn(*root_, levels, 0, from, end);
 }
 
 Vpn
@@ -566,7 +637,7 @@ PageTables::unmapIn(Table &table, unsigned level, Vpn base, Vpn from,
         table.erase(i);
         ctg_assert(mappings_ > 0);
         --mappings_;
-        fn(head, leafTranslation(Table::leafPfn(word), level, head));
+        fn(head, leafTranslation(word, level, head));
         // An erase that empties the table drops its storage; next()
         // reads it afresh and then finds no entry.
     }

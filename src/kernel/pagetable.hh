@@ -12,12 +12,26 @@
  * and 1 GB (PUD leaf).
  *
  * Each table entry is one 64-bit word, as in hardware: 0 is empty,
- * an odd word is a leaf (pfn << 1 | 1, its order implied by the
- * level) and a nonzero even word owns the next-level table. PTE
- * tables hold a dense 512-word array; upper tables keep sorted
- * (index, word) pairs until they pass sparseMaxEntries, because a
- * process keeps many one-entry PMD tables alive (every heap segment
- * maps its own gigabyte) and dense arrays there cost host RSS.
+ * an odd word is a leaf and a nonzero even word owns the
+ * next-level table. A leaf word is tag << 33 | pfn << 1 | 1: bit 0
+ * marks it, bits 1-32 hold the head frame (FrameArray keeps frame
+ * numbers below 2^32) and bits 33-63 a 31-bit software field, like
+ * the bits x86 leaves give the OS. The leaf's order is implied by
+ * its level. The owner of the tables picks the tag: map sets it,
+ * translate returns it, repoint keeps it and setTag rewrites it;
+ * snapshots do not carry it. PTE tables hold a dense 512-word
+ * array; upper tables keep sorted (index, word) pairs until they
+ * pass sparseMaxEntries, because a process keeps many one-entry PMD
+ * tables alive (every heap segment maps its own gigabyte) and dense
+ * arrays there cost host RSS.
+ *
+ * Faulting a range in maps 4 KB pages one after another, so the
+ * tables remember the PTE table that the last order-0 map reached
+ * and its 2 MB range. Order-0 map, nextHole, repoint and setTag
+ * start there, not at the root, when their vpn falls in that range.
+ * The cached table stays in the tree while it lives: an emptied
+ * table only drops its storage, and freeTable, the one place a
+ * Table object goes away, clears the cache.
  */
 
 #ifndef CTG_KERNEL_PAGETABLE_HH
@@ -48,6 +62,7 @@ struct Translation
     Pfn pfn = invalidPfn;   //!< head frame of the leaf mapping
     unsigned order = 0;     //!< 0 (4K), 9 (2M) or 18 (1G)
     unsigned level = 0;     //!< radix level of the leaf (1=PTE..3=PUD)
+    std::uint32_t tag = 0;  //!< the leaf's software field
 };
 
 /**
@@ -58,6 +73,8 @@ class PageTables
   public:
     static constexpr unsigned levels = 4;
     static constexpr unsigned bitsPerLevel = 9;
+    /** Width of a leaf's software field (the tag). */
+    static constexpr unsigned tagBits = 31;
 
     explicit PageTables(Kernel &kernel);
 
@@ -73,10 +90,12 @@ class PageTables
 
     /**
      * Install a leaf mapping vpn -> pfn of the given order
-     * (0, hugeOrder or gigaOrder). vpn must be order-aligned.
+     * (0, hugeOrder or gigaOrder) carrying the software field tag.
+     * vpn must be order-aligned; pfn must fit in 32 bits and tag in
+     * tagBits (panics otherwise).
      * @return false if a table page allocation failed.
      */
-    bool map(Vpn vpn, Pfn pfn, unsigned order);
+    bool map(Vpn vpn, Pfn pfn, unsigned order, std::uint32_t tag = 0);
 
     /** Remove the leaf covering vpn. Returns the translation of vpn
      * before the removal; invalid if no leaf covered it. The table
@@ -84,9 +103,14 @@ class PageTables
     Translation unmap(Vpn vpn);
 
     /** Repoint the leaf covering vpn from head frame old_pfn to
-     * new_pfn (migration). False, and nothing changes, if no leaf
-     * covers vpn or its head frame is not old_pfn. */
+     * new_pfn (migration), keeping its tag. False, and nothing
+     * changes, if no leaf covers vpn or its head frame is not
+     * old_pfn. new_pfn must fit in 32 bits (panics otherwise). */
     bool repoint(Vpn vpn, Pfn old_pfn, Pfn new_pfn);
+
+    /** Rewrite the software field of the leaf covering vpn, which
+     * must exist. */
+    void setTag(Vpn vpn, std::uint32_t tag);
 
     /** Look up the leaf covering vpn. */
     Translation translate(Vpn vpn) const;
@@ -120,8 +144,8 @@ class PageTables
     /**
      * Remove every leaf that starts in [from, end), in ascending vpn
      * order, in one walk of the tree; fn runs right after each
-     * removal. Emptied tables stay, as with unmap. fn must not
-     * change these tables.
+     * removal. Emptied tables stay, as with unmap. fn may retag
+     * leaves (setTag) but must not add or remove any.
      */
     void unmapRange(Vpn from, Vpn end, const RemovedFn &fn);
 
@@ -152,6 +176,9 @@ class PageTables
     static constexpr unsigned sparseMaxEntries = 32;
 
     static unsigned indexAt(Vpn vpn, unsigned level);
+    /** Translation of vpn through the leaf word at the given
+     * level. */
+    static Translation leafTranslation(Word word, unsigned level, Vpn vpn);
 
     std::unique_ptr<Table> allocTable();
     /** Free the subtree's frames in index order, children first, so
@@ -172,6 +199,18 @@ class PageTables
     /** The PTE table of the 2 MB range holding vpn, or nullptr. */
     const Table *pteTable(Vpn vpn) const;
 
+    /** The cached PTE table if vpn falls in its 2 MB range, else
+     * nullptr. */
+    Table *
+    cachedPte(Vpn vpn) const
+    {
+        return (vpn >> bitsPerLevel) == pteCacheRange_ ? pteCache_
+                                                       : nullptr;
+    }
+
+    /** The word of the leaf covering vpn, or nullptr. */
+    Word *leafSlot(Vpn vpn);
+
     static void collectFull(const Table &table, unsigned level, Vpn base,
                             std::size_t max, std::vector<Vpn> &out);
 
@@ -183,6 +222,10 @@ class PageTables
     std::unique_ptr<Table> root_;
     std::uint64_t tablePages_ = 0;
     std::uint64_t mappings_ = 0;
+    /** The PTE table the last order-0 map reached, and vpn >> 9 of
+     * its 2 MB range; see the file comment. */
+    Table *pteCache_ = nullptr;
+    Vpn pteCacheRange_ = 0;
 };
 
 } // namespace ctg

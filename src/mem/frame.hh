@@ -344,7 +344,7 @@ class FrameArray
 
     explicit FrameArray(std::uint64_t num_frames)
         : meta_(num_frames, 0), next_(num_frames, nil),
-          prev_(num_frames, nil)
+          prev_(num_frames, nil), side_(sideTableFloor(num_frames))
     {
         ctg_assert(num_frames < nil);
     }
@@ -424,6 +424,15 @@ class FrameArray
     void loadFrom(serde::Reader &in);
 
   private:
+    /** Side-table slots kept once it holds an entry: one per four
+     * frames, 2 bytes/frame. A 4K-dense server's table passes this
+     * anyway; the floor only skips the rehashes below it. */
+    static std::uint64_t
+    sideTableFloor(std::uint64_t num_frames)
+    {
+        return num_frames / 4;
+    }
+
     std::vector<std::uint16_t> meta_;
     std::vector<std::uint32_t> next_;
     std::vector<std::uint32_t> prev_;

@@ -72,7 +72,7 @@ FrameArray::loadFrom(serde::Reader &in)
     const std::uint64_t entries = in.getU64();
     if (entries > meta.size())
         throw serde::Error("side table larger than frame table");
-    AllocSideTable side;
+    AllocSideTable side(sideTableFloor(meta.size()));
     std::uint64_t prev_key = 0;
     for (std::uint64_t i = 0; i < entries; ++i) {
         const std::uint32_t key = in.getU32();

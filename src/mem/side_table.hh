@@ -19,7 +19,11 @@
  * would hand back most of the diet on order-0-heavy workloads. It
  * runs denser than a general-purpose table (grow at 13/16 load) and
  * shrinks when erases empty it out, since the 4K-dense fleet servers
- * this exists for live near the high-water mark. Deletion uses
+ * this exists for live near the high-water mark. The owner may set
+ * a floor: the first allocation takes that many slots and shrinking
+ * stops there, so a server that fills and drains its table skips
+ * the rehashes through the small sizes. Slots are still allocated
+ * only with the first entry. Deletion uses
  * backward-shift (no tombstones), so lookup cost never degrades over
  * a server's lifetime. Iteration order is never exposed —
  * serialization sorts by key — so the table contributes no
@@ -52,6 +56,16 @@ class AllocSideTable
     /** Never a valid PFN (FrameArray caps size below this). */
     static constexpr std::uint32_t emptyKey = 0xffffffffu;
 
+    AllocSideTable() = default;
+
+    /** A table that never holds fewer than min_slots slots (rounded
+     * up to a power of two) once it holds any. */
+    explicit AllocSideTable(std::uint64_t min_slots)
+    {
+        while (minCapacity_ < min_slots)
+            minCapacity_ *= 2;
+    }
+
     /** Insert or overwrite. Storing second 0 is the same as erasing:
      * absent entries read as zero. */
     void
@@ -63,7 +77,7 @@ class AllocSideTable
             return;
         }
         if ((size_ + 1) * 16 > capacity() * std::uint64_t{13})
-            rehash(std::max<std::size_t>(16, capacity() * 2));
+            rehash(std::max<std::size_t>(minCapacity_, capacity() * 2));
         const std::uint32_t mask = capacity() - 1;
         std::uint32_t i = indexFor(key);
         while (slots_[i].key != emptyKey) {
@@ -129,7 +143,7 @@ class AllocSideTable
         // give churn-heavy phases their memory back once the table
         // drops well below the grow threshold (wide hysteresis, so
         // alloc/free cycling cannot thrash rehashes).
-        if (capacity() > 16 && size_ * 8 < capacity())
+        if (capacity() > minCapacity_ && size_ * 8 < capacity())
             rehash(capacity() / 2);
         return true;
     }
@@ -200,6 +214,8 @@ class AllocSideTable
 
     std::vector<Entry> slots_;
     std::uint64_t size_ = 0;
+    /** Power of two; the first allocation and the shrink floor. */
+    std::uint32_t minCapacity_ = 16;
 };
 
 } // namespace ctg

@@ -445,6 +445,23 @@ TEST(SideTable, GrowsShrinksAndRoundTrips)
     EXPECT_LT(table.bytes(), grown / 64);
 }
 
+TEST(SideTable, FloorIsLazyAndStopsShrinking)
+{
+    AllocSideTable table(1000); // rounds up to 1024 slots
+    EXPECT_EQ(table.bytes(), 0u);
+    table.set(0, 1);
+    EXPECT_EQ(table.bytes(), 1024u * 8u);
+    for (std::uint32_t k = 0; k < 5000; ++k)
+        table.set(k * 5, k + 1);
+    EXPECT_EQ(table.bytes(), 8192u * 8u);
+    for (std::uint32_t k = 0; k < 5000; ++k)
+        EXPECT_EQ(table.secondFor(k * 5), k + 1);
+    for (std::uint32_t k = 0; k < 5000; ++k)
+        table.erase(k * 5);
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.bytes(), 1024u * 8u);
+}
+
 TEST(SideTable, ZeroSecondMeansAbsent)
 {
     // The old layout's default allocSecond was 0; the sparse table

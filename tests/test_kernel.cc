@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "base/rng.hh"
@@ -333,6 +334,105 @@ TEST(PageTablesTest, LeafOrderMustMatchItsLevel)
     }
 }
 
+TEST(PageTablesTest, LeafPfnMustFitIn32Bits)
+{
+    Kernel kernel(smallConfig());
+    PageTables tables(kernel);
+    EXPECT_THROW(tables.map(0, Pfn{1} << 32, 0), PanicError);
+    EXPECT_THROW(tables.map(pagesPerGiga, invalidPfn, gigaOrder),
+                 PanicError);
+    ASSERT_TRUE(tables.map(0, 0xffffffff, 0));
+    EXPECT_EQ(tables.translate(0).pfn, 0xffffffffu);
+    EXPECT_THROW(tables.repoint(0, 0xffffffff, Pfn{1} << 32),
+                 PanicError);
+    EXPECT_EQ(tables.translate(0).pfn, 0xffffffffu);
+    EXPECT_EQ(tables.mappings(), 1u);
+}
+
+TEST(PageTablesTest, LoadRejectsPfnBeyond32Bits)
+{
+    Kernel kernel(smallConfig());
+    PageTables tables(kernel);
+    ASSERT_TRUE(tables.map(0, 5, 0));
+    serde::Writer out;
+    tables.saveTo(out);
+    std::vector<std::uint8_t> bytes = out.bytes();
+    // The PTE leaf's u64 pfn follows its u16 index, bool leaf and
+    // u32 order (see LeafOrderMustMatchItsLevel); its byte 4 holds
+    // bits 32-39.
+    constexpr std::size_t header = 16, table = 12, entry = 16;
+    const std::size_t pfn_at = header + 3 * (table + entry) + table + 7;
+    ASSERT_EQ(bytes[pfn_at], 5u);
+    bytes[pfn_at + 4] = 1;
+    serde::Reader in(bytes);
+    try {
+        PageTables restored(kernel, in);
+        ADD_FAILURE() << "a leaf pfn of 2^32 + 5 was accepted";
+    } catch (const serde::Error &e) {
+        EXPECT_NE(std::string(e.what()).find("pfn"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(PageTablesTest, TagsRideInLeafWords)
+{
+    Kernel kernel(smallConfig());
+    PageTables tables(kernel);
+    constexpr std::uint32_t maxTag = (1u << PageTables::tagBits) - 1;
+    ASSERT_TRUE(tables.map(7, 0xffffffff, 0, maxTag));
+    ASSERT_TRUE(tables.map(pagesPerHuge, 4096, hugeOrder, 5));
+    ASSERT_TRUE(tables.map(pagesPerGiga, 0, gigaOrder, 6));
+    EXPECT_THROW(tables.map(8, 1, 0, maxTag + 1), PanicError);
+
+    Translation t = tables.translate(7);
+    EXPECT_EQ(t.pfn, 0xffffffffu);
+    EXPECT_EQ(t.tag, maxTag);
+    EXPECT_EQ(tables.translate(pagesPerHuge + 3).tag, 5u);
+    EXPECT_EQ(tables.translate(pagesPerGiga + 9).tag, 6u);
+
+    // repoint keeps the tag; setTag rewrites it and nothing else.
+    ASSERT_TRUE(tables.repoint(pagesPerHuge, 4096, 8192));
+    t = tables.translate(pagesPerHuge);
+    EXPECT_EQ(t.pfn, 8192u);
+    EXPECT_EQ(t.tag, 5u);
+    tables.setTag(pagesPerHuge + 100, 0);
+    t = tables.translate(pagesPerHuge + 100);
+    EXPECT_EQ(t.pfn, 8292u);
+    EXPECT_EQ(t.order, hugeOrder);
+    EXPECT_EQ(t.tag, 0u);
+    tables.setTag(7, 1);
+    EXPECT_EQ(tables.translate(7).pfn, 0xffffffffu);
+    EXPECT_THROW(tables.setTag(7, maxTag + 1), PanicError);
+    EXPECT_THROW(tables.setTag(8, 1), PanicError);
+
+    // Snapshots do not carry tags: retagging leaves the bytes as
+    // they are, and a restored leaf reads tag 0.
+    serde::Writer before;
+    tables.saveTo(before);
+    tables.setTag(pagesPerGiga, 77);
+    serde::Writer after;
+    kernel.saveTo(after);
+    const std::size_t tables_at = after.bytes().size();
+    tables.saveTo(after);
+    EXPECT_EQ(before.bytes(),
+              std::vector<std::uint8_t>(after.bytes().begin() + tables_at,
+                                        after.bytes().end()));
+    serde::Reader in(after.bytes());
+    Kernel restored_kernel(
+        smallConfig(),
+        [&in](Kernel &k) {
+            return std::make_unique<VanillaPolicy>(k.mem(), in);
+        },
+        in);
+    PageTables restored(restored_kernel, in);
+    EXPECT_EQ(restored.translate(pagesPerGiga).tag, 0u);
+    EXPECT_EQ(restored.translate(7).pfn, 0xffffffffu);
+
+    t = tables.unmap(7);
+    EXPECT_TRUE(t.valid);
+    EXPECT_EQ(t.tag, 1u);
+}
+
 void
 expectSameTranslation(const Translation &got, const Translation &want)
 {
@@ -618,7 +718,7 @@ TEST(PageTablesProperty, RandomOpsMatchOracle)
                 vpn = randomVpn(order);
                 if (!model.canMap(vpn, order))
                     continue;
-                const Pfn pfn = rng.below(Pfn{1} << 40) >> order << order;
+                const Pfn pfn = rng.below(Pfn{1} << 32) >> order << order;
                 ASSERT_TRUE(tables.map(vpn, pfn, order));
                 model.map(vpn, pfn, order);
             } else if (kind < 9 && !model.leaves().empty()) {
@@ -631,7 +731,7 @@ TEST(PageTablesProperty, RandomOpsMatchOracle)
                 EXPECT_TRUE(model.unmap(vpn));
             } else {
                 vpn = randomVpn(randomOrder());
-                const Pfn pfn = rng.below(Pfn{1} << 40);
+                const Pfn pfn = rng.below(Pfn{1} << 32);
                 // Name the leaf's head frame, and on every fifth op
                 // a wrong one, which must leave the leaf alone.
                 const auto *covering = model.covering(vpn);
@@ -715,7 +815,7 @@ TEST(PageTablesProperty, RangeQueriesMatchOracle)
             for (Vpn v = vpn; v < vpn + len; ++v) {
                 if (!model.canMap(v, 0))
                     continue;
-                const Pfn pfn = rng.below(Pfn{1} << 40);
+                const Pfn pfn = rng.below(Pfn{1} << 32);
                 ASSERT_TRUE(tables.map(v, pfn, 0));
                 model.map(v, pfn, 0);
             }
@@ -724,7 +824,7 @@ TEST(PageTablesProperty, RangeQueriesMatchOracle)
             vpn = order == hugeOrder ? vpn >> 9 << 9
                                      : rng.below(6) << gigaOrder;
             if (model.canMap(vpn, order)) {
-                const Pfn pfn = rng.below(Pfn{1} << 30) << order;
+                const Pfn pfn = rng.below(Pfn{1} << (32 - order)) << order;
                 ASSERT_TRUE(tables.map(vpn, pfn, order));
                 model.map(vpn, pfn, order);
             }
@@ -817,6 +917,113 @@ TEST(PageTablesProperty, RangeQueriesMatchOracle)
     EXPECT_GT(model.retires(), 0u);
 }
 
+TEST(PageTablesProperty, PteCacheFollowsRetiredTables)
+{
+    Kernel kernel(smallConfig());
+    PageTables tables(kernel);
+    PageTableModel model;
+    std::map<Vpn, std::uint32_t> tags; // leaf head -> tag
+    Rng rng(17);
+    std::uint32_t next_tag = 0;
+    // The range the last order-0 map reached: its PTE table is the
+    // cached one.
+    Vpn last_4k_range = ~Vpn{0};
+    auto map4k = [&](Vpn vpn) {
+        if (!model.canMap(vpn, 0))
+            return;
+        const Pfn pfn = rng.below(Pfn{1} << 32);
+        ASSERT_TRUE(tables.map(vpn, pfn, 0, next_tag));
+        model.map(vpn, pfn, 0);
+        tags[vpn] = next_tag++;
+        last_4k_range = vpn >> hugeOrder;
+    };
+
+    // Four 2 MB ranges in one PMD table and one in another PUD slot;
+    // most ops stay in the range of the op before, so a range's
+    // table is filled, emptied and retired while it is cached.
+    Vpn head = 0;
+    unsigned cached_retired = 0, huge_unmapped = 0;
+    for (int op = 0; op < 4000; ++op) {
+        if (rng.chance(0.3)) {
+            const Vpn r = rng.below(5);
+            head = r < 4 ? r << hugeOrder : pagesPerGiga + (r << hugeOrder);
+        }
+        const std::uint64_t kind = rng.below(10);
+        if (kind < 4) {
+            // A run of order-0 maps: the cached descent.
+            const Vpn first = head + rng.below(pagesPerHuge);
+            const Vpn last = std::min(head + pagesPerHuge,
+                                      first + 1 + rng.below(64));
+            for (Vpn vpn = first; vpn < last; ++vpn)
+                map4k(vpn);
+        } else if (kind < 6) {
+            // Empty the range's PTE table, or its upper part; the
+            // table stays, with no storage.
+            const Vpn from =
+                rng.chance(0.7) ? head : head + rng.below(pagesPerHuge);
+            const Vpn end = head + pagesPerHuge;
+            const auto want = model.removeRange(from, end);
+            std::size_t seen = 0;
+            tables.unmapRange(from, end,
+                              [&](Vpn vpn, const Translation &tr) {
+                                  ASSERT_LT(seen, want.size());
+                                  EXPECT_EQ(vpn, want[seen++].first);
+                                  EXPECT_EQ(tr.tag, tags.at(vpn));
+                                  tags.erase(vpn);
+                              });
+            EXPECT_EQ(seen, want.size());
+        } else if (kind < 8) {
+            // A 2 MB leaf retires the range's empty PTE table through
+            // freeTable, which must drop the cache.
+            if (model.canMap(head, hugeOrder)) {
+                cached_retired += model.pteEntries(head) == 0 &&
+                                  last_4k_range == head >> hugeOrder;
+                const Pfn pfn = rng.below(Pfn{1} << (32 - hugeOrder))
+                                << hugeOrder;
+                ASSERT_TRUE(tables.map(head, pfn, hugeOrder, next_tag));
+                model.map(head, pfn, hugeOrder);
+                tags[head] = next_tag++;
+            }
+        } else {
+            // Remove the 2 MB leaf so the range takes 4 KB pages
+            // again, under a fresh PTE table.
+            const auto *hit = model.covering(head);
+            if (hit != nullptr && hit->second.order == hugeOrder) {
+                const Translation tr =
+                    tables.unmap(head + rng.below(pagesPerHuge));
+                EXPECT_EQ(tr.tag, tags.at(head));
+                model.unmap(head);
+                tags.erase(head);
+                ++huge_unmapped;
+            }
+        }
+
+        // The cache's readers in the same range: nextHole, then an
+        // order-0 map at the hole it finds.
+        const Vpn from = head + rng.below(pagesPerHuge);
+        const Vpn end = rng.chance(0.8)
+                            ? head + pagesPerHuge
+                            : from + rng.below(4 * pagesPerHuge);
+        const Vpn hole = tables.nextHole(from, end);
+        EXPECT_EQ(hole, model.nextHole(from, end))
+            << "from " << from << " end " << end;
+        if (hole < end && hole < head + pagesPerHuge && rng.chance(0.5))
+            map4k(hole);
+        for (int probe = 0; probe < 4; ++probe) {
+            const Vpn vpn = head + rng.below(pagesPerHuge);
+            model.check(tables, vpn);
+            if (const auto *hit = model.covering(vpn)) {
+                EXPECT_EQ(tables.translate(vpn).tag, tags.at(hit->first));
+            }
+        }
+        model.checkCounts(tables);
+        if (HasFailure())
+            FAIL() << "diverged at op " << op;
+    }
+    EXPECT_GT(cached_retired, 20u);
+    EXPECT_GT(huge_unmapped, 20u);
+}
+
 TEST(AddressSpaceTest, TouchBacksWithThp)
 {
     Kernel kernel(smallConfig());
@@ -878,10 +1085,60 @@ TEST(AddressSpaceTest, RelocateUpdatesTranslation)
 }
 
 /**
+ * The chunk table from before the page tables held each chunk's
+ * slot, kept for the oracle: a dense slot array plus an
+ * unordered_map vpn -> slot that erase looks the chunk up in. The
+ * index is never iterated or sampled.
+ */
+class LegacyChunkTable
+{
+  public:
+    struct Entry
+    {
+        Vpn vpn;
+        std::uint32_t order;
+    };
+
+    bool empty() const { return slots_.empty(); }
+    std::size_t size() const { return slots_.size(); }
+    const Entry &at(std::size_t i) const { return slots_[i]; }
+    const std::vector<Entry> &entries() const { return slots_; }
+
+    void
+    insert(Vpn vpn, std::uint32_t order)
+    {
+        index_.emplace(vpn, static_cast<std::uint32_t>(slots_.size()));
+        slots_.push_back(Entry{vpn, order});
+    }
+
+    void
+    erase(Vpn vpn)
+    {
+        auto it = index_.find(vpn);
+        ASSERT_NE(it, index_.end());
+        const std::uint32_t slot = it->second;
+        index_.erase(it);
+        const std::uint32_t last =
+            static_cast<std::uint32_t>(slots_.size() - 1);
+        if (slot != last) {
+            slots_[slot] = slots_[last];
+            index_[slots_[slot].vpn] = slot;
+        }
+        slots_.pop_back();
+    }
+
+  private:
+    std::vector<Entry> slots_;
+    std::unordered_map<Vpn, std::uint32_t> index_;
+};
+
+/**
  * The address-space algorithms from before the page tables held the
- * THP occupancy, kept as an oracle: touchRange translates every vpn,
- * a std::map counts the 4 KB pages of each 2 MB range, and every
- * removal translates first. Only the paths the oracle test drives.
+ * THP occupancy and the chunk slots, kept as an oracle: touchRange
+ * translates every vpn, a std::map counts the 4 KB pages of each
+ * 2 MB range, every removal translates first, and the chunk table
+ * finds a chunk's slot by hash. Only the paths the oracle test
+ * drives.
  */
 class LegacyAddressSpace : public PageOwnerClient
 {
@@ -916,7 +1173,7 @@ class LegacyAddressSpace : public PageOwnerClient
         const Vpn lo = addrToPfn(base);
         const Vpn hi = lo + regions_.at(lo);
         std::vector<Vpn> heads;
-        for (const ChunkTable::Entry &entry : chunks_.entries())
+        for (const LegacyChunkTable::Entry &entry : chunks_.entries())
             if (entry.vpn >= lo && entry.vpn < hi)
                 heads.push_back(entry.vpn);
         std::sort(heads.begin(), heads.end());
@@ -962,7 +1219,7 @@ class LegacyAddressSpace : public PageOwnerClient
         const std::uint64_t max_attempts = pages * 8 + 64;
         while (freed < pages && !chunks_.empty() &&
                attempts++ < max_attempts) {
-            const ChunkTable::Entry entry =
+            const LegacyChunkTable::Entry entry =
                 chunks_.at(rng.below(chunks_.size()));
             const Translation tr = tables_.translate(entry.vpn);
             if (tr.valid && kernel_.mem().frame(tr.pfn).isPinned())
@@ -1045,7 +1302,7 @@ class LegacyAddressSpace : public PageOwnerClient
         return tables_.repoint(tag, tr.pfn, new_head);
     }
 
-    const ChunkTable &chunks() const { return chunks_; }
+    const LegacyChunkTable &chunks() const { return chunks_; }
     const PageTables &pageTables() const { return tables_; }
 
   private:
@@ -1087,7 +1344,7 @@ class LegacyAddressSpace : public PageOwnerClient
     std::uint16_t clientId_;
     PageTables tables_;
     std::map<Vpn, std::uint64_t> regions_;
-    ChunkTable chunks_;
+    LegacyChunkTable chunks_;
     std::map<Vpn, std::uint32_t> hugeRangeUse_;
     Vpn nextBaseVpn_ = Vpn{1} << gigaOrder;
 };
@@ -1206,6 +1463,9 @@ runAddressSpaceOracle(const Kernel::PolicyFactory &factory,
         for (std::size_t i = 0; i < got.size(); ++i) {
             ASSERT_EQ(got[i].vpn, want[i].vpn) << "op " << op;
             ASSERT_EQ(got[i].order, want[i].order) << "op " << op;
+            // Each chunk's leaf carries its slot.
+            ASSERT_EQ(space.pageTables().translate(got[i].vpn).tag, i)
+                << "op " << op;
         }
         serde::Writer a, b;
         space.pageTables().saveTo(a);
@@ -1230,6 +1490,118 @@ TEST(AddressSpaceProperty, MatchesPerVpnOracleVanilla)
 TEST(AddressSpaceProperty, MatchesPerVpnOracleContiguitas)
 {
     runAddressSpaceOracle(ContiguitasPolicy::factory(), 22);
+}
+
+/** Checkpoint a kernel and one address space into one stream. */
+std::vector<std::uint8_t>
+snapshotSpace(const Kernel &kernel, const AddressSpace &space)
+{
+    serde::Writer out;
+    kernel.saveTo(out);
+    space.saveTo(out);
+    return out.take();
+}
+
+/** A kernel and address space restored from snapshotSpace bytes. */
+struct RestoredSpace
+{
+    RestoredSpace(const KernelConfig &config,
+                  const std::vector<std::uint8_t> &bytes)
+        : in(bytes),
+          kernel(config,
+                 [this](Kernel &k) {
+                     return std::make_unique<VanillaPolicy>(k.mem(), in);
+                 },
+                 in),
+          space(kernel, in)
+    {}
+
+    serde::Reader in;
+    Kernel kernel;
+    AddressSpace space;
+};
+
+TEST(AddressSpaceTest, RestoredSpaceRetagsChunksAndReplays)
+{
+    KernelConfig config = smallConfig();
+    config.memBytes = 64_MiB;
+    Kernel kernel(config);
+    AddressSpace space(kernel, 1);
+    Rng rng(31);
+    // Churn: 2 MB and 4 KB chunks, holes punched and refilled, a
+    // collapse, so the slot order is far from the map order.
+    // Touches of 1 MiB hold no whole 2 MB range, so they map 4 KB
+    // pages.
+    const Addr heap = space.mmap(24_MiB + 5 * pageBytes);
+    const Addr small = space.mmap(4_MiB);
+    space.touchRange(heap, 24_MiB + 5 * pageBytes);
+    for (int round = 0; round < 6; ++round) {
+        for (Addr at = small; at < small + 4_MiB; at += 1_MiB)
+            space.touchRange(at, 1_MiB);
+        space.releaseRange(heap, 24_MiB, 900, rng);
+        space.releasePages(400, rng);
+        space.touchRange(heap + (round % 3) * 4_MiB, 8_MiB);
+        space.promoteHugeRanges(1);
+    }
+    ASSERT_GT(space.pages4k(), pagesPerHuge);
+    ASSERT_GT(space.chunks2m(), 0u);
+
+    RestoredSpace restored(config, snapshotSpace(kernel, space));
+    EXPECT_EQ(restored.in.remaining(), 0u);
+    const auto &chunks = restored.space.chunks().entries();
+    ASSERT_EQ(chunks.size(), space.chunks().size());
+    for (std::uint32_t slot = 0; slot < chunks.size(); ++slot) {
+        ASSERT_EQ(chunks[slot].vpn, space.chunks().at(slot).vpn);
+        ASSERT_EQ(restored.space.pageTables()
+                      .translate(chunks[slot].vpn)
+                      .tag,
+                  slot);
+    }
+
+    // The same removals on the cold space and the restored one.
+    Rng a(32), b(32);
+    for (int round = 0; round < 8; ++round) {
+        EXPECT_EQ(space.releasePages(300, a),
+                  restored.space.releasePages(300, b));
+        EXPECT_EQ(space.releaseRange(heap, 24_MiB, 200, a),
+                  restored.space.releaseRange(heap, 24_MiB, 200, b));
+        const auto &got = restored.space.chunks().entries();
+        const auto &want = space.chunks().entries();
+        ASSERT_EQ(got.size(), want.size()) << "round " << round;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].vpn, want[i].vpn) << "round " << round;
+            ASSERT_EQ(got[i].order, want[i].order) << "round " << round;
+        }
+        serde::Writer x, y;
+        kernel.saveTo(x);
+        restored.kernel.saveTo(y);
+        ASSERT_TRUE(x.bytes() == y.bytes()) << "round " << round;
+    }
+}
+
+TEST(AddressSpaceTest, SnapshotWithDuplicateChunkVpnThrows)
+{
+    KernelConfig config = smallConfig();
+    config.thpEnabled = false;
+    Kernel kernel(config);
+    AddressSpace space(kernel, 1);
+    space.touchRange(space.mmap(64_KiB), 64_KiB);
+    ASSERT_EQ(space.chunks().size(), 16u);
+    std::vector<std::uint8_t> bytes = snapshotSpace(kernel, space);
+    // The stream ends with the chunk slots (u64 vpn, u32 order) and
+    // the next region base (u64). Copy slot 0's vpn into slot 1.
+    const std::size_t slots_at = bytes.size() - 8 - 16 * 12;
+    std::copy_n(bytes.begin() + static_cast<long>(slots_at), 8,
+                bytes.begin() + static_cast<long>(slots_at + 12));
+    try {
+        RestoredSpace restored(config, bytes);
+        ADD_FAILURE() << "a chunk table listing one vpn twice was "
+                         "accepted";
+    } catch (const serde::Error &e) {
+        EXPECT_NE(std::string(e.what()).find("duplicate vpn"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(CompactionTest, FormsHugeBlockFromFragmentedMemory)
