@@ -47,12 +47,10 @@ struct PopulationResult
     double meanFreeContiguity2m = 0.0;
     double meanUnmovableBlocks2m = 0.0;
     /** Frame-table footprint of a representative end-of-run server
-     * (meta + link columns + owner side table), per frame. */
+     * (meta + link columns), per frame. */
     double bytesPerFrame = 0.0;
     /** ContigIndex footprint of the same server, per frame. */
     double indexBytesPerFrame = 0.0;
-    /** Owner side-table entries per 1000 frames on that server. */
-    double sideEntriesPerKiloFrame = 0.0;
     /** Host heap allocations across the run. */
     std::uint64_t heapAllocs = 0;
 };
@@ -112,8 +110,6 @@ probeFootprint(const Fleet &fleet, PopulationResult *out)
         static_cast<double>(
             server.kernel().mem().contigIndex().bytesUsed()) /
         n;
-    out->sideEntriesPerKiloFrame =
-        1000.0 * static_cast<double>(frames.sideTableEntries()) / n;
 }
 
 PopulationResult
@@ -158,11 +154,6 @@ runPopulation(bool contiguitas, unsigned servers,
                   "{\"name\":\"%s.index_bytes_per_frame\",\"kind\":"
                   "\"gauge\",\"value\":%.3f}\n",
                   prefix, result.indexBytesPerFrame);
-    *stats_json += line;
-    std::snprintf(line, sizeof(line),
-                  "{\"name\":\"%s.side_entries_per_1k_frames\","
-                  "\"kind\":\"gauge\",\"value\":%.3f}\n",
-                  prefix, result.sideEntriesPerKiloFrame);
     *stats_json += line;
     return result;
 }
@@ -271,19 +262,16 @@ main(int argc, char **argv)
 
     Table table;
     table.header({"System", "free contig 2M", "unmov blocks 2M",
-                  "bytes/frame", "index bytes/frame",
-                  "side entries/1k frames"});
+                  "bytes/frame", "index bytes/frame"});
     table.row({"Linux", formatPercent(linux_pop.meanFreeContiguity2m),
                formatPercent(linux_pop.meanUnmovableBlocks2m),
                cell(linux_pop.bytesPerFrame, 2),
-               cell(linux_pop.indexBytesPerFrame, 2),
-               cell(linux_pop.sideEntriesPerKiloFrame, 1)});
+               cell(linux_pop.indexBytesPerFrame, 2)});
     table.row({"Contiguitas",
                formatPercent(ctg_pop.meanFreeContiguity2m),
                formatPercent(ctg_pop.meanUnmovableBlocks2m),
                cell(ctg_pop.bytesPerFrame, 2),
-               cell(ctg_pop.indexBytesPerFrame, 2),
-               cell(ctg_pop.sideEntriesPerKiloFrame, 1)});
+               cell(ctg_pop.indexBytesPerFrame, 2)});
     table.print();
 
     std::printf("\nFrame table: %.2f bytes/frame worst case — "

@@ -6,10 +6,14 @@
  * with Contiguitas kernels to see the fleet-wide effect.
  *
  * Usage: fleet_study [num_servers]
+ *
+ * Under CTG_CHECKPOINT=<dir> / CTG_RESTORE=<dir> each fleet keeps its
+ * own snapshot set, in <dir>/vanilla and <dir>/contiguitas.
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "base/stats.hh"
 #include "base/table.hh"
@@ -51,6 +55,19 @@ summarize(const std::vector<ServerScan> &scans)
     return s;
 }
 
+/** Run one fleet under `policy`, checkpointing to / restoring from
+ * that policy's subdirectory of the configured snapshot dirs. */
+std::vector<ServerScan>
+runFleet(Fleet::Config config, const std::string &policy)
+{
+    config.policy.name = policy;
+    if (!config.checkpointDir.empty())
+        config.checkpointDir += "/" + policy;
+    if (!config.restoreDir.empty())
+        config.restoreDir += "/" + policy;
+    return Fleet(config).run();
+}
+
 } // namespace
 
 int
@@ -71,12 +88,10 @@ main(int argc, char **argv)
     config.applyEnvOverlay();
 
     std::printf("sampling %u vanilla servers ...\n", servers);
-    config.policy.name = "vanilla";
-    const auto linux_scans = Fleet(config).run();
+    const auto linux_scans = runFleet(config, "vanilla");
 
     std::printf("sampling %u Contiguitas servers ...\n\n", servers);
-    config.policy.name = "contiguitas";
-    const auto ctg_scans = Fleet(config).run();
+    const auto ctg_scans = runFleet(config, "contiguitas");
 
     const Summary lx = summarize(linux_scans);
     const Summary cg = summarize(ctg_scans);

@@ -357,7 +357,6 @@ ContiguitasPolicy::runController()
 void
 ContiguitasPolicy::tick(std::uint32_t now_seconds)
 {
-    kernel_.mem().nowSeconds = now_seconds;
     const auto now = static_cast<double>(now_seconds);
     if (now - lastResizeSec_ < config_.tuning.periodSec)
         return;

@@ -172,7 +172,6 @@ Kernel::advanceSeconds(double dt)
 {
     ctg_assert(dt >= 0);
     nowSeconds_ += dt;
-    mem_->nowSeconds = static_cast<std::uint32_t>(nowSeconds_);
     const double now_us = nowSeconds_ * 1e6;
     psiMovable_.advanceTo(now_us);
     psiUnmovable_.advanceTo(now_us);

@@ -64,12 +64,6 @@ VanillaPolicy::unpin(Pfn head)
     setBlockPinned(mem_, head, false);
 }
 
-void
-VanillaPolicy::tick(std::uint32_t now_seconds)
-{
-    mem_.nowSeconds = now_seconds;
-}
-
 std::uint64_t
 VanillaPolicy::freeUserPages() const
 {

@@ -30,7 +30,7 @@ class VanillaPolicy : public MemPolicy
     Pfn allocGigantic(AllocSource src, std::uint64_t owner) override;
     Pfn pin(Pfn head) override;
     void unpin(Pfn head) override;
-    void tick(std::uint32_t now_seconds) override;
+    void tick(std::uint32_t) override {}
     std::uint64_t freeUserPages() const override;
     std::uint64_t freeKernelPages() const override;
     std::pair<Pfn, Pfn> unmovableRegion() const override;

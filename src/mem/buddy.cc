@@ -280,9 +280,9 @@ BuddyAllocator::markAllocated(Pfn head, unsigned order, MigrateType mt,
     for (Pfn pfn = head; pfn < head + count; ++pfn)
         frames_.frame(pfn).stampAllocated(order, mt, src,
                                           pfn == head);
-    // The cold fields live once per block in the side table, keyed
-    // by the head; member frames derive them through their order.
-    frames_.frame(head).setAllocInfo(owner, mem_.nowSeconds);
+    // The owner lives once per block, on the head; member frames
+    // derive it through their order.
+    frames_.frame(head).setOwner(owner);
     mem_.noteFramesChanged(head, head + count);
 }
 

@@ -7,14 +7,12 @@
  * buddy allocator. It is stored struct-of-arrays: the hot per-frame
  * state (flags, block order, migratetype, allocation source) is
  * packed into one 16-bit word per frame and the 32-bit free-list
- * links stay in two parallel columns. The cold allocation-era fields
- * ride along at near-zero cost: the link slots of an *allocated*
+ * links stay in two parallel columns. The one cold allocation-era
+ * field rides along at no cost: the link slots of an *allocated*
  * frame are dead (only free-list members are ever linked), so the
- * owner handle is overlaid onto the head frame's next/prev pair, and
- * the allocation second — the one field with nowhere to hide — lives
- * in a sparse side table keyed by allocation-head PFN
- * (mem/side_table.hh). That puts the fixed cost at 10 bytes/frame —
- * versus 24 for the old array-of-structs layout — so 10^5-server
+ * owner handle is overlaid onto the head frame's next/prev pair.
+ * That makes the whole table a flat 10 bytes/frame — versus 24 for
+ * the old array-of-structs layout — so 10^5-server
  * fleet populations fit on one box even when fragmented servers are
  * dense with order-0 allocations.
  *
@@ -35,7 +33,6 @@
 #include "base/logging.hh"
 #include "base/types.hh"
 #include "mem/migratetype.hh"
-#include "mem/side_table.hh"
 
 namespace ctg
 {
@@ -56,9 +53,6 @@ struct PageFrame
     /** Opaque handle identifying the owner of an allocated page
      * (process/vpn for user pages, subsystem object for kernel). */
     std::uint64_t owner = 0;
-
-    /** Tick at which the current allocation was made. */
-    std::uint32_t allocSecond = 0;
 
     std::uint8_t flags = 0;
     std::uint8_t order = 0; //!< block order if head (free or allocated)
@@ -125,10 +119,9 @@ class FrameArray
     static constexpr std::uint16_t metaSpareMask = 0xc000;
 
     /** Read-only proxy for one frame. Copy it freely — it is two
-     * words. The owner/allocSecond reads resolve lazily through the
-     * containing block's head (every block is 2^order aligned, so
-     * the head is the masked-down PFN): owner from the head's
-     * overlaid link slots, allocSecond from the side table. */
+     * words. The owner read resolves lazily through the containing
+     * block's head (every block is 2^order aligned, so the head is
+     * the masked-down PFN) and its overlaid link slots. */
     class ConstFrameRef
     {
       public:
@@ -195,17 +188,6 @@ class FrameArray
             const Pfn h = headPfn();
             return (static_cast<std::uint64_t>(fa_->prev_[h]) << 32) |
                    fa_->next_[h];
-        }
-
-        /** Allocation timestamp of the containing allocation; 0 when
-         * free. */
-        std::uint32_t
-        allocSecond() const
-        {
-            if (isFree())
-                return 0;
-            return fa_->side_.secondFor(
-                static_cast<std::uint32_t>(headPfn()));
         }
 
         Pfn pfn() const { return pfn_; }
@@ -292,38 +274,23 @@ class FrameArray
                 (order << metaOrderShift));
         }
 
-        /** Record the cold allocation-era fields for the block this
-         * frame heads: the owner handle into the (dead) link slots,
-         * the timestamp into the side table. Only allocated heads may
-         * carry either. */
+        /** Record the owner handle of the block this frame heads in
+         * its (dead) link slots. Only allocated heads may carry one. */
         void
-        setAllocInfo(std::uint64_t owner, std::uint32_t second)
+        setOwner(std::uint64_t owner)
         {
             ctg_assert(!isFree() && isHead());
             arr()->next_[pfn_] =
                 static_cast<std::uint32_t>(owner);
             arr()->prev_[pfn_] =
                 static_cast<std::uint32_t>(owner >> 32);
-            arr()->side_.set(static_cast<std::uint32_t>(pfn_),
-                             second);
         }
 
         /** Equivalent of the old `frame = PageFrame{}`: every field
-         * back to defaults, and the side-table entry (if this frame
-         * headed an allocation) dropped. The link slots keep their
-         * stale bits — exactly as the old layout kept stale links —
-         * until the buddy relinks the frame into a free list. */
-        void
-        reset()
-        {
-            const std::uint16_t m = word();
-            if ((m & PageFrame::FlagHead) &&
-                !(m & PageFrame::FlagFree)) {
-                arr()->side_.erase(
-                    static_cast<std::uint32_t>(pfn_));
-            }
-            mut() = 0;
-        }
+         * back to defaults. The link slots keep their stale bits —
+         * exactly as the old layout kept stale links — until the
+         * buddy relinks the frame into a free list. */
+        void reset() { mut() = 0; }
 
       private:
         friend class FrameArray;
@@ -344,7 +311,7 @@ class FrameArray
 
     explicit FrameArray(std::uint64_t num_frames)
         : meta_(num_frames, 0), next_(num_frames, nil),
-          prev_(num_frames, nil), side_(sideTableFloor(num_frames))
+          prev_(num_frames, nil)
     {
         ctg_assert(num_frames < nil);
     }
@@ -386,30 +353,23 @@ class FrameArray
         out.migrateType = f.migrateType();
         out.source = f.source();
         out.owner = f.owner();
-        out.allocSecond = f.allocSecond();
         return out;
     }
 
     std::uint32_t &next(Pfn pfn) { return next_[pfn]; }
     std::uint32_t &prev(Pfn pfn) { return prev_[pfn]; }
 
-    /** Heap bytes of the whole frame table: the three columns plus
-     * the side table (the footprint BENCH_fleet.json reports as
-     * bytes/frame). */
+    /** Heap bytes of the whole frame table: the three columns (the
+     * footprint BENCH_fleet.json reports as bytes/frame). */
     std::uint64_t
     bytesUsed() const
     {
         return meta_.capacity() * sizeof(std::uint16_t) +
                next_.capacity() * sizeof(std::uint32_t) +
-               prev_.capacity() * sizeof(std::uint32_t) +
-               side_.bytes();
+               prev_.capacity() * sizeof(std::uint32_t);
     }
 
-    /** Allocated-head entries currently in the side table. */
-    std::uint64_t sideTableEntries() const { return side_.size(); }
-
-    /** Serialize the meta column, the intrusive links, and the side
-     * table (sorted by head PFN, so images are deterministic). The
+    /** Serialize the meta column and the intrusive links. The
      * columns *are* the frame table and the buddy free lists'
      * membership — restoring them wholesale restores both. Defined
      * in mem/physmem.cc (needs base/serde.hh). */
@@ -418,25 +378,14 @@ class FrameArray
     /** Overwrite from a snapshot; the serialized frame count must
      * equal size() (it is part of the snapshot's config fingerprint,
      * so a mismatch is corruption). Every field is validated — order
-     * range, spare bits, link indices (< size() or nil), side-table
-     * keys strictly increasing and naming allocated heads — before
-     * any state is replaced. Throws serde::Error. */
+     * range, spare bits, source range, link indices (< size() or
+     * nil) — before any state is replaced. Throws serde::Error. */
     void loadFrom(serde::Reader &in);
 
   private:
-    /** Side-table slots kept once it holds an entry: one per four
-     * frames, 2 bytes/frame. A 4K-dense server's table passes this
-     * anyway; the floor only skips the rehashes below it. */
-    static std::uint64_t
-    sideTableFloor(std::uint64_t num_frames)
-    {
-        return num_frames / 4;
-    }
-
     std::vector<std::uint16_t> meta_;
     std::vector<std::uint32_t> next_;
     std::vector<std::uint32_t> prev_;
-    AllocSideTable side_;
 };
 
 } // namespace ctg

@@ -20,14 +20,6 @@ FrameArray::saveTo(serde::Writer &out) const
     // handles of allocated heads — one dump restores both.
     out.putPodVector(next_);
     out.putPodVector(prev_);
-    // Side table in canonical (key-sorted) order so images of equal
-    // state are byte-identical regardless of insertion history.
-    const auto entries = side_.sortedEntries();
-    out.putU64(entries.size());
-    for (const AllocSideTable::Entry &e : entries) {
-        out.putU32(e.key);
-        out.putU32(e.second);
-    }
 }
 
 void
@@ -69,32 +61,9 @@ FrameArray::loadFrom(serde::Reader &in)
              (prev[i] != nil && prev[i] >= meta.size())))
             throw serde::Error("frame link out of range");
     }
-    const std::uint64_t entries = in.getU64();
-    if (entries > meta.size())
-        throw serde::Error("side table larger than frame table");
-    AllocSideTable side(sideTableFloor(meta.size()));
-    std::uint64_t prev_key = 0;
-    for (std::uint64_t i = 0; i < entries; ++i) {
-        const std::uint32_t key = in.getU32();
-        const std::uint32_t second = in.getU32();
-        if (key >= meta.size())
-            throw serde::Error("side table key out of range");
-        if (i > 0 && key <= prev_key)
-            throw serde::Error("side table keys not sorted");
-        prev_key = key;
-        const std::uint16_t m = meta[key];
-        if ((m & PageFrame::FlagFree) ||
-            !(m & PageFrame::FlagHead))
-            throw serde::Error(
-                "side table key is not an allocated head");
-        if (second == 0)
-            throw serde::Error("side table entry is zero");
-        side.set(key, second);
-    }
     meta_ = std::move(meta);
     next_ = std::move(next);
     prev_ = std::move(prev);
-    side_ = std::move(side);
 }
 
 void
@@ -103,7 +72,6 @@ PhysMem::saveTo(serde::Writer &out) const
     out.putU64(numFrames_);
     frames_.saveTo(out);
     out.putPodVector(blockMt_);
-    out.putU32(nowSeconds);
 }
 
 void
@@ -120,7 +88,6 @@ PhysMem::loadFrom(serde::Reader &in)
         if (static_cast<unsigned>(mt) >= numMigrateTypes)
             throw serde::Error("pageblock migratetype out of range");
     blockMt_ = std::move(blockMt);
-    nowSeconds = in.getU32();
     // The index is derived state: rebuild it from the restored
     // frames so it is exact by construction.
     noteFramesChanged(0, numFrames_);

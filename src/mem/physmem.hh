@@ -108,10 +108,7 @@ class PhysMem
 
     /** @} */
 
-    /** Wall-clock second used to stamp allocations (set by drivers). */
-    std::uint32_t nowSeconds = 0;
-
-    /** Serialize frames, links, pageblock tags and the clock. The
+    /** Serialize frames, links and pageblock tags. The
      * ContigIndex is deliberately NOT serialized: it is derived
      * state, marked for a full rebuild from the restored frames in
      * loadFrom() (and cross-checked against a reference scan by the

@@ -345,11 +345,12 @@ faultInjector()
 {
     if (tlsInjector != nullptr)
         return *tlsInjector;
-    // The ambient injector outlives every fleet task; if its lazy
-    // construction happens on a pooled worker, the allocation must
-    // bypass that thread's task arena.
-    const ArenaSuspend off;
     static FaultInjector *injector = [] {
+        // The ambient injector outlives every fleet task; if its
+        // lazy construction happens on a pooled worker, the
+        // allocation must bypass that thread's task arena. Only
+        // this one-time path allocates, so only it suspends.
+        const ArenaSuspend off;
         const sim::EnvConfig env = sim::EnvConfig::fromEnv();
         auto *inj = new FaultInjector(env.hasFaultSeed
                                           ? env.faultSeed

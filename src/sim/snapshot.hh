@@ -60,8 +60,10 @@ constexpr std::uint32_t fileMagic = 0x53475443;
  * allocation-second side table).
  * Version 3: the Server section leads with the placement policy's
  * registry name, and the config fingerprint covers the full
- * PolicyConfig instead of a contiguitas on/off bit. */
-constexpr std::uint32_t formatVersion = 3;
+ * PolicyConfig instead of a contiguitas on/off bit.
+ * Version 4: the allocation-second side table and the PhysMem clock
+ * are gone; the frame table is its three columns only. */
+constexpr std::uint32_t formatVersion = 4;
 
 /** Section ids inside a snapshot image. */
 enum SectionId : std::uint32_t

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "base/arena.hh"
@@ -30,7 +31,6 @@
 #include "mem/auditor.hh"
 #include "mem/buddy.hh"
 #include "mem/physmem.hh"
-#include "mem/side_table.hh"
 #include "sim/fault_injector.hh"
 #include "sim/snapshot.hh"
 #include "workloads/profile.hh"
@@ -192,9 +192,8 @@ TEST(FrameTableEquivalence, ProxySettersMatchPageFrameReference)
 TEST(FrameTableEquivalence, AllocationStampsMatchAosSemantics)
 {
     // Replay exactly what the old AoS markAllocated loop stored and
-    // check every cold field materializes identically: the owner
-    // handle (now overlaid on the head's link slots) and the
-    // allocation second (now in the side table) must read back on
+    // check every field materializes identically: the owner handle
+    // (now overlaid on the head's link slots) must read back on
     // *every* member frame, not just the head.
     FrameArray fa(1024);
     const struct
@@ -204,23 +203,21 @@ TEST(FrameTableEquivalence, AllocationStampsMatchAosSemantics)
         MigrateType mt;
         AllocSource src;
         std::uint64_t owner;
-        std::uint32_t second;
     } blocks[] = {
         {0, 3, MigrateType::Movable, AllocSource::User,
-         0xfeedfacecafef00dULL, 41},
+         0xfeedfacecafef00dULL},
         {16, 0, MigrateType::Unmovable, AllocSource::Slab,
-         0xffffffffffffffffULL, 7},
+         0xffffffffffffffffULL},
         {512, 9, MigrateType::Reclaimable, AllocSource::Networking,
-         1, 1000000},
+         1},
     };
     for (const auto &b : blocks) {
         for (Pfn pfn = b.head; pfn < b.head + (Pfn{1} << b.order);
              ++pfn)
             fa.frame(pfn).stampAllocated(b.order, b.mt, b.src,
                                          pfn == b.head);
-        fa.frame(b.head).setAllocInfo(b.owner, b.second);
+        fa.frame(b.head).setOwner(b.owner);
     }
-    EXPECT_EQ(fa.sideTableEntries(), 3u);
 
     for (const auto &b : blocks) {
         for (Pfn pfn = b.head; pfn < b.head + (Pfn{1} << b.order);
@@ -232,11 +229,10 @@ TEST(FrameTableEquivalence, AllocationStampsMatchAosSemantics)
             EXPECT_EQ(got.migrateType, b.mt) << "pfn " << pfn;
             EXPECT_EQ(got.source, b.src) << "pfn " << pfn;
             EXPECT_EQ(got.owner, b.owner) << "pfn " << pfn;
-            EXPECT_EQ(got.allocSecond, b.second) << "pfn " << pfn;
         }
     }
 
-    // Freeing (reset) drains the side table and zeroes the word.
+    // Freeing (reset) zeroes the word.
     // The link slots keep stale bits until the buddy relinks the
     // frame into a free list — same as the old layout's stale links
     // — so owner() is only defined again once FlagFree is set, at
@@ -245,13 +241,10 @@ TEST(FrameTableEquivalence, AllocationStampsMatchAosSemantics)
         for (Pfn pfn = b.head; pfn < b.head + (Pfn{1} << b.order);
              ++pfn)
             fa.frame(pfn).reset();
-    EXPECT_EQ(fa.sideTableEntries(), 0u);
     for (const auto &b : blocks) {
         EXPECT_EQ(fa.get(b.head).flags, 0);
-        EXPECT_EQ(fa.get(b.head).allocSecond, 0u);
         fa.frame(b.head).setFree(true);
         EXPECT_EQ(fa.get(b.head).owner, 0u);
-        EXPECT_EQ(fa.get(b.head).allocSecond, 0u);
     }
 }
 
@@ -263,7 +256,6 @@ struct Held
     MigrateType mt;
     AllocSource src;
     std::uint64_t owner;
-    std::uint32_t second;
     bool pinned = false;
 };
 
@@ -280,7 +272,6 @@ expectBlockMatches(const PhysMem &mem, const Held &h)
         EXPECT_EQ(got.migrateType, h.mt) << "pfn " << pfn;
         EXPECT_EQ(got.source, h.src) << "pfn " << pfn;
         EXPECT_EQ(got.owner, h.owner) << "pfn " << pfn;
-        EXPECT_EQ(got.allocSecond, h.second) << "pfn " << pfn;
     }
 }
 
@@ -289,9 +280,7 @@ TEST(FrameTableEquivalence, BuddyDrivenRandomizedProperty)
     // The real allocator, random alloc/free/pin churn, and the old
     // AoS contract checked from the outside: every tracked live
     // block must materialize exactly the fields the old layout
-    // stored, every free frame must read owner/allocSecond 0, and
-    // the side table must hold exactly one entry per live block
-    // allocated at a nonzero second.
+    // stored, and every free frame must read owner 0.
     faultInjector().reset();
     PhysMem mem(64_MiB);
     BuddyAllocator alloc(mem, 0, mem.numFrames(), "soa_prop");
@@ -300,9 +289,7 @@ TEST(FrameTableEquivalence, BuddyDrivenRandomizedProperty)
 
     Rng rng(0xd1ffe7e57);
     std::vector<Held> held;
-    std::uint64_t expectSideEntries = 0;
     for (int op = 0; op < 4000; ++op) {
-        mem.nowSeconds = static_cast<std::uint32_t>(op / 16);
         const double roll = rng.uniform();
         if (roll < 0.55) {
             Held h;
@@ -311,21 +298,15 @@ TEST(FrameTableEquivalence, BuddyDrivenRandomizedProperty)
             h.src = static_cast<AllocSource>(
                 rng.below(numAllocSources));
             h.owner = rng.next() | 1; // nonzero: 0 means "free"
-            h.second = mem.nowSeconds;
             h.head = alloc.allocPages(h.order, h.mt, h.src, h.owner);
-            if (h.head != invalidPfn) {
+            if (h.head != invalidPfn)
                 held.push_back(h);
-                if (h.second != 0)
-                    ++expectSideEntries;
-            }
         } else if (roll < 0.85 && !held.empty()) {
             const std::size_t pick = rng.below(held.size());
             const Held h = held[pick];
             if (h.pinned)
                 mem.setBlockPinned(h.head, false);
             alloc.freePages(h.head);
-            if (h.second != 0)
-                --expectSideEntries;
             held[pick] = held.back();
             held.pop_back();
         } else if (!held.empty()) {
@@ -339,9 +320,6 @@ TEST(FrameTableEquivalence, BuddyDrivenRandomizedProperty)
             alloc.checkInvariants();
             const AuditReport report = auditor.audit();
             ASSERT_TRUE(report.ok()) << report.summary();
-            ASSERT_EQ(mem.frames().sideTableEntries(),
-                      expectSideEntries)
-                << "op " << op;
             for (const Held &h : held)
                 expectBlockMatches(mem, h);
             if (::testing::Test::HasFailure())
@@ -350,19 +328,17 @@ TEST(FrameTableEquivalence, BuddyDrivenRandomizedProperty)
     }
 
     // Drain everything: the table must read as all-free with no
-    // residual owner handles or side-table entries.
+    // residual owner handles.
     for (const Held &h : held) {
         if (h.pinned)
             mem.setBlockPinned(h.head, false);
         alloc.freePages(h.head);
     }
     EXPECT_EQ(alloc.freePageCount(), mem.numFrames());
-    EXPECT_EQ(mem.frames().sideTableEntries(), 0u);
     for (Pfn pfn = 0; pfn < mem.numFrames(); ++pfn) {
         const PageFrame got = mem.frames().get(pfn);
         ASSERT_TRUE(got.isFree()) << "pfn " << pfn;
         ASSERT_EQ(got.owner, 0u) << "pfn " << pfn;
-        ASSERT_EQ(got.allocSecond, 0u) << "pfn " << pfn;
         ASSERT_FALSE(got.isPinned()) << "pfn " << pfn;
     }
     alloc.checkInvariants();
@@ -370,17 +346,15 @@ TEST(FrameTableEquivalence, BuddyDrivenRandomizedProperty)
 
 TEST(FrameTableEquivalence, GiganticAllocationStampsEveryFrame)
 {
-    // A gigantic block is 2^18 frames sharing one owner handle and
-    // one side-table entry; the overlay must resolve through the
-    // gigaOrder-aligned head for members arbitrarily far away.
+    // A gigantic block is 2^18 frames sharing one owner handle; the
+    // overlay must resolve through the gigaOrder-aligned head for
+    // members arbitrarily far away.
     PhysMem mem(1_GiB);
     BuddyAllocator alloc(mem, 0, mem.numFrames(), "giga");
-    mem.nowSeconds = 99;
     const Pfn head = alloc.allocGigantic(
         MigrateType::Movable, AllocSource::User,
         0xabcdef0123456789ULL);
     ASSERT_NE(head, invalidPfn);
-    EXPECT_EQ(mem.frames().sideTableEntries(), 1u);
     const Pfn probes[] = {head, head + 1, head + 511,
                           head + pagesPerGiga / 2,
                           head + pagesPerGiga - 1};
@@ -389,7 +363,6 @@ TEST(FrameTableEquivalence, GiganticAllocationStampsEveryFrame)
         EXPECT_FALSE(got.isFree()) << "pfn " << pfn;
         EXPECT_EQ(got.order, gigaOrder) << "pfn " << pfn;
         EXPECT_EQ(got.owner, 0xabcdef0123456789ULL) << "pfn " << pfn;
-        EXPECT_EQ(got.allocSecond, 99u) << "pfn " << pfn;
         EXPECT_EQ(got.isHead(), pfn == head) << "pfn " << pfn;
     }
 }
@@ -420,72 +393,6 @@ TEST(FrameTableEquivalence, DetachAttachKeepsFramesEquivalent)
     auditor.addAllocator(&alloc);
     const AuditReport report = auditor.audit();
     EXPECT_TRUE(report.ok()) << report.summary();
-}
-
-// ---------------------------------------------------------------
-// Side table behaviour
-// ---------------------------------------------------------------
-
-TEST(SideTable, GrowsShrinksAndRoundTrips)
-{
-    AllocSideTable table;
-    EXPECT_EQ(table.bytes(), 0u);
-    for (std::uint32_t k = 0; k < 10000; ++k)
-        table.set(k * 7, k + 1);
-    EXPECT_EQ(table.size(), 10000u);
-    for (std::uint32_t k = 0; k < 10000; ++k)
-        EXPECT_EQ(table.secondFor(k * 7), k + 1);
-    EXPECT_EQ(table.secondFor(3), 0u); // absent reads as zero
-
-    const std::uint64_t grown = table.bytes();
-    for (std::uint32_t k = 0; k < 10000; ++k)
-        table.erase(k * 7);
-    EXPECT_EQ(table.size(), 0u);
-    // Shrink-on-erase must have released the bulk of the slots.
-    EXPECT_LT(table.bytes(), grown / 64);
-}
-
-TEST(SideTable, FloorIsLazyAndStopsShrinking)
-{
-    AllocSideTable table(1000); // rounds up to 1024 slots
-    EXPECT_EQ(table.bytes(), 0u);
-    table.set(0, 1);
-    EXPECT_EQ(table.bytes(), 1024u * 8u);
-    for (std::uint32_t k = 0; k < 5000; ++k)
-        table.set(k * 5, k + 1);
-    EXPECT_EQ(table.bytes(), 8192u * 8u);
-    for (std::uint32_t k = 0; k < 5000; ++k)
-        EXPECT_EQ(table.secondFor(k * 5), k + 1);
-    for (std::uint32_t k = 0; k < 5000; ++k)
-        table.erase(k * 5);
-    EXPECT_EQ(table.size(), 0u);
-    EXPECT_EQ(table.bytes(), 1024u * 8u);
-}
-
-TEST(SideTable, ZeroSecondMeansAbsent)
-{
-    // The old layout's default allocSecond was 0; the sparse table
-    // encodes that as "no entry", so storing 0 erases.
-    AllocSideTable table;
-    table.set(5, 123);
-    EXPECT_EQ(table.size(), 1u);
-    table.set(5, 0);
-    EXPECT_EQ(table.size(), 0u);
-    EXPECT_EQ(table.secondFor(5), 0u);
-    table.set(9, 0); // no-op insert
-    EXPECT_EQ(table.size(), 0u);
-}
-
-TEST(SideTable, SortedEntriesAreCanonical)
-{
-    AllocSideTable table;
-    const std::uint32_t keys[] = {900, 4, 77, 13, 500};
-    for (const std::uint32_t k : keys)
-        table.set(k, k + 1);
-    const auto entries = table.sortedEntries();
-    ASSERT_EQ(entries.size(), 5u);
-    for (std::size_t i = 1; i < entries.size(); ++i)
-        EXPECT_LT(entries[i - 1].key, entries[i].key);
 }
 
 // ---------------------------------------------------------------
@@ -548,19 +455,19 @@ TEST(BenchCli, NonIntegerValueExitsWithUsage)
 
 TEST(FrameTableFootprint, FixedCostIsTenBytesPerFrame)
 {
-    // 2 (meta) + 4 + 4 (links) with an empty side table. This is
-    // the structural floor the fleet-scale bench builds on; a change
-    // here is a capacity-planning event, not noise.
+    // 2 (meta) + 4 + 4 (links). This is the whole table the
+    // fleet-scale bench builds on; a change here is a
+    // capacity-planning event, not noise.
     const FrameArray fa(4096);
     EXPECT_EQ(fa.bytesUsed(), 4096u * 10u);
-    EXPECT_EQ(fa.sideTableEntries(), 0u);
 }
 
 TEST(FrameTableFootprint, RepresentativeServerStaysUnderBudget)
 {
     // The fleet-scale acceptance: a churned, pre-fragmented scale-
-    // tier server (the worst case the bench measures) must stay
-    // under 20 bytes/frame — at least 2x under the 40 bytes/frame
+    // tier server (the worst case the bench measures) holds exactly
+    // the 10 bytes/frame it started with — no allocation-driven
+    // state grows with the workload, 4x under the 40 bytes/frame
     // array-of-structs table the roadmap retired.
     faultInjector().reset();
     Server::Config config;
@@ -572,11 +479,8 @@ TEST(FrameTableFootprint, RepresentativeServerStaysUnderBudget)
     Server server(config);
     server.run();
     const FrameArray &frames = server.kernel().mem().frames();
-    const double perFrame =
-        static_cast<double>(frames.bytesUsed()) /
-        static_cast<double>(server.kernel().mem().numFrames());
-    EXPECT_LT(perFrame, 20.0);
-    EXPECT_GE(perFrame, 10.0); // the structural floor
+    EXPECT_EQ(frames.bytesUsed(),
+              10u * server.kernel().mem().numFrames());
 }
 
 TEST(FrameTableFootprint, ContigIndexStaysUnderTwoBytesPerFrame)
@@ -597,7 +501,7 @@ TEST(FrameTableFootprint, ContigIndexStaysUnderTwoBytesPerFrame)
 }
 
 // ---------------------------------------------------------------
-// Snapshot link/side-table validation (hostile images)
+// Snapshot frame-table validation (hostile images)
 // ---------------------------------------------------------------
 
 /** Pack one meta word the way the frame table does. */
@@ -619,7 +523,6 @@ struct RawTable
     std::vector<std::uint16_t> meta;
     std::vector<std::uint32_t> next;
     std::vector<std::uint32_t> prev;
-    std::vector<AllocSideTable::Entry> entries;
 
     RawTable()
         : meta(64, packMeta(PageFrame::FlagFree, 0,
@@ -629,7 +532,7 @@ struct RawTable
     {
         // Frame 0: a free order-2 list head. Frames 8..9: an
         // allocated order-1 block whose head carries an overlaid
-        // owner handle and a side-table timestamp.
+        // owner handle.
         meta[0] = packMeta(PageFrame::FlagFree | PageFrame::FlagHead,
                            2, MigrateType::Movable,
                            AllocSource::User);
@@ -639,7 +542,6 @@ struct RawTable
                            AllocSource::Slab);
         next[8] = 0xdeadbeef; // owner low half — NOT a link
         prev[8] = 0xfeedface; // owner high half — NOT a link
-        entries.push_back(AllocSideTable::Entry{8, 42});
     }
 
     std::vector<std::uint8_t>
@@ -649,11 +551,6 @@ struct RawTable
         out.putPodVector(meta);
         out.putPodVector(next);
         out.putPodVector(prev);
-        out.putU64(entries.size());
-        for (const AllocSideTable::Entry &e : entries) {
-            out.putU32(e.key);
-            out.putU32(e.second);
-        }
         return out.bytes();
     }
 };
@@ -675,13 +572,12 @@ TEST(FrameTableRestore, WellFormedImageRoundTripsByteExactly)
     FrameArray fa(64);
     ASSERT_NO_THROW(fa.loadFrom(in));
     // The restored table materializes the allocated head with its
-    // overlaid owner and side-table second...
+    // overlaid owner...
     const PageFrame head = fa.get(8);
     EXPECT_EQ(head.owner, 0xfeedface00000000ULL | 0xdeadbeefULL);
-    EXPECT_EQ(head.allocSecond, 42u);
     EXPECT_EQ(fa.get(9).owner, head.owner);
-    // ...and re-serializes to the identical image (canonical side
-    // table order, bitwise-stable columns).
+    // ...and re-serializes to the identical image (bitwise-stable
+    // columns).
     serde::Writer out;
     fa.saveTo(out);
     EXPECT_EQ(out.bytes(), bytes);
@@ -715,42 +611,6 @@ TEST(FrameTableRestore, AllocatedHeadLinksAreNotValidatedAsLinks)
     EXPECT_EQ(fa.get(8).owner, 0xfffffffefffffffeULL);
 }
 
-TEST(FrameTableRestore, HostileSideTablesAreRefused)
-{
-    {
-        RawTable raw;
-        raw.entries[0].key = 64; // out of range
-        expectLoadThrows(raw, "key out of range");
-    }
-    {
-        RawTable raw;
-        raw.entries[0].key = 0; // frame 0 is free — not a valid key
-        expectLoadThrows(raw, "key names a free frame");
-    }
-    {
-        RawTable raw;
-        raw.entries[0].key = 9; // allocated but not a head
-        expectLoadThrows(raw, "key names a non-head");
-    }
-    {
-        RawTable raw;
-        raw.entries[0].second = 0; // absent must be absent
-        expectLoadThrows(raw, "zero second");
-    }
-    {
-        RawTable raw; // duplicate/unsorted keys
-        raw.entries.push_back(AllocSideTable::Entry{8, 43});
-        expectLoadThrows(raw, "unsorted side table");
-    }
-    {
-        RawTable raw;
-        raw.entries.clear();
-        for (std::uint32_t k = 0; k < 65; ++k)
-            raw.entries.push_back(AllocSideTable::Entry{k, 1});
-        expectLoadThrows(raw, "more entries than frames");
-    }
-}
-
 TEST(FrameTableRestore, HostileMetaWordsAreRefused)
 {
     {
@@ -776,6 +636,83 @@ TEST(FrameTableRestore, HostileMetaWordsAreRefused)
         RawTable raw;
         raw.meta.resize(63); // column length mismatch
         expectLoadThrows(raw, "size mismatch");
+    }
+}
+
+/** Checkpoint image of a churned, prefragmented scale-tier server,
+ * encoded with `faults` as its injector. */
+std::vector<std::uint8_t>
+churnedServerImage(const Server::Config &config, FaultInjector &faults)
+{
+    const FaultInjectorScope scope(faults);
+    Server server(config);
+    server.runToCheckpoint();
+    return encodeSnapshot(server, faults);
+}
+
+Server::Config
+churnedServerConfig()
+{
+    Server::Config config;
+    config.memBytes = 64_MiB;
+    config.kind = WorkloadKind::Web;
+    config.prefragment = true;
+    config.uptimeSec = 3.0;
+    config.extraUptimeSec = 1.0;
+    config.seed = 0xf0a4;
+    return config;
+}
+
+/** The u32 format version in an image header (little-endian). */
+std::uint32_t
+imageVersion(const std::vector<std::uint8_t> &image)
+{
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= static_cast<std::uint32_t>(image[4 + i]) << (8 * i);
+    return v;
+}
+
+TEST(FrameTableRestore, FormatFourServerImageRoundTripsByteExactly)
+{
+    // Format 4 is the frame table as its three columns, with no
+    // allocation-second table and no PhysMem clock. A whole server
+    // image decodes and re-encodes to the same bytes.
+    faultInjector().reset();
+    const Server::Config config = churnedServerConfig();
+    FaultInjector faults(1);
+    const std::vector<std::uint8_t> image =
+        churnedServerImage(config, faults);
+    ASSERT_GE(image.size(), 8u);
+    EXPECT_EQ(snap::formatVersion, 4u);
+    EXPECT_EQ(imageVersion(image), 4u);
+    const std::unique_ptr<Server> restored =
+        decodeSnapshot(config, image, nullptr);
+    EXPECT_EQ(encodeSnapshot(*restored, faults), image);
+}
+
+TEST(FrameTableRestore, FormatThreeImageIsRefusedWithTheVersionError)
+{
+    // A format-3 frame table carries the side table and clock this
+    // build no longer reads; the header check refuses it before any
+    // payload is parsed, so the restore cold-starts.
+    faultInjector().reset();
+    const Server::Config config = churnedServerConfig();
+    FaultInjector faults(1);
+    std::vector<std::uint8_t> image =
+        churnedServerImage(config, faults);
+    ASSERT_GE(image.size(), 8u);
+    image[4] = 3;
+    image[5] = image[6] = image[7] = 0;
+    ASSERT_EQ(imageVersion(image), 3u);
+    try {
+        decodeSnapshot(config, image, nullptr);
+        ADD_FAILURE() << "a format-3 image was accepted";
+    } catch (const serde::Error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "format version 3 (this build speaks 4)"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

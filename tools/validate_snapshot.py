@@ -28,7 +28,10 @@ import sys
 import zlib
 
 FILE_MAGIC = 0x53475443  # 'CTGS' little-endian
-FORMAT_VERSION = 1
+# Images and the manifest both carry snap::formatVersion
+# (src/sim/snapshot.hh); the fleet_study_checkpoint_roundtrip ctest
+# (tools/check_fleet_checkpoint.py) fails when the two drift apart.
+FORMAT_VERSION = 4
 SEC_META = 1
 SEC_SERVER = 2
 SEC_FAULTS = 3
@@ -37,7 +40,7 @@ EXPECTED_SECTIONS = [SEC_META, SEC_SERVER, SEC_FAULTS, SEC_END]
 
 MANIFEST_NAME = "MANIFEST"
 MANIFEST_HEADER = "ctgsnap-manifest"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = FORMAT_VERSION
 
 
 class ValidationError(Exception):
