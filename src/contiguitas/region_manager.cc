@@ -36,9 +36,12 @@ RegionManager::RegionManager(PhysMem &mem, OwnerRegistry &owners,
     config_.minUnmovablePages =
         roundUpToAlign(config_.minUnmovablePages);
 
-    const Pfn boundary = std::clamp(
-        roundUpToAlign(config_.initialUnmovablePages),
-        config_.minUnmovablePages, total / 2);
+    // Not std::clamp: below 128 MiB the default minimum exceeds
+    // total / 2, and the half-memory cap wins.
+    const Pfn boundary = std::min(
+        std::max(roundUpToAlign(config_.initialUnmovablePages),
+                 config_.minUnmovablePages),
+        total / 2);
     unmovable_ = std::make_unique<BuddyAllocator>(
         mem, 0, boundary, "unmovable", MigrateType::Unmovable);
     movable_ = std::make_unique<BuddyAllocator>(

@@ -3,9 +3,8 @@
 namespace ctg
 {
 
-CacheArray::CacheArray(std::uint64_t bytes, unsigned assoc,
-                       std::string name)
-    : assoc_(assoc), name_(std::move(name))
+CacheArray::CacheArray(std::uint64_t bytes, unsigned assoc)
+    : assoc_(assoc)
 {
     const std::uint64_t num_lines = bytes / lineBytes;
     ctg_assert(num_lines > 0 && assoc > 0);
@@ -30,11 +29,9 @@ CacheArray::lookup(Addr line_addr)
         CacheEntry &entry = entries_[set * assoc_ + way];
         if (entry.valid && entry.lineAddr == line_addr) {
             entry.lru = ++lruClock_;
-            ++stats.hits;
             return &entry;
         }
     }
-    ++stats.misses;
     return nullptr;
 }
 
@@ -65,12 +62,11 @@ CacheArray::insert(Addr line_addr, CacheEntry *evicted)
             victim = &entry;
     }
     ctg_assert(victim != nullptr);
-    if (victim->valid) {
-        ++stats.evictions;
-        if (evicted != nullptr)
+    if (evicted != nullptr) {
+        if (victim->valid)
             *evicted = *victim;
-    } else if (evicted != nullptr) {
-        evicted->valid = false;
+        else
+            evicted->valid = false;
     }
     *victim = CacheEntry{};
     victim->valid = true;
@@ -91,13 +87,6 @@ CacheArray::invalidate(Addr line_addr)
         }
     }
     return false;
-}
-
-void
-CacheArray::flush()
-{
-    for (auto &entry : entries_)
-        entry = CacheEntry{};
 }
 
 } // namespace ctg

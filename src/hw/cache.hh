@@ -13,6 +13,7 @@
 #define CTG_HW_CACHE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "base/logging.hh"
@@ -30,19 +31,24 @@ enum class CohState : std::uint8_t
     Modified,
 };
 
-/** One cache entry. */
+/** One cache entry: 32 B, ordered widest field first so there is
+ * no padding. `lru` stays 64-bit: a wrapping clock would change the
+ * replacement order. */
 struct CacheEntry
 {
-    bool valid = false;
     Addr lineAddr = 0; //!< line-aligned byte address
-    CohState state = CohState::Invalid;
     std::uint64_t value = 0;
     std::uint64_t lru = 0;
-    /** Directory info (LLC only): which cores hold the line. */
+    /** Directory info (LLC only): which cores may hold the line — a
+     * superset of the cores with a valid private copy. */
     std::uint32_t sharers = 0;
-    /** Core holding the line Modified, or -1. */
-    std::int32_t owner = -1;
+    /** Core holding the line Modified (always a sharer), or -1. */
+    std::int16_t owner = -1;
+    bool valid = false;
+    CohState state = CohState::Invalid;
 };
+
+static_assert(sizeof(CacheEntry) == 32);
 
 /**
  * Set-associative tag/data array.
@@ -53,9 +59,8 @@ class CacheArray
     /**
      * @param bytes total capacity
      * @param assoc ways per set (assoc == lines -> fully associative)
-     * @param name for diagnostics
      */
-    CacheArray(std::uint64_t bytes, unsigned assoc, std::string name);
+    CacheArray(std::uint64_t bytes, unsigned assoc);
 
     /** Find the entry for a line; nullptr on miss. Touches LRU. */
     CacheEntry *lookup(Addr line_addr);
@@ -73,31 +78,11 @@ class CacheArray
     /** Invalidate a line if present; true if it was. */
     bool invalidate(Addr line_addr);
 
-    /** Drop everything (power-on state). */
-    void flush();
-
     std::uint64_t lines() const { return entries_.size(); }
     std::uint64_t sets() const { return sets_; }
 
-    /** Visit every valid entry (for back-invalidation sweeps). */
-    template <typename Fn>
-    void
-    forEachValid(Fn &&fn)
-    {
-        for (auto &entry : entries_) {
-            if (entry.valid)
-                fn(entry);
-        }
-    }
-
-    struct Stats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-    };
-
-    Stats stats;
+    /** Every way of every set, valid or not (invariant checks). */
+    std::span<const CacheEntry> entries() const { return entries_; }
 
   private:
     std::uint64_t setIndex(Addr line_addr) const;
@@ -106,7 +91,6 @@ class CacheArray
     std::uint64_t sets_;
     unsigned assoc_;
     std::uint64_t lruClock_ = 0;
-    std::string name_;
 };
 
 } // namespace ctg

@@ -1,5 +1,8 @@
 #include "hw/mem_hierarchy.hh"
 
+#include <bit>
+#include <sstream>
+
 namespace ctg
 {
 
@@ -20,13 +23,13 @@ MemHierarchy::MemHierarchy(const HwConfig &config)
     cores_.resize(config_.cores);
     for (unsigned c = 0; c < config_.cores; ++c) {
         cores_[c].l1 = std::make_unique<CacheArray>(
-            config_.l1Bytes, config_.l1Assoc, "l1");
+            config_.l1Bytes, config_.l1Assoc);
         cores_[c].l2 = std::make_unique<CacheArray>(
-            config_.l2Bytes, config_.l2Assoc, "l2");
+            config_.l2Bytes, config_.l2Assoc);
     }
     for (unsigned s = 0; s < config_.llcSlices(); ++s) {
         slices_.push_back(std::make_unique<CacheArray>(
-            config_.llcSliceBytes, config_.llcAssoc, "llc"));
+            config_.llcSliceBytes, config_.llcAssoc));
     }
 }
 
@@ -55,8 +58,48 @@ void
 MemHierarchy::dropSharer(CacheEntry &entry, CoreId core)
 {
     entry.sharers &= ~(std::uint32_t{1} << core);
-    if (entry.owner == static_cast<std::int32_t>(core))
+    if (entry.owner == static_cast<std::int16_t>(core))
         entry.owner = -1;
+}
+
+void
+MemHierarchy::claimExclusive(CacheEntry &dir, Addr line_addr,
+                             CoreId core)
+{
+    invalidateCores(line_addr,
+                    dir.sharers & ~(std::uint32_t{1} << core));
+    dir.sharers = std::uint32_t{1} << core;
+    dir.owner = static_cast<std::int16_t>(core);
+}
+
+void
+MemHierarchy::invalidateCores(Addr line_addr, std::uint32_t cores)
+{
+    for (; cores != 0; cores &= cores - 1) {
+        PrivateCaches &pc =
+            cores_[static_cast<unsigned>(std::countr_zero(cores))];
+        pc.l1->invalidate(line_addr);
+        pc.l2->invalidate(line_addr);
+    }
+}
+
+std::uint64_t
+MemHierarchy::loadMemory(Addr line_addr) const
+{
+    const auto it = mainMem_.find(line_addr);
+    return it == mainMem_.end() ? 0 : it->second;
+}
+
+void
+MemHierarchy::storeMemory(Addr line_addr, std::uint64_t value)
+{
+    // An absent line reads as 0: store a 0 only over a present one.
+    if (value != 0) {
+        mainMem_[line_addr] = value;
+    } else if (const auto it = mainMem_.find(line_addr);
+               it != mainMem_.end()) {
+        it->second = 0;
+    }
 }
 
 std::uint64_t
@@ -75,8 +118,7 @@ MemHierarchy::freshValue(Addr line_addr) const
     }
     if (dir != nullptr)
         return dir->value;
-    const auto it = mainMem_.find(line_addr);
-    return it == mainMem_.end() ? 0 : it->second;
+    return loadMemory(line_addr);
 }
 
 std::uint64_t
@@ -88,22 +130,21 @@ MemHierarchy::authoritativeValue(Addr line_addr) const
 void
 MemHierarchy::pokeMemory(Addr line_addr, std::uint64_t value)
 {
-    mainMem_[alignLine(line_addr)] = value;
+    storeMemory(alignLine(line_addr), value);
 }
 
 void
 MemHierarchy::invalidatePrivate(Addr line_addr)
 {
-    for (auto &pc : cores_) {
-        pc.l1->invalidate(line_addr);
-        pc.l2->invalidate(line_addr);
-    }
     CacheArray &slice = *slices_[sliceOf(line_addr)];
-    // The directory forgets all sharers; the LLC copy (if any)
-    // already carries the freshest value only if no owner existed,
-    // so callers needing the value must read it first (busRdX does).
+    // Inclusion: a line absent from the LLC has no private copy, and
+    // a present one's sharers cover every core holding it. The
+    // directory forgets all sharers; the LLC copy (if any) already
+    // carries the freshest value only if no owner existed, so
+    // callers needing the value must read it first (busRdX does).
     if (CacheEntry *dir =
             const_cast<CacheEntry *>(slice.peek(line_addr))) {
+        invalidateCores(line_addr, dir->sharers);
         dir->sharers = 0;
         dir->owner = -1;
     }
@@ -114,8 +155,9 @@ MemHierarchy::backInvalidate(const CacheEntry &evicted)
 {
     if (!evicted.valid)
         return;
-    // Inclusive LLC: displacing a line evicts it everywhere. Collect
-    // the freshest private value first.
+    // Inclusive LLC: displacing a line evicts it from every private
+    // cache, and only its sharers can hold it. Collect the freshest
+    // private value (the owner's, a sharer) first.
     std::uint64_t value = evicted.value;
     if (evicted.owner >= 0) {
         const PrivateCaches &pc =
@@ -125,38 +167,31 @@ MemHierarchy::backInvalidate(const CacheEntry &evicted)
         else if (const CacheEntry *e = pc.l2->peek(evicted.lineAddr))
             value = e->value;
     }
-    for (auto &pc : cores_) {
-        pc.l1->invalidate(evicted.lineAddr);
-        pc.l2->invalidate(evicted.lineAddr);
-    }
-    mainMem_[evicted.lineAddr] = value;
+    invalidateCores(evicted.lineAddr, evicted.sharers);
+    storeMemory(evicted.lineAddr, value);
     ++stats_.writebacks;
 }
 
 CacheEntry &
-MemHierarchy::llcFill(Addr line_addr, bool *filled_from_dram,
-                      Cycles *extra)
+MemHierarchy::llcInsert(CacheArray &slice, Addr line_addr)
 {
-    CacheArray &slice = *slices_[sliceOf(line_addr)];
-    if (CacheEntry *hit = slice.lookup(line_addr)) {
-        if (filled_from_dram != nullptr)
-            *filled_from_dram = false;
-        return *hit;
-    }
     CacheEntry evicted;
     CacheEntry &fresh = slice.insert(line_addr, &evicted);
     backInvalidate(evicted);
-    const auto it = mainMem_.find(line_addr);
-    fresh.value = it == mainMem_.end() ? 0 : it->second;
+    fresh.value = loadMemory(line_addr);
     fresh.state = CohState::Shared;
-    fresh.sharers = 0;
-    fresh.owner = -1;
-    if (filled_from_dram != nullptr)
-        *filled_from_dram = true;
-    if (extra != nullptr)
-        *extra += config_.dramLat;
     ++stats_.dramFills;
     return fresh;
+}
+
+CacheEntry &
+MemHierarchy::llcFill(Addr line_addr, Cycles *extra)
+{
+    CacheArray &slice = *slices_[sliceOf(line_addr)];
+    if (CacheEntry *hit = slice.lookup(line_addr))
+        return *hit;
+    *extra += config_.dramLat;
+    return llcInsert(slice, line_addr);
 }
 
 Addr
@@ -235,18 +270,8 @@ MemHierarchy::access(CoreId core, Addr paddr, bool write,
                                            sliceOf(line)) +
                                    config_.llcLat;
                     ++stats_.upgrades;
-                    if (dir != nullptr) {
-                        for (unsigned c = 0; c < cores_.size(); ++c) {
-                            if (c != core &&
-                                (dir->sharers &
-                                 (std::uint32_t{1} << c))) {
-                                cores_[c].l1->invalidate(line);
-                                cores_[c].l2->invalidate(line);
-                            }
-                        }
-                        dir->sharers = std::uint32_t{1} << core;
-                        dir->owner = static_cast<std::int32_t>(core);
-                    }
+                    if (dir != nullptr)
+                        claimExclusive(*dir, line, core);
                 }
                 e1->state = CohState::Modified;
                 e1->value = write_value;
@@ -272,17 +297,8 @@ MemHierarchy::access(CoreId core, Addr paddr, bool write,
                                        sliceOf(line)) +
                                config_.llcLat;
                 ++stats_.upgrades;
-                if (dir != nullptr) {
-                    for (unsigned c = 0; c < cores_.size(); ++c) {
-                        if (c != core &&
-                            (dir->sharers & (std::uint32_t{1} << c))) {
-                            cores_[c].l1->invalidate(line);
-                            cores_[c].l2->invalidate(line);
-                        }
-                    }
-                    dir->sharers = std::uint32_t{1} << core;
-                    dir->owner = static_cast<std::int32_t>(core);
-                }
+                if (dir != nullptr)
+                    claimExclusive(*dir, line, core);
             }
             if (write) {
                 e2->state = CohState::Modified;
@@ -317,19 +333,17 @@ MemHierarchy::access(CoreId core, Addr paddr, bool write,
 
     CacheArray &slice = *slices_[home];
     CacheEntry *dir = slice.lookup(line);
-    bool from_dram = false;
     if (dir == nullptr) {
-        Cycles fill_extra = 0;
-        dir = &llcFill(line, &from_dram, &fill_extra);
-        out.latency += fill_extra;
-        out.servedFromDram = from_dram;
+        dir = &llcInsert(slice, line);
+        out.latency += config_.dramLat;
+        out.servedFromDram = true;
     } else {
         ++stats_.llcHits;
     }
 
     // Fetch the freshest copy from a remote owner if one exists.
     if (dir->owner >= 0 &&
-        dir->owner != static_cast<std::int32_t>(core)) {
+        dir->owner != static_cast<std::int16_t>(core)) {
         const auto owner = static_cast<unsigned>(dir->owner);
         out.latency +=
             ringLat(home, owner % slices_.size()) + config_.l2Lat;
@@ -363,14 +377,7 @@ MemHierarchy::access(CoreId core, Addr paddr, bool write,
 
     // Fill the private hierarchy.
     if (write) {
-        for (unsigned c = 0; c < cores_.size(); ++c) {
-            if (c != core && (dir->sharers & (std::uint32_t{1} << c))) {
-                cores_[c].l1->invalidate(line);
-                cores_[c].l2->invalidate(line);
-            }
-        }
-        dir->sharers = std::uint32_t{1} << core;
-        dir->owner = static_cast<std::int32_t>(core);
+        claimExclusive(*dir, line, core);
     } else {
         dir->sharers |= std::uint32_t{1} << core;
     }
@@ -384,7 +391,7 @@ MemHierarchy::access(CoreId core, Addr paddr, bool write,
     // Exclusive lines can be silently written (E->M); the directory
     // must treat the exclusive holder as the potential owner.
     if (state != CohState::Shared)
-        dir->owner = static_cast<std::int32_t>(core);
+        dir->owner = static_cast<std::int16_t>(core);
 
     CacheEntry evicted;
     CacheEntry &e2 = pc.l2->insert(line, &evicted);
@@ -429,13 +436,12 @@ MemHierarchy::deviceAccess(Addr paddr, bool write,
 
     const unsigned home = sliceOf(line);
     out.latency += config_.ringHopLat + config_.llcLat;
-    CacheEntry *dir = slices_[home]->lookup(line);
-    bool from_dram = false;
+    CacheArray &slice = *slices_[home];
+    CacheEntry *dir = slice.lookup(line);
     if (dir == nullptr) {
-        Cycles fill_extra = 0;
-        dir = &llcFill(line, &from_dram, &fill_extra);
-        out.latency += fill_extra;
-        out.servedFromDram = from_dram;
+        dir = &llcInsert(slice, line);
+        out.latency += config_.dramLat;
+        out.servedFromDram = true;
     }
     if (dir->owner >= 0) {
         const auto owner = static_cast<unsigned>(dir->owner);
@@ -454,12 +460,7 @@ MemHierarchy::deviceAccess(Addr paddr, bool write,
     }
     if (write) {
         // Invalidate all cached copies; DMA writes must be visible.
-        for (unsigned c = 0; c < cores_.size(); ++c) {
-            if (dir->sharers & (std::uint32_t{1} << c)) {
-                cores_[c].l1->invalidate(line);
-                cores_[c].l2->invalidate(line);
-            }
-        }
+        invalidateCores(line, dir->sharers);
         dir->sharers = 0;
         dir->owner = -1;
         dir->value = write_value;
@@ -474,9 +475,8 @@ MemHierarchy::busRdX(Addr line_addr, Cycles *cost)
     const Addr line = alignLine(line_addr);
     const std::uint64_t value = freshValue(line);
     invalidatePrivate(line);
-    bool from_dram = false;
     Cycles extra = 0;
-    CacheEntry &dir = llcFill(line, &from_dram, &extra);
+    CacheEntry &dir = llcFill(line, &extra);
     dir.value = value;
     dir.sharers = 0;
     dir.owner = -1;
@@ -491,9 +491,8 @@ MemHierarchy::copyWrite(Addr line_addr, std::uint64_t value,
 {
     const Addr line = alignLine(line_addr);
     invalidatePrivate(line);
-    bool from_dram = false;
     Cycles extra = 0;
-    CacheEntry &dir = llcFill(line, &from_dram, &extra);
+    CacheEntry &dir = llcFill(line, &extra);
     dir.value = value;
     dir.sharers = 0;
     dir.owner = -1;
@@ -507,6 +506,43 @@ MemHierarchy::lineModifiedInPrivate(Addr line_addr) const
     const Addr line = alignLine(line_addr);
     const CacheEntry *dir = slices_[sliceOf(line)]->peek(line);
     return dir != nullptr && dir->owner >= 0;
+}
+
+std::string
+MemHierarchy::directoryViolation() const
+{
+    std::ostringstream why;
+    for (unsigned c = 0; c < cores_.size(); ++c) {
+        for (const CacheArray *level :
+             {cores_[c].l1.get(), cores_[c].l2.get()}) {
+            for (const CacheEntry &e : level->entries()) {
+                if (!e.valid)
+                    continue;
+                const CacheEntry *dir =
+                    slices_[sliceOf(e.lineAddr)]->peek(e.lineAddr);
+                if (dir == nullptr)
+                    why << "core " << c << " holds line 0x" << std::hex
+                        << e.lineAddr << " absent from the LLC";
+                else if (!(dir->sharers & (std::uint32_t{1} << c)))
+                    why << "core " << c << " holds line 0x" << std::hex
+                        << e.lineAddr << " without its sharer bit";
+                else
+                    continue;
+                return why.str();
+            }
+        }
+    }
+    for (const auto &slice : slices_) {
+        for (const CacheEntry &dir : slice->entries()) {
+            if (dir.valid && dir.owner >= 0 &&
+                !(dir.sharers & (std::uint32_t{1} << dir.owner))) {
+                why << "owner " << dir.owner << " of line 0x"
+                    << std::hex << dir.lineAddr << " is not a sharer";
+                return why.str();
+            }
+        }
+    }
+    return {};
 }
 
 void

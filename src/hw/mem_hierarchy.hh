@@ -16,6 +16,7 @@
 #define CTG_HW_MEM_HIERARCHY_HH
 
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -115,6 +116,15 @@ class MemHierarchy
      * (conventionally `<prefix>.mem_hierarchy`). */
     void regStats(StatGroup group) const;
 
+    /**
+     * Test hook: check the directory-superset invariant that
+     * back-invalidation relies on. Every valid L1/L2 line is present
+     * in its home LLC slice with its core's bit set in `sharers`, and
+     * every owner is a sharer.
+     * @return empty if it holds, else the first violation found
+     */
+    std::string directoryViolation() const;
+
   private:
     struct PrivateCaches
     {
@@ -131,15 +141,30 @@ class MemHierarchy
      * cache contents. */
     std::uint64_t freshValue(Addr line_addr) const;
 
-    /** Get or create the LLC entry for a line (handles eviction with
-     * back-invalidation); `filled` reports a DRAM fill happened. */
-    CacheEntry &llcFill(Addr line_addr, bool *filled_from_dram,
-                        Cycles *extra);
+    /** Fill a line that missed its LLC slice from DRAM, evicting
+     * (and back-invalidating) the set's LRU victim. */
+    CacheEntry &llcInsert(CacheArray &slice, Addr line_addr);
+
+    /** Get or create the LLC entry for a line; a DRAM fill adds its
+     * latency to `extra`. */
+    CacheEntry &llcFill(Addr line_addr, Cycles *extra);
 
     /** Remove a core from an LLC entry's sharer set. */
     static void dropSharer(CacheEntry &entry, CoreId core);
 
+    /** Make `core` the only sharer and the owner of a line,
+     * invalidating every other sharer's private copies. */
+    void claimExclusive(CacheEntry &dir, Addr line_addr, CoreId core);
+
+    /** Invalidate a line in the L1 and L2 of each core in a bitmap. */
+    void invalidateCores(Addr line_addr, std::uint32_t cores);
+
     void backInvalidate(const CacheEntry &evicted);
+
+    /** @{ Main memory holds only nonzero lines; absent reads as 0. */
+    std::uint64_t loadMemory(Addr line_addr) const;
+    void storeMemory(Addr line_addr, std::uint64_t value);
+    /** @} */
 
     HwConfig config_;
     std::vector<PrivateCaches> cores_;

@@ -8,6 +8,13 @@ namespace
 
 constexpr unsigned supportedOrders[] = {0, hugeOrder, gigaOrder};
 
+/** Index of a supported order in Tlb::held_. */
+unsigned
+sizeIndex(unsigned order)
+{
+    return order / hugeOrder;
+}
+
 } // namespace
 
 Tlb::Tlb(unsigned entries, unsigned assoc)
@@ -31,6 +38,8 @@ Tlb::lookup(Vpn vpn)
 {
     // One probe per supported page size, like split/skewed designs.
     for (const unsigned order : supportedOrders) {
+        if (held_[sizeIndex(order)] == 0)
+            continue;
         const Vpn head = vpn & ~((Vpn{1} << order) - 1);
         const std::uint64_t set = setOf(vpn, order);
         for (unsigned way = 0; way < assoc_; ++way) {
@@ -50,6 +59,7 @@ Tlb::lookup(Vpn vpn)
 void
 Tlb::insert(Vpn vpn_head, Pfn pfn_head, unsigned order)
 {
+    ctg_assert(order == 0 || order == hugeOrder || order == gigaOrder);
     ctg_assert((vpn_head & ((Vpn{1} << order) - 1)) == 0);
     const std::uint64_t set = setOf(vpn_head, order);
     Entry *victim = nullptr;
@@ -71,6 +81,9 @@ Tlb::insert(Vpn vpn_head, Pfn pfn_head, unsigned order)
         }
     }
     ctg_assert(victim != nullptr);
+    if (victim->valid)
+        --held_[sizeIndex(victim->order)];
+    ++held_[sizeIndex(order)];
     victim->valid = true;
     victim->vpnHead = vpn_head;
     victim->pfnHead = pfn_head;
@@ -83,6 +96,8 @@ Tlb::invalidate(Vpn vpn)
 {
     bool any = false;
     for (const unsigned order : supportedOrders) {
+        if (held_[sizeIndex(order)] == 0)
+            continue;
         const Vpn head = vpn & ~((Vpn{1} << order) - 1);
         const std::uint64_t set = setOf(vpn, order);
         for (unsigned way = 0; way < assoc_; ++way) {
@@ -90,6 +105,7 @@ Tlb::invalidate(Vpn vpn)
             if (entry.valid && entry.order == order &&
                 entry.vpnHead == head) {
                 entry = Entry{};
+                --held_[sizeIndex(order)];
                 any = true;
             }
         }
@@ -104,6 +120,7 @@ Tlb::flushAll()
 {
     for (auto &entry : entries_)
         entry = Entry{};
+    held_ = {};
 }
 
 PageWalkCache::PageWalkCache(unsigned entries)

@@ -8,6 +8,7 @@
 #ifndef CTG_HW_TLB_HH
 #define CTG_HW_TLB_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -27,11 +28,11 @@ class Tlb
   public:
     struct Entry
     {
-        bool valid = false;
         Vpn vpnHead = 0;    //!< order-aligned VPN of the mapping
         Pfn pfnHead = 0;
-        unsigned order = 0; //!< 0, 9 or 18
         std::uint64_t lru = 0;
+        unsigned order = 0; //!< 0, 9 or 18
+        bool valid = false;
     };
 
     Tlb(unsigned entries, unsigned assoc);
@@ -64,6 +65,9 @@ class Tlb
     std::uint64_t sets_;
     unsigned assoc_;
     std::uint64_t lruClock_ = 0;
+    /** Valid entries per page size (index order / hugeOrder): a size
+     * the TLB holds none of costs no set probe. */
+    std::array<std::uint64_t, 3> held_{};
 };
 
 /**

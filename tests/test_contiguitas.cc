@@ -237,6 +237,21 @@ TEST_F(RegionManagerTest, HwHookReceivesMigrations)
     EXPECT_GT(hook_calls, 0u);
 }
 
+TEST(RegionManagerSmall, HalfMemoryCapBeatsTheMinimum)
+{
+    // Below 128 MiB the default 64 MiB minimum exceeds half of
+    // memory; the boundary is capped at total / 2.
+    KernelConfig config;
+    config.memBytes = 64_MiB;
+    config.kernelTextBytes = 2_MiB;
+    Kernel kernel(config, ContiguitasPolicy::factory({}));
+    auto &policy = static_cast<ContiguitasPolicy &>(kernel.policy());
+    EXPECT_GT(RegionManager::Config{}.minUnmovablePages,
+              kernel.mem().numFrames() / 2);
+    EXPECT_EQ(policy.regions().boundary(), kernel.mem().numFrames() / 2);
+    policy.regions().checkConfinement();
+}
+
 class ContiguitasPolicyTest : public ::testing::Test
 {
   protected:

@@ -20,7 +20,7 @@ namespace
 
 TEST(CacheArray, InsertLookupInvalidate)
 {
-    CacheArray cache(32 * 1024, 8, "t");
+    CacheArray cache(32 * 1024, 8);
     const Addr line = 0x1000;
     EXPECT_EQ(cache.lookup(line), nullptr);
     CacheEntry &e = cache.insert(line, nullptr);
@@ -35,7 +35,7 @@ TEST(CacheArray, LruEvictsOldest)
 {
     // 8-way, line 64B: set count = 32KB/64/8 = 64 sets. Fill one set
     // with 9 lines mapping to set 0.
-    CacheArray cache(32 * 1024, 8, "t");
+    CacheArray cache(32 * 1024, 8);
     const Addr stride = 64 * 64; // same set every 64 lines
     for (int i = 0; i < 8; ++i)
         cache.insert(stride * static_cast<Addr>(i), nullptr);
@@ -116,8 +116,9 @@ TEST_P(CoherenceFuzz, MatchesReferenceModel)
     Rng rng(GetParam());
     std::unordered_map<Addr, std::uint64_t> reference;
 
-    // 64 lines across several pages ensures both sharing and
-    // eviction traffic.
+    // 64 random lines shared by all 8 cores: sharing and upgrade
+    // traffic. They never fill a set of the default caches, so
+    // nothing is evicted; CoherenceEvictionFuzz covers evictions.
     std::vector<Addr> lines;
     for (int i = 0; i < 64; ++i)
         lines.push_back(static_cast<Addr>(rng.below(1u << 20)) *
@@ -149,6 +150,94 @@ TEST_P(CoherenceFuzz, MatchesReferenceModel)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoherenceFuzz,
+                         ::testing::Values(11, 22, 33, 44));
+
+/**
+ * Core writes and reads, DMA writes and reads on caches small enough
+ * that every level evicts, checked against a reference map. After
+ * every step the directory must cover every private copy: back-
+ * invalidation visits only an evicted line's sharers.
+ */
+class CoherenceEvictionFuzz
+    : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(CoherenceEvictionFuzz, MatchesReferenceModel)
+{
+    HwConfig config;
+    config.l1Bytes = 1024; // 16 lines, 2-way
+    config.l1Assoc = 2;
+    config.l2Bytes = 4096; // 64 lines, 4-way
+    config.l2Assoc = 4;
+    config.llcSliceBytes = 8192; // 128 lines, 4-way, x8 slices
+    config.llcAssoc = 4;
+    MemHierarchy mem{config};
+    Rng rng(GetParam());
+    std::unordered_map<Addr, std::uint64_t> reference;
+    // Cores that touched a line since its last fill into the LLC and
+    // since another agent last wrote it: each still holds it unless
+    // its own caches evicted it.
+    std::unordered_map<Addr, std::uint32_t> kept;
+
+    // A hot set shared by all cores inside a pool twice the LLC.
+    std::vector<Addr> lines;
+    for (int i = 0; i < 2048; ++i)
+        lines.push_back(static_cast<Addr>(rng.below(1u << 22)) *
+                        lineBytes);
+
+    std::uint64_t l1_evictions = 0;
+    std::uint64_t l2_evictions = 0;
+    std::uint64_t refills_with_data = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const Addr line = rng.chance(0.6) ? lines[rng.below(48)]
+                                          : lines[rng.below(lines.size())];
+        const auto it = reference.find(line);
+        const std::uint64_t expected =
+            it == reference.end() ? 0 : it->second;
+        const MemHierarchy::Stats before = mem.stats();
+        const bool device = rng.chance(0.25);
+        const bool write = rng.chance(0.4);
+        const auto core = static_cast<CoreId>(rng.below(8));
+        const std::uint32_t bit = std::uint32_t{1} << core;
+        const bool was_kept = !device && (kept[line] & bit);
+        const std::uint64_t v = rng.next();
+        const auto out = device ? mem.deviceAccess(line, write, v)
+                                : mem.access(core, line, write, v);
+        const MemHierarchy::Stats &after = mem.stats();
+        if (write) {
+            reference[line] = v;
+            kept[line] = device ? 0 : bit;
+        } else {
+            ASSERT_EQ(out.value, expected)
+                << "step " << step << " line " << std::hex << line;
+            if (!device)
+                kept[line] |= bit;
+        }
+        if (after.dramFills != before.dramFills) {
+            kept[line] = device ? 0 : bit;
+            refills_with_data += !write && expected != 0;
+        }
+        // A kept line served below L1 was evicted by the core's own
+        // L1; served by the LLC, by its own L2.
+        if (was_kept && after.l2Hits != before.l2Hits)
+            ++l1_evictions;
+        if (was_kept && after.llcHits != before.llcHits)
+            ++l2_evictions;
+        ASSERT_EQ(mem.directoryViolation(), "") << "step " << step;
+    }
+    EXPECT_GT(l1_evictions, 0u);
+    EXPECT_GT(l2_evictions, 0u);
+    EXPECT_GT(mem.stats().writebacks, 0u); // LLC evictions
+    EXPECT_GT(refills_with_data, 0u); // written back, read from DRAM
+    for (const Addr line : lines) {
+        const auto it = reference.find(line);
+        const std::uint64_t expected =
+            it == reference.end() ? 0 : it->second;
+        EXPECT_EQ(mem.authoritativeValue(line), expected);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoherenceEvictionFuzz,
                          ::testing::Values(11, 22, 33, 44));
 
 TEST(TlbTest, InsertLookupInvalidate)
