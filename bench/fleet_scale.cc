@@ -5,36 +5,29 @@
  * intensity 0.7-1.3, 25% pre-fragmented, half stock Linux and half
  * Contiguitas) at the scale tier — small machines, short uptimes,
  * histograms fed from Fleet::run's per-server callback, coarse
- * stepping, pooled per-worker server arenas — and reports the
- * numbers that bound population size: frame-table and ContigIndex
- * bytes/frame, peak RSS, servers/second and host heap allocations
- * per server.
+ * stepping — and reports the numbers that bound population size:
+ * frame-table and ContigIndex bytes/frame, peak RSS, servers/second
+ * and host heap allocations per server.
  *
  * Defaults to 100,000 servers; `--servers` and `--mem-mb` rescale.
- * `--threads` sets worker threads (0 = auto), and `--coarse` /
- * `--pool` toggle the scale stepping mode and the server-arena pool
- * (both on by default here; both default off/on respectively
- * elsewhere — see CTG_COARSE_STEP / CTG_SLOT_POOL). Fleet::run holds
- * one merge window of results at a time, so peak RSS barely grows
- * with `--servers`. The `--json BENCH_fleet.json` output carries, per
- * system, the measured `bytes_per_frame` next to
- * `bytes_per_frame_aos` and the index's `index_bytes_per_frame`,
- * plus `allocs_per_server` next to the
- * churn-baseline `allocs_per_server_churn` a small pool-off probe
- * measures, so CI trend-tracks both the >= 2x footprint reduction
- * and the >= 10x allocation reduction directly.
+ * `--threads` sets worker threads (0 = auto), and `--coarse` toggles
+ * the scale stepping mode (on by default here, off elsewhere — see
+ * CTG_COARSE_STEP). Fleet::run holds one merge window of results at
+ * a time, so peak RSS barely grows with `--servers`. The `--json
+ * BENCH_fleet.json` output carries, per system, the measured
+ * `bytes_per_frame` next to `bytes_per_frame_aos` and the index's
+ * `index_bytes_per_frame`, plus `allocs_per_server`, so CI
+ * trend-tracks the >= 2x footprint reduction directly.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
 
-#include "base/arena.hh"
 #include "base/host_mem.hh"
 #include "base/mergeable_stats.hh"
 #include "bench/bench_util.hh"
 #include "fleet/fleet.hh"
-#include "fleet/server_slot.hh"
 
 using namespace ctg;
 
@@ -61,8 +54,7 @@ struct PopulationResult
  * magnitude, is the point of this bench). */
 Fleet::Config
 scaleConfig(bool contiguitas, unsigned servers,
-            std::uint64_t mem_bytes, unsigned threads, bool coarse,
-            bool pool)
+            std::uint64_t mem_bytes, unsigned threads, bool coarse)
 {
     Fleet::Config config;
     config.servers = servers;
@@ -75,7 +67,6 @@ scaleConfig(bool contiguitas, unsigned servers,
     config.prefragmentFrac = 0.25;
     config.threads = threads;
     config.coarseStep = coarse;
-    config.slotPool = pool;
     config.seed = 0x5ca1e ^ (contiguitas ? 1 : 0);
     config.applyEnvOverlay();
     return config;
@@ -84,9 +75,8 @@ scaleConfig(bool contiguitas, unsigned servers,
 /** Frame-table footprint probe: run one representative server of
  * this population to its scan and measure the table it ends with.
  * The fleet's servers are transient (created and destroyed per
- * task), so the probe runs one through a pooled ServerSlot — the
- * same storage discipline fleet workers use — starting from the
- * fleet's own stamped base config. */
+ * task), so the probe builds its own, starting from the fleet's
+ * stamped base config. */
 void
 probeFootprint(const Fleet &fleet, PopulationResult *out)
 {
@@ -97,10 +87,7 @@ probeFootprint(const Fleet &fleet, PopulationResult *out)
     sc.uptimeSec = fleet.config().minUptimeSec;
     sc.seed = 0xf00d;
     sc.applyEnvOverlay();
-    ServerSlot slot;
-    slot.begin();
-    const ArenaScope scope(slot.arena());
-    Server &server = slot.construct(sc);
+    Server server(sc);
     server.run();
     const FrameArray &frames = server.kernel().mem().frames();
     const double n =
@@ -115,10 +102,10 @@ probeFootprint(const Fleet &fleet, PopulationResult *out)
 PopulationResult
 runPopulation(bool contiguitas, unsigned servers,
               std::uint64_t mem_bytes, unsigned threads, bool coarse,
-              bool pool, std::string *stats_json)
+              std::string *stats_json)
 {
-    const Fleet::Config config = scaleConfig(
-        contiguitas, servers, mem_bytes, threads, coarse, pool);
+    const Fleet::Config config =
+        scaleConfig(contiguitas, servers, mem_bytes, threads, coarse);
     const char *prefix = contiguitas ? "fleet.ctg" : "fleet.linux";
 
     PopulationResult result;
@@ -158,23 +145,6 @@ runPopulation(bool contiguitas, unsigned servers,
     return result;
 }
 
-/** Heap allocations per server with the slot pool off — the churn
- * baseline the pooled gauge is compared against. Probed on a small
- * population; per-server allocation cost is size-independent. */
-std::uint64_t
-churnProbeAllocs(bool contiguitas, unsigned servers,
-                 std::uint64_t mem_bytes, unsigned threads,
-                 bool coarse)
-{
-    const Fleet::Config config =
-        scaleConfig(contiguitas, servers, mem_bytes, threads,
-                    coarse, /*pool=*/false);
-    Fleet fleet(config);
-    const std::uint64_t before = heapAllocCount();
-    fleet.run();
-    return heapAllocCount() - before;
-}
-
 } // namespace
 
 int
@@ -184,7 +154,6 @@ main(int argc, char **argv)
     std::string mem_mb_s = "64";
     std::string threads_s = "0";
     std::string coarse_s = "1";
-    std::string pool_s = "1";
     bench::parseArgs(
         argc, argv,
         {{"servers", &servers_s,
@@ -193,9 +162,7 @@ main(int argc, char **argv)
          {"threads", &threads_s,
           "worker threads (0 = auto)"},
          {"coarse", &coarse_s,
-          "scale stepping: batch idle workload segments (0/1)"},
-         {"pool", &pool_s,
-          "pooled per-worker server arenas (0/1)"}});
+          "scale stepping: batch idle workload segments (0/1)"}});
     const unsigned servers = static_cast<unsigned>(
         bench::flagU64(servers_s, "servers"));
     const std::uint64_t memBytes =
@@ -203,47 +170,29 @@ main(int argc, char **argv)
     const unsigned threads = static_cast<unsigned>(
         bench::flagU64(threads_s, "threads"));
     const bool coarse = bench::flagU64(coarse_s, "coarse") != 0;
-    const bool pool = bench::flagU64(pool_s, "pool") != 0;
 
     bench::banner("Fleet scale",
                   "10^5-10^6-server population capacity study");
     std::printf("(population: %u servers at %llu MiB each, scale "
-                "tier, coarse=%d pool=%d)\n",
+                "tier, coarse=%d)\n",
                 servers,
                 static_cast<unsigned long long>(memBytes >> 20),
-                int(coarse), int(pool));
+                int(coarse));
 
     std::string stats_json;
     bench::WallTimer wall;
     const PopulationResult linux_pop =
         runPopulation(false, servers / 2, memBytes, threads, coarse,
-                      pool, &stats_json);
+                      &stats_json);
     const PopulationResult ctg_pop =
         runPopulation(true, servers - servers / 2, memBytes, threads,
-                      coarse, pool, &stats_json);
+                      coarse, &stats_json);
     const double totalWallMs = wall.ms();
 
-    // Churn baseline: a small pool-off population per system, sized
-    // to keep the probe a rounding error of the main run.
-    const unsigned churnLinuxServers =
-        std::min(1000u, std::max(1u, servers / 2));
-    const unsigned churnCtgServers =
-        std::min(1000u, std::max(1u, servers - servers / 2));
-    const std::uint64_t churnAllocs =
-        churnProbeAllocs(false, churnLinuxServers, memBytes, threads,
-                         coarse) +
-        churnProbeAllocs(true, churnCtgServers, memBytes, threads,
-                         coarse);
-    const double churnPerServer =
-        static_cast<double>(churnAllocs) /
-        static_cast<double>(churnLinuxServers + churnCtgServers);
-    const double pooledPerServer =
+    const double allocsPerServer =
         static_cast<double>(linux_pop.heapAllocs +
                             ctg_pop.heapAllocs) /
         static_cast<double>(servers);
-    const double allocReduction =
-        pooledPerServer > 0.0 ? churnPerServer / pooledPerServer
-                              : 0.0;
 
     const double serversPerSec =
         1000.0 * static_cast<double>(servers) / totalWallMs;
@@ -285,9 +234,7 @@ main(int argc, char **argv)
                 "(%u worker threads, wall %.0f ms)\n",
                 serversPerSec, servers, linux_pop.threads,
                 totalWallMs);
-    std::printf("Heap allocations: %.0f/server pooled vs %.0f/server "
-                "churn baseline (%.1fx reduction)\n",
-                pooledPerServer, churnPerServer, allocReduction);
+    std::printf("Heap allocations: %.0f/server\n", allocsPerServer);
     std::printf("Peak RSS: %.0f MiB\n", peakRssMb);
 
     char line[160];
@@ -312,24 +259,9 @@ main(int argc, char **argv)
                   int(coarse));
     stats_json += line;
     std::snprintf(line, sizeof(line),
-                  "{\"name\":\"fleet.slot_pool\",\"kind\":\"gauge\","
-                  "\"value\":%d}\n",
-                  int(pool));
-    stats_json += line;
-    std::snprintf(line, sizeof(line),
                   "{\"name\":\"fleet.allocs_per_server\",\"kind\":"
                   "\"gauge\",\"value\":%.1f}\n",
-                  pooledPerServer);
-    stats_json += line;
-    std::snprintf(line, sizeof(line),
-                  "{\"name\":\"fleet.allocs_per_server_churn\","
-                  "\"kind\":\"gauge\",\"value\":%.1f}\n",
-                  churnPerServer);
-    stats_json += line;
-    std::snprintf(line, sizeof(line),
-                  "{\"name\":\"fleet.alloc_reduction_x\",\"kind\":"
-                  "\"gauge\",\"value\":%.2f}\n",
-                  allocReduction);
+                  allocsPerServer);
     stats_json += line;
     std::snprintf(line, sizeof(line),
                   "{\"name\":\"fleet.bytes_per_frame\",\"kind\":"

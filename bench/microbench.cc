@@ -71,7 +71,7 @@ BENCHMARK(BM_BuddyFallbackSteal);
  * machine fragmented by 20k single-page allocations, ~10% unmovable.
  */
 void
-fragmentForScan(PhysMem &mem, BuddyAllocator &buddy)
+fragmentForScan(BuddyAllocator &buddy)
 {
     Rng rng(1);
     for (int i = 0; i < 20000; ++i) {
@@ -88,7 +88,7 @@ BM_ContiguityScan2MReference(benchmark::State &state)
 {
     PhysMem mem(512_MiB);
     BuddyAllocator buddy(mem, 0, mem.numFrames(), "bm");
-    fragmentForScan(mem, buddy);
+    fragmentForScan(buddy);
     for (auto _ : state) {
         benchmark::DoNotOptimize(scan::reference::unmovableBlockFraction(
             mem, 0, mem.numFrames(), scan::order2M));
@@ -102,7 +102,7 @@ BM_ContiguityScan2MIndex(benchmark::State &state)
 {
     PhysMem mem(512_MiB);
     BuddyAllocator buddy(mem, 0, mem.numFrames(), "bm");
-    fragmentForScan(mem, buddy);
+    fragmentForScan(buddy);
     for (auto _ : state) {
         benchmark::DoNotOptimize(mem.stats().unmovableBlockFraction(
             0, mem.numFrames(), scan::order2M));

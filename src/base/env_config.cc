@@ -32,7 +32,7 @@ parsePositive(const char *text, unsigned *out)
 
 /** Strict boolean: only the documented spellings are accepted.
  * Returns false (leaving *out untouched) on anything else, so the
- * caller can warn naming the variable — "CTG_EXACT_PREF=ture" must
+ * caller can warn naming the variable — "CTG_COARSE_STEP=ture" must
  * not silently enable the knob. */
 bool
 parseBool(const char *text, bool *out)
@@ -98,21 +98,10 @@ EnvConfig::fromEnv()
 
     config.csvTables = std::getenv("CTG_CSV") != nullptr;
 
-    if (const char *env = std::getenv("CTG_EXACT_PREF")) {
-        if (!parseBool(env, &config.exactPref))
-            warn_once("ignoring malformed CTG_EXACT_PREF '%s'",
-                      env);
-    }
-
     if (const char *env = std::getenv("CTG_COARSE_STEP")) {
         if (!parseBool(env, &config.coarseStep))
             warn_once("ignoring malformed CTG_COARSE_STEP '%s'",
                       env);
-    }
-
-    if (const char *env = std::getenv("CTG_SLOT_POOL")) {
-        if (!parseBool(env, &config.slotPool))
-            warn_once("ignoring malformed CTG_SLOT_POOL '%s'", env);
     }
 
     if (const char *env = std::getenv("CTG_POLICY"))

@@ -55,12 +55,6 @@ struct EnvConfig
     /** CTG_CSV: append CSV renderings after bench tables. */
     bool csvTables = false;
 
-    /** CTG_EXACT_PREF: AddrPref allocations pick the exact
-     * lowest/highest free block via an index descent instead of the
-     * capped free-list scan (default off — this changes placement,
-     * so it is opt-in). */
-    bool exactPref = false;
-
     /** CTG_COARSE_STEP: fleet servers batch workload events into
      * one step per uptime segment while their policy reports no
      * pending maintenance (deferred resizes), dropping to the fine
@@ -70,14 +64,6 @@ struct EnvConfig
      * Figure 4/12 CDF shapes survive it (default off; the scale
      * bench turns it on). */
     bool coarseStep = false;
-
-    /** CTG_SLOT_POOL: fleet workers recycle per-thread ServerSlot
-     * arenas across tasks instead of constructing every server on
-     * the host heap (default on; bit-identical either way — the
-     * pooled-vs-fresh equivalence suite pins it). "0" restores the
-     * construct-per-task baseline, which is also how the scale
-     * bench measures its alloc-count reduction. */
-    bool slotPool = true;
 
     /** CTG_POLICY: placement-policy spec "name[:key=val,...]"
      * (registry names: vanilla, contiguitas, contiguitas-nobias,

@@ -19,11 +19,10 @@ namespace ctg
 std::uint64_t peakRssBytes();
 
 /** Host-heap allocations performed by this process so far: every
- * operator-new call that was *not* served by an active task arena
- * (see base/arena.hh, where the counter lives). The fleet-scale
- * bench reads a delta of this around each run — the pooled path
- * must show >= 10x fewer host allocations per simulated server than
- * the construct-per-task baseline. Monotonic, relaxed. */
+ * operator-new call, of any variant (host_mem.cc replaces the global
+ * operator new/delete family to count them). Benchmarks read a delta
+ * of this around a server's run to report host allocations per
+ * simulated server. Monotonic, relaxed. */
 std::uint64_t heapAllocCount();
 
 } // namespace ctg

@@ -9,7 +9,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "base/arena.hh"
 #include "base/env_config.hh"
 #include "base/logging.hh"
 
@@ -128,9 +127,6 @@ emit(Event &ev)
         s->buf.push_back(ev);
         return;
     }
-    // The collector outlives any task arena the calling thread may
-    // be routed through; it must grow on the host heap.
-    const ArenaSuspend suspend;
     std::lock_guard<std::mutex> lock(mu_);
     if (collected_.size() >= collectorCap &&
         ev.phase != Event::Phase::End) {
@@ -343,7 +339,6 @@ Scope::begin(TraceFlag flag, const char *name, const Arg *args,
         s->openStack.push_back(id_);
         s->buf.push_back(ev);
     } else {
-        const ArenaSuspend suspend; // see emit()
         std::lock_guard<std::mutex> lock(mu_);
         if (collected_.size() >= collectorCap) {
             ++collectorDropped_;
@@ -470,7 +465,6 @@ publish(std::vector<Event> events)
 {
     if (events.empty())
         return;
-    const ArenaSuspend suspend; // see emit()
     std::lock_guard<std::mutex> lock(mu_);
     // Ends bypass the cap only when their Begin made it in. A Begin
     // dropped at the cap poisons its span id so the matching End
@@ -579,7 +573,6 @@ writeJson(const std::string &path)
 void
 setExportPath(const std::string &path)
 {
-    const ArenaSuspend suspend; // see emit()
     std::lock_guard<std::mutex> lock(mu_);
     exportPath_ = path;
     if (!atexitRegistered_ && !exportPath_.empty()) {

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "base/arena.hh"
 #include "base/logging.hh"
 #include "kernel/vanilla_policy.hh"
 
@@ -155,11 +154,6 @@ parsePolicySpec(const std::string &spec, PolicyConfig *out)
 PolicyRegistry &
 PolicyRegistry::instance()
 {
-    // First use may come from a pooled fleet worker whose thread is
-    // routing allocations into a task arena that is rewound between
-    // servers; the registry outlives every task, so its storage must
-    // come from the host heap.
-    const ArenaSuspend off;
     static PolicyRegistry registry;
     return registry;
 }

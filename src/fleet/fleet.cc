@@ -5,17 +5,14 @@
 #include <exception>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <optional>
 
-#include "base/arena.hh"
 #include "base/env_config.hh"
 #include "base/host_mem.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "base/span_trace.hh"
 #include "base/trace.hh"
-#include "fleet/server_slot.hh"
 #include "sim/executor.hh"
 #include "sim/fault_injector.hh"
 #include "sim/snapshot.hh"
@@ -33,12 +30,8 @@ Fleet::Config::applyEnvOverlay()
         parsePolicySpec(env.policySpec, &policy);
     if (workloadOverride.empty())
         workloadOverride = env.workloadOverride;
-    if (!exactPref)
-        exactPref = env.exactPref;
     if (!coarseStep)
         coarseStep = env.coarseStep;
-    if (!slotPool)
-        slotPool = env.slotPool;
     if (checkpointDir.empty())
         checkpointDir = env.checkpointDir;
     if (restoreDir.empty())
@@ -263,30 +256,12 @@ Fleet::run(const ScanCallback &onScan)
         /** Manifest line for this server's written snapshot, when
          * checkpointing succeeded for it. */
         std::optional<snap::ManifestEntry> snapEntry;
-        /** The task's exception, if it failed (off-arena copy). */
+        /** The task's exception, if it failed. */
         std::exception_ptr error;
     };
 
-    // Pooled server storage (the fleet-scale fast path): one
-    // ServerSlot per concurrently running task, its arena reset and
-    // reused across tasks and windows. A task takes a slot from the
-    // idle list (or makes one) and parks it there when done, so at
-    // most `threads` slots ever exist; one short lock per server is
-    // noise next to the ~ms of simulation it brackets.
-    const bool pooled = config_.slotPool.value_or(
-        sim::EnvConfig::fromEnv().slotPool);
-    std::mutex slotsMu;
-    std::vector<std::unique_ptr<ServerSlot>> idleSlots;
-
-    // The task body, shared by the pooled and fresh paths. With a
-    // slot, the caller has already opened an ArenaScope: every
-    // allocation below lands in the slot's arena and dies at the
-    // next task's rewind, so everything that outlives the task —
-    // trace text, span events, the manifest entry — is deep-copied
-    // into `out` under ArenaSuspend before returning. ServerScan is
-    // all-POD and assigns safely either way.
     const auto runOne = [&](unsigned i, const Server::Config &sc,
-                            TaskResult &out, ServerSlot *slot) {
+                            TaskResult &out) {
         trace::ThreadCapture capture;
         std::optional<spans::Capture> spanCapture;
         if (spansOn)
@@ -297,7 +272,6 @@ Fleet::run(const ScanCallback &onScan)
                     i, int(sc.kind), sc.intensity,
                     int(sc.prefragment), sc.uptimeSec);
         const FaultInjectorScope scope(out.faults);
-        std::optional<snap::ManifestEntry> localEntry;
         {
             CTG_SPAN_NAMED(srv_span, Fleet, "server.run",
                            {{"server", i},
@@ -312,7 +286,6 @@ Fleet::run(const ScanCallback &onScan)
             // bit-identical to a straight-through run (the restore
             // attempt only ever probes snap.* fault sites, which
             // have their own RNG streams).
-            bool restored = false;
             std::unique_ptr<Server> restoredServer;
             if (restoreManifest) {
                 const snap::ManifestEntry *entry =
@@ -326,34 +299,19 @@ Fleet::run(const ScanCallback &onScan)
                             snap::readImageFile(config_.restoreDir +
                                                 "/" + entry->file);
                         snap::validateAgainstManifest(*entry, bytes);
-                        std::unique_ptr<Server> server =
+                        restoredServer =
                             decodeSnapshot(sc, bytes, &out.faults);
-                        if (slot != nullptr) {
-                            out.scan =
-                                slot->adopt(std::move(server))
-                                    .resume();
-                        } else {
-                            restoredServer = std::move(server);
-                            out.scan = restoredServer->resume();
-                        }
-                        restored = true;
+                        out.scan = restoredServer->resume();
                     } catch (const serde::Error &e) {
+                        restoredServer.reset();
                         warn("server %u: snapshot restore failed "
                              "(%s); cold-starting", i, e.what());
                     }
                 }
             }
-            // Fresh construction: into the slot's arena when pooled
-            // (no rewind — a restore fallback must not clobber the
-            // captures above), on the stack otherwise.
             std::optional<Server> localServer;
-            const auto makeServer = [&]() -> Server & {
-                if (slot != nullptr)
-                    return slot->construct(sc);
-                return localServer.emplace(sc);
-            };
-            if (!restored && checkpointing) {
-                Server &server = makeServer();
+            if (restoredServer == nullptr && checkpointing) {
+                Server &server = localServer.emplace(sc);
                 server.runToCheckpoint();
                 snap::ManifestEntry entry;
                 entry.server = i;
@@ -369,10 +327,10 @@ Fleet::run(const ScanCallback &onScan)
                 if (snap::writeImageFile(config_.checkpointDir +
                                              "/" + entry.file,
                                          bytes))
-                    localEntry = std::move(entry);
+                    out.snapEntry = std::move(entry);
                 out.scan = server.resume();
-            } else if (!restored) {
-                out.scan = makeServer().run();
+            } else if (restoredServer == nullptr) {
+                out.scan = localServer.emplace(sc).run();
             }
             srv_span.arg("free_2m_bp",
                          static_cast<std::int64_t>(
@@ -383,86 +341,15 @@ Fleet::run(const ScanCallback &onScan)
                       {"prefragment", sc.prefragment ? 1 : 0}});
             localServer.reset();
             restoredServer.reset();
-            if (slot != nullptr)
-                slot->release();
         }
         CTG_DPRINTF(Fleet,
                     "server %u done: free_contig_2m=%.3f "
                     "unmovable_blocks_2m=%.3f",
                     i, out.scan.freeContiguity[0],
                     out.scan.unmovableBlocks[0]);
-        if (slot == nullptr) {
-            out.traceText = capture.take();
-            if (spanCapture)
-                out.spanEvents = spanCapture->take();
-            out.snapEntry = std::move(localEntry);
-            return;
-        }
-        // Pooled: the captured buffers are arena-backed. Take them
-        // first (still inside the scope), then deep-copy element by
-        // element with the arena suspended so the copies survive the
-        // rewind. Event name/key pointers are static literals, safe
-        // to carry across tasks.
-        const std::string traceText = capture.take();
-        std::vector<spans::Event> events;
+        out.traceText = capture.take();
         if (spanCapture)
-            events = spanCapture->take();
-        const ArenaSuspend off;
-        out.traceText.assign(traceText.begin(), traceText.end());
-        out.spanEvents.assign(events.begin(), events.end());
-        if (localEntry) {
-            snap::ManifestEntry deep;
-            deep.server = localEntry->server;
-            deep.bytes = localEntry->bytes;
-            deep.crc = localEntry->crc;
-            deep.file.assign(localEntry->file.begin(),
-                             localEntry->file.end());
-            out.snapEntry = std::move(deep);
-        }
-    };
-
-    const auto runPooled = [&](unsigned i, const Server::Config &sc,
-                               TaskResult &out) {
-        std::unique_ptr<ServerSlot> slot;
-        {
-            const std::lock_guard<std::mutex> lock(slotsMu);
-            if (!idleSlots.empty()) {
-                slot = std::move(idleSlots.back());
-                idleSlots.pop_back();
-            }
-        }
-        if (slot == nullptr)
-            slot = std::make_unique<ServerSlot>();
-        // Rewind before the scope opens: the rewind invalidates the
-        // previous task's arena contents, so nothing this task has
-        // allocated may predate it.
-        slot->begin();
-        {
-            const ArenaScope arenaScope(slot->arena());
-            try {
-                runOne(i, sc, out, slot.get());
-            } catch (const PanicError &e) {
-                // Exception messages are arena-backed; rethrow a
-                // deep copy built off-arena, preserving the concrete
-                // types tests and callers catch. bad_alloc carries a
-                // static message and propagates as-is.
-                const ArenaSuspend off;
-                throw PanicError(std::string(e.what()));
-            } catch (const FatalError &e) {
-                const ArenaSuspend off;
-                throw FatalError(std::string(e.what()));
-            } catch (const serde::Error &e) {
-                const ArenaSuspend off;
-                throw serde::Error(std::string(e.what()));
-            } catch (const std::bad_alloc &) {
-                throw;
-            } catch (const std::exception &e) {
-                const ArenaSuspend off;
-                throw std::runtime_error(std::string(e.what()));
-            }
-        }
-        const std::lock_guard<std::mutex> lock(slotsMu);
-        idleSlots.push_back(std::move(slot));
+            out.spanEvents = spanCapture->take();
     };
 
     // Dispatch in windows of kMergeWindowPerThread × threads servers.
@@ -491,13 +378,9 @@ Fleet::run(const ScanCallback &onScan)
         executor.run(count, [&](std::size_t task) {
             const unsigned i = lo + static_cast<unsigned>(task);
             TaskResult &out = results[task];
-            // Heap-free, so safe to fork before any arena is active.
             out.faults = ambient.forkForTask(i);
             try {
-                if (pooled)
-                    runPooled(i, configs[task], out);
-                else
-                    runOne(i, configs[task], out, nullptr);
+                runOne(i, configs[task], out);
             } catch (...) {
                 out.error = std::current_exception();
             }

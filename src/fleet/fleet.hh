@@ -79,22 +79,13 @@ class Fleet
          * names warn and leave the sampled mix in place. */
         std::string workloadOverride;
         /** Per-server exact AddrPref toggle, copied into every
-         * Server::Config (nullopt = CTG_EXACT_PREF, default off). */
-        std::optional<bool> exactPref;
+         * Server::Config (default off). */
+        bool exactPref = false;
         /** Per-server scale stepping toggle, copied into every
          * Server::Config (nullopt = CTG_COARSE_STEP, default off).
          * Changes results (deliberately coarser model), so it is
          * part of both config fingerprints. */
         std::optional<bool> coarseStep;
-        /** Pooled per-worker server arenas (nullopt = CTG_SLOT_POOL,
-         * default on): each running task takes a ServerSlot (at most
-         * one per worker exists) whose arena backs every allocation
-         * the task makes, reset and reused across tasks instead of
-         * churning the heap.
-         * Results are bit-identical either way; "false" restores the
-         * per-task-churn baseline (the pool equivalence tests pin
-         * this). */
-        std::optional<bool> slotPool;
 
         /** Checkpoint directory (CTG_CHECKPOINT): every server's
          * state at its uptime boundary is written here as an
@@ -115,8 +106,7 @@ class Fleet
 
         /** Overlay environment-derived fields (sim::EnvConfig) onto
          * any still-unset knobs (threads, workloadOverride,
-         * exactPref, coarseStep, slotPool, checkpointDir,
-         * restoreDir). */
+         * coarseStep, checkpointDir, restoreDir). */
         void applyEnvOverlay();
     };
 

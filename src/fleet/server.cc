@@ -24,8 +24,6 @@ Server::Config::applyEnvOverlay()
         if (!spec.empty())
             parsePolicySpec(spec, &policy);
     }
-    if (!exactPref)
-        exactPref = sim::EnvConfig::fromEnv().exactPref;
     if (!coarseStep)
         coarseStep = sim::EnvConfig::fromEnv().coarseStep;
 }
@@ -96,8 +94,7 @@ Server::Server(const Config &config)
             return entry.make(kernel, config_.policy);
         });
 
-    kernel_->mem().setExactAddrPref(config_.exactPref.value_or(
-        sim::EnvConfig::fromEnv().exactPref));
+    kernel_->mem().setExactAddrPref(config_.exactPref);
 
     workload_ = std::make_unique<Workload>(
         *kernel_, profileFor(config_), config_.seed ^ 0x77ff);
@@ -130,8 +127,7 @@ Server::Server(const Config &config, serde::Reader &in)
         },
         in);
 
-    kernel_->mem().setExactAddrPref(config_.exactPref.value_or(
-        sim::EnvConfig::fromEnv().exactPref));
+    kernel_->mem().setExactAddrPref(config_.exactPref);
 
     const bool hasFragmenter = in.getBool();
     if (hasFragmenter != config_.prefragment)
@@ -421,8 +417,7 @@ serverConfigFingerprint(const Server::Config &config)
     // must not silently continue with it off (and vice versa).
     // sharedTables is a pure cache of makeProfile outputs, so it is
     // deliberately left out.
-    fp.mixBool(config.exactPref.value_or(
-        sim::EnvConfig::fromEnv().exactPref));
+    fp.mixBool(config.exactPref);
     // Coarse stepping batches workload events differently, so a
     // snapshot taken fine must not silently resume coarse.
     fp.mixBool(config.coarseStep.value_or(

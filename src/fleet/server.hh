@@ -93,11 +93,10 @@ class Server
          * auditor needs the per-step cadence. */
         std::optional<bool> coarseStep;
         std::uint64_t seed = 1;
-        /** Exact index-backed AddrPref placement (nullopt defers to
-         * CTG_EXACT_PREF, default off). This deliberately changes
-         * placement, so it is opt-in and has its own
-         * figure-regression check. */
-        std::optional<bool> exactPref;
+        /** Exact index-backed AddrPref placement (default off).
+         * This deliberately changes placement, so it is opt-in and
+         * has its own figure-regression check. */
+        bool exactPref = false;
         /** Shared per-population calibration tables (workload
          * profiles at this memBytes, hw/perfmodel constants). A pure
          * cache of makeProfile outputs: null or mismatched memBytes

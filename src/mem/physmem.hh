@@ -97,9 +97,9 @@ class PhysMem
     /** Pin or unpin an allocated block given its head frame. */
     void setBlockPinned(Pfn head, bool pinned);
 
-    /** When true (default off; CTG_EXACT_PREF), AddrPref allocations
-     * pick the exact lowest/highest-address free block via an index
-     * descent instead of the capped free-list scan. This
+    /** When true (default off; Server::Config::exactPref), AddrPref
+     * allocations pick the exact lowest/highest-address free block
+     * via an index descent instead of the capped free-list scan. This
      * deliberately changes placement — it strengthens the
      * away-from-border bias — so it has its own flag and its own
      * figure-regression check. */

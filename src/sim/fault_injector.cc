@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <iterator>
 
-#include "base/arena.hh"
 #include "base/env_config.hh"
 #include "base/logging.hh"
 #include "base/serde.hh"
@@ -346,11 +345,6 @@ faultInjector()
     if (tlsInjector != nullptr)
         return *tlsInjector;
     static FaultInjector *injector = [] {
-        // The ambient injector outlives every fleet task; if its
-        // lazy construction happens on a pooled worker, the
-        // allocation must bypass that thread's task arena. Only
-        // this one-time path allocates, so only it suspends.
-        const ArenaSuspend off;
         const sim::EnvConfig env = sim::EnvConfig::fromEnv();
         auto *inj = new FaultInjector(env.hasFaultSeed
                                           ? env.faultSeed

@@ -2,16 +2,20 @@
  * @file
  * Foundation tests: RNG determinism and distributions, Zipf sampler,
  * statistics (histogram, CDF, Pearson), unit formatting, the table
- * renderer, and event-queue ordering guarantees.
+ * renderer, event-queue ordering guarantees, and the host
+ * allocation counter.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <map>
+#include <new>
 #include <sstream>
 
+#include "base/host_mem.hh"
 #include "base/mergeable_stats.hh"
 #include "base/rng.hh"
 #include "base/span_trace.hh"
@@ -701,6 +705,65 @@ TEST(OnlineHistogramTest, WeightsAndMoments)
     EXPECT_EQ(hist.quantile(0.0), 2.0);
     EXPECT_EQ(hist.quantile(1.0), 5.0);
     EXPECT_EQ(hist.fractionAtOrBelow(2.0), 0.75);
+}
+
+/** Keep `ptr` observable so the compiler cannot elide the
+ * new/delete pair around it. */
+void
+escape(const void *ptr)
+{
+    asm volatile("" : : "g"(ptr) : "memory");
+}
+
+TEST(HostMem, HeapAllocCountSeesEveryNewVariant)
+{
+    struct alignas(64) Wide
+    {
+        char bytes[64];
+    };
+    std::uint64_t before = heapAllocCount();
+    const auto advanced = [&before] {
+        const std::uint64_t now = heapAllocCount();
+        const bool moved = now > before;
+        before = now;
+        return moved;
+    };
+
+    int *plain = new int(7);
+    escape(plain);
+    EXPECT_TRUE(advanced()) << "plain new";
+    delete plain;
+
+    char *array = new char[100];
+    escape(array);
+    EXPECT_TRUE(advanced()) << "array new";
+    delete[] array;
+
+    int *nothrow = new (std::nothrow) int(7);
+    ASSERT_NE(nothrow, nullptr);
+    escape(nothrow);
+    EXPECT_TRUE(advanced()) << "nothrow new";
+    delete nothrow;
+
+    Wide *wide = new Wide;
+    escape(wide);
+    EXPECT_TRUE(advanced()) << "over-aligned new";
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(wide) % alignof(Wide),
+              0u);
+    delete wide;
+
+    Wide *wideArray = new Wide[3];
+    escape(wideArray);
+    EXPECT_TRUE(advanced()) << "over-aligned array new";
+    EXPECT_EQ(
+        reinterpret_cast<std::uintptr_t>(wideArray) % alignof(Wide), 0u);
+    delete[] wideArray;
+
+    Wide *wideNothrow = new (std::nothrow) Wide;
+    ASSERT_NE(wideNothrow, nullptr);
+    escape(wideNothrow);
+    EXPECT_TRUE(advanced()) << "over-aligned nothrow new";
+    delete wideNothrow;
 }
 
 } // namespace

@@ -168,7 +168,8 @@ TEST(FigureRegression, Fig04CdfsMonotoneAndBounded)
 }
 
 // ---------------------------------------------------------------
-// CTG_EXACT_PREF: placement changes, figures must not regress
+// Exact AddrPref placement: placement changes, figures must not
+// regress
 // ---------------------------------------------------------------
 
 TEST(FigureRegression, ExactPrefKeepsConfinementDirection)

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "base/arena.hh"
 #include "base/rng.hh"
 #include "base/serde.hh"
 #include "base/span_trace.hh"
@@ -829,12 +828,56 @@ class FleetScaleTier : public ::testing::Test
     ~FleetScaleTier() override { faultInjector().reset(); }
 };
 
+/** Everything observable about a span event except wallUs (wall
+ * clock is explicitly non-deterministic) — names and arg keys by
+ * string value. */
+std::string
+eventRecord(const spans::Event &e)
+{
+    std::string out;
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "%u|%u|%s|%llu|%llu|%llu|%llu|%u|%u",
+                  static_cast<unsigned>(e.phase),
+                  static_cast<unsigned>(e.flag), e.name,
+                  static_cast<unsigned long long>(e.id),
+                  static_cast<unsigned long long>(e.parent),
+                  static_cast<unsigned long long>(e.ts),
+                  static_cast<unsigned long long>(e.tick), e.stream,
+                  static_cast<unsigned>(e.nargs));
+    out += buf;
+    for (unsigned i = 0; i < e.nargs; ++i) {
+        std::snprintf(buf, sizeof(buf), "|%s=%lld", e.args[i].key,
+                      static_cast<long long>(e.args[i].value));
+        out += buf;
+    }
+    return out;
+}
+
+/** Per-server span events of the last run, in collection order
+ * (stream 0 — the main thread's fleet phase spans — excluded, since
+ * their `threads` args name the run configuration). */
+std::vector<std::string>
+serverSpanRecords()
+{
+    std::vector<std::string> out;
+    for (const spans::Event &e : spans::collectedEvents())
+        if (e.stream != 0)
+            out.push_back(eventRecord(e));
+    return out;
+}
+
 TEST_F(FleetScaleTier, BitIdenticalAcrossThreadCounts)
 {
+    // Scans, streamed quantiles and the per-server span streams must
+    // not move a bit at any thread count.
     for (const bool contiguitas : {false, true}) {
         std::vector<std::uint64_t> baseline;
         std::vector<std::uint64_t> baselineQuantiles;
+        std::vector<std::string> baselineSpans;
         for (const unsigned threads : {1u, 4u, 8u}) {
+            spans::resetForTest();
+            spans::enableAll();
             Fleet::Config config = scaleTierFleet(contiguitas, 24);
             config.threads = threads;
             Fleet fleet(config);
@@ -845,12 +888,19 @@ TEST_F(FleetScaleTier, BitIdenticalAcrossThreadCounts)
                 quantiles.push_back(
                     bits(sinks.freeContiguity2m.quantile(f)));
                 quantiles.push_back(
+                    bits(sinks.unmovableBlocks2m.quantile(f)));
+                quantiles.push_back(
                     bits(sinks.uptimeSec.quantile(f)));
             }
+            const std::vector<std::string> spanRecords =
+                serverSpanRecords();
+            spans::resetForTest();
             if (baseline.empty()) {
                 baseline = scans;
                 baselineQuantiles = quantiles;
+                baselineSpans = spanRecords;
                 EXPECT_FALSE(baseline.empty());
+                EXPECT_FALSE(baselineSpans.empty());
             } else {
                 EXPECT_EQ(scans, baseline)
                     << "scan drift at " << threads << " threads, ctg="
@@ -858,6 +908,9 @@ TEST_F(FleetScaleTier, BitIdenticalAcrossThreadCounts)
                 EXPECT_EQ(quantiles, baselineQuantiles)
                     << "streamed quantile drift at " << threads
                     << " threads";
+                EXPECT_EQ(spanRecords, baselineSpans)
+                    << "span drift at " << threads << " threads, ctg="
+                    << contiguitas;
             }
         }
     }
@@ -970,273 +1023,6 @@ TEST_F(FleetScaleTier, KiloServerSnapshotRoundTrip)
     EXPECT_EQ(scansBits(restored.run()), straightBits);
 
     std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------
-// Task arena (base/arena)
-// ---------------------------------------------------------------
-
-TEST(Arena, AlignmentAndOwnership)
-{
-    Arena arena;
-    void *p = arena.allocate(24);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % Arena::minAlign,
-              0u);
-    EXPECT_TRUE(arena.owns(p));
-
-    // Over-aligned requests must honor the requested alignment, not
-    // just the default.
-    void *q = arena.allocate(100, 64);
-    ASSERT_NE(q, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % 64, 0u);
-    EXPECT_TRUE(arena.owns(q));
-
-    int onStack = 0;
-    EXPECT_FALSE(arena.owns(&onStack));
-    EXPECT_GE(arena.bytesUsed(), 124u);
-}
-
-TEST(Arena, ResetConsolidatesToHighWaterSingleBlock)
-{
-    Arena arena;
-    // Overflow the first block (1 MiB) so the arena grows, then
-    // reset: the blocks must consolidate into one sized to the
-    // high-water mark, and a same-sized refill must not grow again.
-    constexpr std::size_t chunk = 64 * 1024;
-    constexpr unsigned chunks = 40; // 2.5 MiB
-    for (unsigned i = 0; i < chunks; ++i)
-        ASSERT_NE(arena.allocate(chunk), nullptr);
-    const std::uint64_t firstFill = arena.bytesUsed();
-    EXPECT_GT(arena.blockCount(), 1u);
-    EXPECT_GE(arena.highWaterBytes(), firstFill);
-
-    arena.reset();
-    EXPECT_EQ(arena.bytesUsed(), 0u);
-    EXPECT_EQ(arena.blockCount(), 1u);
-    EXPECT_GE(arena.highWaterBytes(), firstFill);
-
-    for (unsigned i = 0; i < chunks; ++i)
-        ASSERT_NE(arena.allocate(chunk), nullptr);
-    EXPECT_EQ(arena.blockCount(), 1u)
-        << "steady-state refill must fit the consolidated block";
-    arena.reset();
-}
-
-TEST(Arena, ScopeRoutesOperatorNewAndSuspendRestoresHeap)
-{
-    Arena arena;
-    EXPECT_EQ(activeArena(), nullptr);
-    {
-        const ArenaScope scope(arena);
-        EXPECT_EQ(activeArena(), &arena);
-
-        char *p = new char[100];
-        EXPECT_TRUE(arena.owns(p));
-
-        struct alignas(64) Wide
-        {
-            char bytes[64];
-        };
-        Wide *w = new Wide;
-        EXPECT_TRUE(arena.owns(w));
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w) % 64, 0u);
-
-        char *heap = nullptr;
-        {
-            const ArenaSuspend off;
-            EXPECT_EQ(activeArena(), nullptr);
-            heap = new char[100];
-            EXPECT_FALSE(arena.owns(heap));
-        }
-        EXPECT_EQ(activeArena(), &arena);
-
-        // Arena-owned deletes are no-op frees; the heap pointer made
-        // under the suspend goes back to the host heap as usual.
-        delete w;
-        delete[] p;
-        delete[] heap;
-    }
-    EXPECT_EQ(activeArena(), nullptr);
-    arena.reset();
-}
-
-/** Open `depth` nested spans on the calling thread's stream. */
-void
-openNestedSpans(unsigned depth)
-{
-    if (depth == 0)
-        return;
-    CTG_SPAN(Region, "nested");
-    openNestedSpans(depth - 1);
-}
-
-TEST(Arena, UncapturedSpansOutliveTheArenaTheyWereOpenedIn)
-{
-    // The scale-tier footprint probe runs a server under an
-    // ArenaScope on the main thread with no span Capture, so its
-    // spans go straight to the global collector. The collector (and
-    // its open-span stack) must not grow inside the arena: once the
-    // arena is destroyed, the next span would write into, and
-    // reallocate from, freed memory.
-    spans::resetForTest();
-    spans::enableAll();
-    constexpr unsigned inArena = 100;
-    constexpr unsigned afterArena = 200;
-    constexpr unsigned depth = 32;
-    {
-        auto arena = std::make_unique<Arena>();
-        {
-            const ArenaScope scope(*arena);
-            for (unsigned i = 0; i < inArena; ++i)
-                openNestedSpans(depth);
-        }
-        arena.reset();
-    }
-    for (unsigned i = 0; i < afterArena; ++i)
-        openNestedSpans(2 * depth);
-
-    const std::vector<spans::Event> events = spans::collectedEvents();
-    ASSERT_EQ(events.size(),
-              2u * (inArena * depth + afterArena * 2 * depth));
-    std::vector<std::uint64_t> open;
-    for (const spans::Event &e : events) {
-        if (e.phase == spans::Event::Phase::Begin) {
-            EXPECT_EQ(e.parent, open.empty() ? 0u : open.back());
-            open.push_back(e.id);
-        } else {
-            ASSERT_FALSE(open.empty());
-            EXPECT_EQ(e.id, open.back());
-            open.pop_back();
-        }
-    }
-    EXPECT_TRUE(open.empty());
-    spans::resetForTest();
-}
-
-// ---------------------------------------------------------------
-// Pooled server slots: bit-identical to fresh construction
-// ---------------------------------------------------------------
-
-/** Everything observable about a span event except wallUs (wall
- * clock is explicitly non-deterministic) — names and arg keys by
- * string value. */
-std::string
-eventRecord(const spans::Event &e)
-{
-    std::string out;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%u|%u|%s|%llu|%llu|%llu|%llu|%u|%u",
-                  static_cast<unsigned>(e.phase),
-                  static_cast<unsigned>(e.flag), e.name,
-                  static_cast<unsigned long long>(e.id),
-                  static_cast<unsigned long long>(e.parent),
-                  static_cast<unsigned long long>(e.ts),
-                  static_cast<unsigned long long>(e.tick), e.stream,
-                  static_cast<unsigned>(e.nargs));
-    out += buf;
-    for (unsigned i = 0; i < e.nargs; ++i) {
-        std::snprintf(buf, sizeof(buf), "|%s=%lld", e.args[i].key,
-                      static_cast<long long>(e.args[i].value));
-        out += buf;
-    }
-    return out;
-}
-
-/** Per-server span events of the last run, in collection order
- * (stream 0 — the main thread's fleet phase spans — excluded, since
- * their `threads` args name the run configuration). */
-std::vector<std::string>
-serverSpanRecords()
-{
-    std::vector<std::string> out;
-    for (const spans::Event &e : spans::collectedEvents())
-        if (e.stream != 0)
-            out.push_back(eventRecord(e));
-    return out;
-}
-
-TEST_F(FleetScaleTier, PooledSlotsMatchFreshConstructionBitExact)
-{
-    // The pool is pure mechanism: reusing a worker's arena-backed
-    // ServerSlot across tasks must not move a bit of the scans, the
-    // streamed quantiles, or the span event streams relative to
-    // constructing every server from the host heap — at any thread
-    // count.
-    for (const bool contiguitas : {false, true}) {
-        std::vector<std::uint64_t> baseline;
-        std::vector<std::string> baselineSpans;
-        struct Variant
-        {
-            bool pooled;
-            unsigned threads;
-        };
-        for (const Variant v : {Variant{false, 1}, Variant{true, 1},
-                                Variant{true, 4}, Variant{true, 8}}) {
-            spans::resetForTest();
-            spans::enableAll();
-            Fleet::Config config = scaleTierFleet(contiguitas, 16);
-            config.threads = v.threads;
-            config.slotPool = v.pooled;
-            Fleet fleet(config);
-            Fleet::ScanSinks sinks;
-            std::vector<std::uint64_t> record =
-                scansBits(runIntoSinks(fleet, sinks));
-            for (const double f : {0.0, 0.25, 0.5, 0.9, 1.0}) {
-                record.push_back(
-                    bits(sinks.freeContiguity2m.quantile(f)));
-                record.push_back(
-                    bits(sinks.unmovableBlocks2m.quantile(f)));
-            }
-            const std::vector<std::string> spanRecords =
-                serverSpanRecords();
-            spans::resetForTest();
-            if (baseline.empty()) {
-                baseline = record;
-                baselineSpans = spanRecords;
-                EXPECT_FALSE(baseline.empty());
-                EXPECT_FALSE(baselineSpans.empty());
-            } else {
-                EXPECT_EQ(record, baseline)
-                    << "pooled=" << v.pooled << " threads="
-                    << v.threads << " ctg=" << contiguitas;
-                EXPECT_EQ(spanRecords, baselineSpans)
-                    << "span drift, pooled=" << v.pooled
-                    << " threads=" << v.threads;
-            }
-        }
-    }
-}
-
-TEST_F(FleetScaleTier, PooledSlotsMatchFreshWithEveryFaultSiteArmed)
-{
-    // Same contract under chaos: all 13 fault sites armed, pooled
-    // runs at several thread counts against the fresh-construction
-    // baseline — scans and the exact evaluation/fire counters.
-    const auto runVariant = [](bool pooled, unsigned threads) {
-        faultInjector().reset(0xbadc0de);
-        for (unsigned i = 0; i < numFaultSites; ++i)
-            faultInjector().arm(static_cast<FaultSite>(i),
-                                FaultSpec::chance(0.02));
-        Fleet::Config config = scaleTierFleet(true, 12);
-        config.threads = threads;
-        config.slotPool = pooled;
-        Fleet fleet(config);
-        std::vector<std::uint64_t> record = scansBits(fleet.run());
-        for (unsigned i = 0; i < numFaultSites; ++i) {
-            const auto &s = faultInjector().siteStats(
-                static_cast<FaultSite>(i));
-            record.push_back(s.evaluations);
-            record.push_back(s.fires);
-        }
-        faultInjector().reset();
-        return record;
-    };
-    const auto baseline = runVariant(false, 1);
-    EXPECT_EQ(runVariant(true, 1), baseline);
-    EXPECT_EQ(runVariant(true, 4), baseline);
-    EXPECT_EQ(runVariant(true, 8), baseline);
 }
 
 // ---------------------------------------------------------------

@@ -257,7 +257,7 @@ TEST(EnvStrictTest, BoolParsersAcceptOnlyDocumentedSpellings)
         bool defaultValue;
     };
     const Knob knobs[] = {
-        {"CTG_EXACT_PREF", &sim::EnvConfig::exactPref, false},
+        {"CTG_COARSE_STEP", &sim::EnvConfig::coarseStep, false},
     };
     for (const Knob &knob : knobs) {
         for (const char *yes : {"1", "on", "ON", "true", "yes"}) {
