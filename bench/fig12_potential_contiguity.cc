@@ -8,10 +8,10 @@
  */
 
 #include <chrono>
-#include <string>
+#include <optional>
 #include <vector>
 
-#include "base/trace.hh"
+#include "base/span_trace.hh"
 #include "bench/bench_util.hh"
 #include "fleet/server.hh"
 
@@ -50,24 +50,34 @@ main(int argc, char **argv)
 
     // The eight (workload, system) cells are independent servers:
     // run them through the work-stealing executor, collect into
-    // per-cell slots, and print in cell order — output is identical
-    // at any CTG_THREADS.
+    // per-cell slots, and print in cell order. Each cell's spans go
+    // to its own capture on track base + i and are published in cell
+    // order, so output and span trace are identical at any
+    // CTG_THREADS.
     const auto wallStart = std::chrono::steady_clock::now();
     Executor executor;
     std::vector<ServerScan> cells(2 * std::size(kinds));
     FaultInjector &ambient = faultInjector();
     std::vector<FaultInjector> cellFaults(cells.size(),
                                           FaultInjector(0));
-    std::vector<std::string> cellTraces(cells.size());
+    const bool spansOn = spans::anyEnabled();
+    const std::uint32_t streamBase =
+        spansOn ? spans::reserveStreams(
+                      static_cast<std::uint32_t>(cells.size()))
+                : 0;
+    std::vector<std::vector<spans::Event>> cellSpans(cells.size());
     executor.run(cells.size(), [&](std::size_t i) {
-        trace::ThreadCapture capture;
+        std::optional<spans::Capture> capture;
+        if (spansOn)
+            capture.emplace(streamBase + static_cast<std::uint32_t>(i));
         cellFaults[i] = ambient.forkForTask(i);
         const FaultInjectorScope scope(cellFaults[i]);
         cells[i] = runOne(kinds[i / 2], /*contiguitas=*/i % 2 == 1);
-        cellTraces[i] = capture.take();
+        if (capture)
+            cellSpans[i] = capture->take();
     });
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        trace::emitRaw(cellTraces[i]);
+        spans::publish(std::move(cellSpans[i]));
         ambient.absorbStats(cellFaults[i]);
     }
     const double wallMs =

@@ -90,11 +90,14 @@ EnvConfig::fromEnv()
     if (const char *env = std::getenv("CTG_TRACE"))
         config.traceSpec = env;
 
-    if (const char *env = std::getenv("CTG_TRACE_FILE"))
-        config.traceFile = env;
-
     if (const char *env = std::getenv("CTG_TRACE_SPANS"))
         config.traceSpansPath = env;
+
+    if (!config.traceSpec.empty() && config.traceSpansPath.empty())
+        warn_once("CTG_TRACE='%s' has no effect without "
+                  "CTG_TRACE_SPANS=<path>: flags only select what the "
+                  "span trace records",
+                  config.traceSpec.c_str());
 
     config.csvTables = std::getenv("CTG_CSV") != nullptr;
 

@@ -43,13 +43,14 @@ struct EnvConfig
     /** CTG_FIG11_POP: fig11 servers per cell (default 8). */
     unsigned fig11Population = 8;
 
-    /** CTG_TRACE / CTG_TRACE_FILE: trace flag spec and sink path. */
+    /** CTG_TRACE: trace flag spec ("Region,Migrate", "All") that
+     * restricts what CTG_TRACE_SPANS records; alone it does
+     * nothing (and warns). */
     std::string traceSpec;
-    std::string traceFile;
 
     /** CTG_TRACE_SPANS: Perfetto span-trace output path; setting it
-     * enables span collection on every flag and writes the JSON at
-     * process exit. */
+     * enables span collection (on every flag unless CTG_TRACE lists
+     * some) and writes the JSON at process exit. */
     std::string traceSpansPath;
 
     /** CTG_CSV: append CSV renderings after bench tables. */

@@ -48,6 +48,32 @@ namespace
 
 using State = Capture::State;
 
+struct FlagEntry
+{
+    TraceFlag flag;
+    const char *name;
+};
+
+constexpr FlagEntry flagTable[] = {
+    {TraceFlag::Buddy, "Buddy"},
+    {TraceFlag::Compaction, "Compaction"},
+    {TraceFlag::Migrate, "Migrate"},
+    {TraceFlag::Shootdown, "Shootdown"},
+    {TraceFlag::ChwEngine, "ChwEngine"},
+    {TraceFlag::Region, "Region"},
+    {TraceFlag::Fleet, "Fleet"},
+    {TraceFlag::Kernel, "Kernel"},
+    {TraceFlag::Faults, "Faults"},
+};
+
+/**
+ * Tick source of the simulation driving this thread. thread_local so
+ * parallel fleet workers each observe the event queue of the server
+ * they are running, never a sibling's (which would both race and
+ * leak the work-stealing schedule into captured span timestamps).
+ */
+thread_local std::function<Tick()> tickSource_;
+
 /** Guards the collector, the global stream, stream-id handout, and
  * the export path. Capture-backed emission never takes it. */
 std::mutex mu_;
@@ -88,7 +114,7 @@ void
 stamp(State &s, Event &ev)
 {
     ev.stream = s.stream;
-    ev.tick = trace::currentTick();
+    ev.tick = currentTick();
     s.lastTs = std::max(s.lastTs + 1,
                         static_cast<std::uint64_t>(ev.tick));
     ev.ts = s.lastTs;
@@ -195,7 +221,7 @@ appendEventJson(std::string &out, const Event &ev)
     out += "{\"name\":\"";
     appendEscaped(out, ev.name);
     out += "\",\"cat\":\"";
-    out += trace::flagName(ev.flag);
+    out += flagName(ev.flag);
     std::snprintf(buf, sizeof(buf),
                   "\",\"ph\":\"%s\",\"pid\":1,\"tid\":%" PRIu32
                   ",\"ts\":%" PRIu64,
@@ -242,9 +268,7 @@ appendEventJson(std::string &out, const Event &ev)
 
 /** One-time CTG_TRACE_SPANS pickup: write the trace to the given
  * path at process exit. With no CTG_TRACE spec every flag is
- * enabled; a spec restricts the span trace to the listed subsystems
- * (the span mask is separate from the DPRINTF mask, so this leaves
- * text tracing exactly as trace.cc's own EnvInit set it). */
+ * enabled; a spec restricts the trace to the listed subsystems. */
 struct EnvInit
 {
     EnvInit()
@@ -281,7 +305,7 @@ disable(TraceFlag flag)
 void
 enableAll()
 {
-    mask_.store(trace::allFlagsMask(), std::memory_order_relaxed);
+    mask_.store(allFlagsMask(), std::memory_order_relaxed);
 }
 
 void
@@ -308,11 +332,60 @@ setFromString(const std::string &spec)
             continue;
         }
         TraceFlag flag;
-        if (trace::flagFromName(tok, &flag))
+        if (flagFromName(tok, &flag))
             enable(flag);
         else
-            warn("unknown span flag '%s' ignored", tok.c_str());
+            warn("unknown trace flag '%s' ignored", tok.c_str());
     }
+}
+
+const char *
+flagName(TraceFlag flag)
+{
+    for (const FlagEntry &e : flagTable) {
+        if (e.flag == flag)
+            return e.name;
+    }
+    return "?";
+}
+
+bool
+flagFromName(const std::string &name, TraceFlag *out)
+{
+    for (const FlagEntry &e : flagTable) {
+        if (name == e.name) {
+            *out = e.flag;
+            return true;
+        }
+    }
+    return false;
+}
+
+std::uint32_t
+allFlagsMask()
+{
+    std::uint32_t mask = 0;
+    for (const FlagEntry &e : flagTable)
+        mask |= static_cast<std::uint32_t>(e.flag);
+    return mask;
+}
+
+void
+setTickSource(std::function<Tick()> source)
+{
+    tickSource_ = std::move(source);
+}
+
+void
+clearTickSource()
+{
+    tickSource_ = nullptr;
+}
+
+Tick
+currentTick()
+{
+    return tickSource_ ? tickSource_() : 0;
 }
 
 void

@@ -1,36 +1,37 @@
 /**
  * @file
- * Causal span tracing of the migration/evacuation pipeline.
+ * Causal span tracing: the simulator's one trace stream.
  *
- * Where CTG_DPRINTF emits flat text lines, CTG_SPAN opens a *scoped
- * span*: a named interval with arguments, a unique id, and a causal
- * parent — the innermost span open on the same thread when it began.
- * A region resize therefore shows up as one connected tree
- * (policy.tick → region.expand → region.evacuate → migrate.block →
- * chw/shootdown), and asynchronous continuations that the call stack
- * cannot link (CHW copies and shootdown completions scheduled on the
- * event queue) are stitched with *flow ids* instead.
+ * CTG_SPAN opens a *scoped span*: a named interval with arguments, a
+ * unique id, and a causal parent — the innermost span open on the
+ * same thread when it began. A region resize therefore shows up as
+ * one connected tree (policy.tick → region.expand → region.evacuate →
+ * migrate.block → chw/shootdown), and asynchronous continuations that
+ * the call stack cannot link (CHW copies and shootdown completions
+ * scheduled on the event queue) are stitched with *flow ids* instead.
+ * CTG_SPAN_EVENT records a point event inside the current span.
  *
- * Spans reuse the TraceFlag bits as categories but keep their own
- * enable mask: CTG_TRACE selects printf tracing, CTG_TRACE_SPANS
- * selects span collection (the value is the output path; spans are
- * exported as Chrome/Perfetto `trace_event` JSON at process exit,
- * loadable in https://ui.perfetto.dev or chrome://tracing). With no
- * flag enabled a trace point is a single relaxed mask test; span
- * argument evaluation is a handful of integer stores.
+ * Each subsystem owns a TraceFlag; the flags are the span categories
+ * and one atomic mask enables them. CTG_TRACE_SPANS=path turns
+ * collection on (every flag, or only those a CTG_TRACE spec lists)
+ * and exports the spans as Chrome/Perfetto `trace_event` JSON at
+ * process exit, loadable in https://ui.perfetto.dev or
+ * chrome://tracing. With no flag enabled a trace point is a single
+ * relaxed mask test; span argument evaluation is a handful of
+ * integer stores.
  *
- * Threading follows the trace::ThreadCapture discipline from
- * DESIGN.md §10: a worker wraps each task in a spans::Capture, events
- * land in that capture's bounded per-thread buffer, and the fleet's
- * merge step publishes the buffers in server order — so the collected
- * event sequence (ids, parents, logical timestamps) is identical at
- * any CTG_THREADS, and worker threads never contend on shared state.
- * Events emitted outside any capture go to the process-wide
- * collector under a mutex (the main thread's phase spans).
+ * Threading (DESIGN.md §10): a worker wraps each task in a
+ * spans::Capture, events land in that capture's bounded per-thread
+ * buffer, and the merge step publishes the buffers in task order —
+ * so the collected event sequence (ids, parents, logical timestamps)
+ * is identical at any CTG_THREADS, and worker threads never contend
+ * on shared state. Events emitted outside any capture go to the
+ * process-wide collector under a mutex (the main thread's phase
+ * spans).
  *
  * Timestamps: every event carries a per-stream *logical* timestamp
  * (strictly monotonic, so Begin/End pairs always nest in viewers)
- * plus the simulated tick when a trace tick source is installed
+ * plus the simulated tick when a tick source is installed
  * (hardware-model runs) and a wall-clock microsecond reading for
  * profiling Fleet::run phases. Only the logical clock is
  * deterministic; ServerScans are never affected either way — span
@@ -43,14 +44,29 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "base/trace.hh"
 #include "base/types.hh"
 
 namespace ctg
 {
+
+/** One bit per traced subsystem. */
+enum class TraceFlag : std::uint32_t
+{
+    Buddy      = 1u << 0, //!< buddy gigantic-allocation failures
+    Compaction = 1u << 1, //!< compaction passes and outcomes
+    Migrate    = 1u << 2, //!< software page-migration attempts
+    Shootdown  = 1u << 3, //!< TLB shootdown / migration procedures
+    ChwEngine  = 1u << 4, //!< Contiguitas-HW copy engine
+    Region     = 1u << 5, //!< region manager + resize controller
+    Fleet      = 1u << 6, //!< fleet/server level progress
+    Kernel     = 1u << 7, //!< kernel facade slow paths
+    Faults     = 1u << 8, //!< fault-injector firings
+};
+
 namespace spans
 {
 
@@ -100,8 +116,9 @@ struct Event
     std::array<Arg, maxArgs> args{};
 };
 
-/** Bitmask of span-enabled flags. Relaxed atomic: executor workers
- * read it while tests toggle flags (same contract as trace::mask_). */
+/** Bitmask of enabled flags. Relaxed atomic: executor workers
+ * read it while tests (or a debugger) toggle flags — the race is
+ * benign by design, but it must still be data-race-free for TSan. */
 extern std::atomic<std::uint32_t> mask_;
 
 inline bool
@@ -122,9 +139,28 @@ void disable(TraceFlag flag);
 void enableAll();
 void disableAll();
 
-/** Comma/space-separated flag names ("Region,Migrate" or "All"),
- * same syntax and flag table as trace::setFromString. */
+/** Comma/space-separated flag names, e.g. "Region,Migrate" or "All".
+ * Unknown names warn and are skipped. */
 void setFromString(const std::string &spec);
+
+/** Canonical name of a flag ("Buddy", ...). */
+const char *flagName(TraceFlag flag);
+
+/** Reverse lookup; returns false for unknown names. */
+bool flagFromName(const std::string &name, TraceFlag *out);
+
+/** OR of every defined flag bit. */
+std::uint32_t allFlagsMask();
+
+/** Install the simulated-time source used to stamp each event
+ * (e.g. [&eq]{ return eq.now(); }); clear to drop the stamp. The
+ * source is thread-local: each fleet worker sees only the clock of
+ * the server it is currently running. */
+void setTickSource(std::function<Tick()> source);
+void clearTickSource();
+
+/** Current simulated tick per the installed source; 0 when none. */
+Tick currentTick();
 
 /**
  * RAII span. Construct through CTG_SPAN / CTG_SPAN_NAMED rather than
@@ -199,13 +235,13 @@ void flowBegin(TraceFlag flag, const char *name, std::uint64_t flow);
 void flowEnd(TraceFlag flag, const char *name, std::uint64_t flow);
 
 /**
- * RAII per-thread capture of span events, mirroring
- * trace::ThreadCapture: while active, events from this thread land
- * in a private bounded buffer instead of the shared collector, and
- * span/flow ids are drawn from a per-stream counter — (stream,
- * sequence) — so ids and order are schedule-independent. The fleet
- * merge step publish()es each capture's events in server order.
- * Captures nest; the inner one shadows the outer.
+ * RAII per-thread capture of span events: while active, events from
+ * this thread land in a private bounded buffer instead of the shared
+ * collector, and span/flow ids are drawn from a per-stream counter —
+ * (stream, sequence) — so ids and order are schedule-independent.
+ * The merge step (Fleet::run, fig12) publish()es each capture's
+ * events in task order. Captures nest; the inner one shadows the
+ * outer.
  */
 class Capture
 {

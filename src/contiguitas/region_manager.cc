@@ -4,7 +4,6 @@
 
 #include "base/serde.hh"
 #include "base/span_trace.hh"
-#include "base/trace.hh"
 #include "kernel/migrate.hh"
 #include "sim/fault_injector.hh"
 
@@ -186,8 +185,6 @@ RegionManager::evacuateBlock(BuddyAllocator &alloc, Pfn head,
     // resize onto its failure/retry path.
     if (faultInjector().shouldFail(FaultSite::RegionEvacFail)) {
         ++stats_.injectedEvacFails;
-        CTG_DPRINTF(Region, "injected evacuation failure at %llu",
-                    static_cast<unsigned long long>(head));
         return false;
     }
 
@@ -285,9 +282,6 @@ RegionManager::tryExpand(std::uint64_t pages,
     movable_->detachRange(lo, hi);
     unmovable_->attachRange(lo, hi, MigrateType::Unmovable);
     ++stats_.expansions;
-    CTG_DPRINTF(Region, "expand unmovable by %llu pages; boundary %llu",
-                static_cast<unsigned long long>(step),
-                static_cast<unsigned long long>(boundary()));
     return step;
 }
 
@@ -327,9 +321,6 @@ RegionManager::tryShrink(std::uint64_t pages,
     unmovable_->detachRange(lo, hi);
     movable_->attachRange(lo, hi, MigrateType::Movable);
     ++stats_.shrinks;
-    CTG_DPRINTF(Region, "shrink unmovable by %llu pages; boundary %llu",
-                static_cast<unsigned long long>(step),
-                static_cast<unsigned long long>(boundary()));
     return step;
 }
 
@@ -380,9 +371,6 @@ RegionManager::deferResize(bool expand, std::uint64_t pages)
     CTG_SPAN_EVENT(Region, "region.defer_resize",
                    {{"expand", expand ? 1 : 0},
                     {"pages", static_cast<std::int64_t>(pages)}});
-    CTG_DPRINTF(Region, "deferred %s of %llu pages (attempt 1)",
-                expand ? "expansion" : "shrink",
-                static_cast<unsigned long long>(pages));
 }
 
 std::uint64_t
@@ -412,9 +400,6 @@ RegionManager::pumpDeferredResizes()
             : tryShrink(deferred_->pages, &evacuation_blocked);
     if (moved != 0) {
         ++stats_.deferredCompleted;
-        CTG_DPRINTF(Region, "deferred %s succeeded after %u attempts",
-                    deferred_->expand ? "expansion" : "shrink",
-                    deferred_->attempts + 1);
         span.arg("completed", 1);
         deferred_.reset();
         return moved;
@@ -425,9 +410,6 @@ RegionManager::pumpDeferredResizes()
         // Structural rejection (region hit a bound since we queued)
         // or out of retries: stop.
         ++stats_.deferredDropped;
-        CTG_DPRINTF(Region, "deferred %s dropped after %u attempts",
-                    deferred_->expand ? "expansion" : "shrink",
-                    deferred_->attempts);
         span.arg("dropped", 1);
         deferred_.reset();
         return 0;

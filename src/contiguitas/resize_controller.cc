@@ -5,7 +5,6 @@
 
 #include "base/logging.hh"
 #include "base/span_trace.hh"
-#include "base/trace.hh"
 
 namespace ctg
 {
@@ -70,6 +69,8 @@ ResizeController::evaluate(double pressure_unmov, double pressure_mov,
                                         : 0));
     span.arg("target_pages",
              static_cast<std::int64_t>(decision.targetPages));
+    span.arg("factor_bp",
+             static_cast<std::int64_t>(decision.factor * 10000));
 
     ++stats_.evaluations;
     switch (decision.direction) {
@@ -83,18 +84,6 @@ ResizeController::evaluate(double pressure_unmov, double pressure_mov,
         ++stats_.noneDecisions;
         break;
     }
-    CTG_DPRINTF(Region,
-                "controller: P_unmov=%.2f P_mov=%.2f mem=%llu -> %s "
-                "target %llu (F=%.3f)",
-                pressure_unmov, pressure_mov,
-                static_cast<unsigned long long>(mem_unmov),
-                decision.direction == ResizeDirection::Expand
-                    ? "expand"
-                    : decision.direction == ResizeDirection::Shrink
-                          ? "shrink"
-                          : "none",
-                static_cast<unsigned long long>(decision.targetPages),
-                decision.factor);
     return decision;
 }
 

@@ -12,7 +12,6 @@
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "base/span_trace.hh"
-#include "base/trace.hh"
 #include "sim/executor.hh"
 #include "sim/fault_injector.hh"
 #include "sim/snapshot.hh"
@@ -244,14 +243,13 @@ Fleet::run(const ScanCallback &onScan)
 
     // Each task gets a fault injector forked from the ambient one
     // (resolved here, on the calling thread, so nested scopes work)
-    // and a trace capture; both are merged below in server order.
+    // and a span capture; both are merged below in server order.
     FaultInjector &ambient = faultInjector();
 
     struct TaskResult
     {
         ServerScan scan;
         FaultInjector faults{0};
-        std::string traceText;
         std::vector<spans::Event> spanEvents;
         /** Manifest line for this server's written snapshot, when
          * checkpointing succeeded for it. */
@@ -262,15 +260,9 @@ Fleet::run(const ScanCallback &onScan)
 
     const auto runOne = [&](unsigned i, const Server::Config &sc,
                             TaskResult &out) {
-        trace::ThreadCapture capture;
         std::optional<spans::Capture> spanCapture;
         if (spansOn)
             spanCapture.emplace(streamBase + i);
-        CTG_DPRINTF(Fleet,
-                    "server %u: kind=%d intensity=%.2f "
-                    "prefragment=%d uptime=%.1fs",
-                    i, int(sc.kind), sc.intensity,
-                    int(sc.prefragment), sc.uptimeSec);
         const FaultInjectorScope scope(out.faults);
         {
             CTG_SPAN_NAMED(srv_span, Fleet, "server.run",
@@ -335,6 +327,14 @@ Fleet::run(const ScanCallback &onScan)
             srv_span.arg("free_2m_bp",
                          static_cast<std::int64_t>(
                              out.scan.freeContiguity[0] * 10000.0));
+            srv_span.arg("unmovable_blocks_2m_bp",
+                         static_cast<std::int64_t>(
+                             out.scan.unmovableBlocks[0] * 10000.0));
+            srv_span.arg("intensity_bp",
+                         static_cast<std::int64_t>(sc.intensity *
+                                                   10000.0));
+            srv_span.arg("uptime_ms", static_cast<std::int64_t>(
+                                          sc.uptimeSec * 1000.0));
             CTG_SPAN(Fleet, "server.destroy",
                      {{"pages",
                        static_cast<std::int64_t>(sc.memBytes / pageBytes)},
@@ -342,12 +342,6 @@ Fleet::run(const ScanCallback &onScan)
             localServer.reset();
             restoredServer.reset();
         }
-        CTG_DPRINTF(Fleet,
-                    "server %u done: free_contig_2m=%.3f "
-                    "unmovable_blocks_2m=%.3f",
-                    i, out.scan.freeContiguity[0],
-                    out.scan.unmovableBlocks[0]);
-        out.traceText = capture.take();
         if (spanCapture)
             out.spanEvents = spanCapture->take();
     };
@@ -355,9 +349,9 @@ Fleet::run(const ScanCallback &onScan)
     // Dispatch in windows of kMergeWindowPerThread × threads servers.
     // After each window, every observable side effect is applied
     // here, in server order, on the calling thread — identical
-    // Distributions (same sample order), sampler snapshots, trace
-    // bytes, span streams, fault counters, manifest entries and
-    // callback sequence at any thread count — and the window's
+    // Distributions (same sample order), sampler snapshots, span
+    // streams, fault counters, manifest entries and callback
+    // sequence at any thread count — and the window's
     // results are dropped before the next one starts.
     CTG_SPAN(Fleet, "fleet.simulate",
              {{"servers", config_.servers},
@@ -394,7 +388,6 @@ Fleet::run(const ScanCallback &onScan)
             // thread count (and any window size).
             if (r.error)
                 std::rethrow_exception(r.error);
-            trace::emitRaw(r.traceText);
             if (!r.spanEvents.empty())
                 spans::publish(std::move(r.spanEvents));
             ambient.absorbStats(r.faults);

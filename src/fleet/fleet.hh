@@ -10,10 +10,9 @@
  * Determinism is a contract, not an accident: per-server configs are
  * sampled from the fleet RNG in server order on the calling thread,
  * every worker task runs under a forked per-server fault injector
- * and a per-thread trace capture, and all observable side effects
+ * and a per-thread span capture, and all observable side effects
  * (the per-server scan callback, fleet Distributions, sampler
- * snapshots, trace output, span streams, fault counters, manifest
- * entries) are applied in a merge step that walks each window's
+ * snapshots, span streams, fault counters, manifest entries) are applied in a merge step that walks each window's
  * servers in index order before the next window starts — so a run
  * is byte-identical at every thread count, including threads = 1
  * (the sequential path), and holds O(window) results in memory

@@ -5,7 +5,6 @@
 #include "base/env_config.hh"
 #include "base/serde.hh"
 #include "base/span_trace.hh"
-#include "base/trace.hh"
 #include "fleet/shared_tables.hh"
 #include "mem/auditor.hh"
 #include "mem/mem_stats.hh"

@@ -1,7 +1,6 @@
 #include "hw/chw/engine.hh"
 
 #include "base/span_trace.hh"
-#include "base/trace.hh"
 #include "sim/fault_injector.hh"
 
 namespace ctg
@@ -28,8 +27,6 @@ ChwEngine::submitMigrate(Descriptor desc)
     // the OS fallback path (software migration) takes over.
     if (faultInjector().shouldFail(FaultSite::ChwInstallFail)) {
         ++stats_.installsRejected;
-        CTG_DPRINTF(ChwEngine, "injected install rejection for %llu",
-                    static_cast<unsigned long long>(desc.src));
         span.arg("rejected", 1);
         return false;
     }
@@ -54,14 +51,6 @@ ChwEngine::submitMigrate(Descriptor desc)
     state.onAbort = std::move(desc.onAbort);
     running_[desc.src] = std::move(state);
     ++stats_.migrationsStarted;
-    CTG_DPRINTF(ChwEngine,
-                "migrate %llu -> %llu, %u pages, %s%s",
-                static_cast<unsigned long long>(desc.src),
-                static_cast<unsigned long long>(desc.dst),
-                desc.sizePages,
-                desc.mode == ChwMode::Cacheable ? "cacheable"
-                                                : "noncacheable",
-                desc.startCopyNow ? ", copy now" : "");
 
     if (desc.startCopyNow)
         startCopy(desc.src);
@@ -104,10 +93,6 @@ ChwEngine::finishCopy(Pfn src, MigrationEntry &entry)
         spans::flowEnd(TraceFlag::ChwEngine, "chw.migration",
                        it->second.flowId);
     }
-    CTG_DPRINTF(ChwEngine, "copy of pfn=%llu done in %llu cycles",
-                static_cast<unsigned long long>(src),
-                static_cast<unsigned long long>(
-                    stats_.lastCopyCycles));
     if (it->second.onComplete)
         it->second.onComplete();
     running_.erase(it);
@@ -126,8 +111,6 @@ ChwEngine::abortRun(Pfn src)
         spans::flowEnd(TraceFlag::ChwEngine, "chw.migration",
                        it->second.flowId);
     }
-    CTG_DPRINTF(ChwEngine, "migration of pfn=%llu aborted",
-                static_cast<unsigned long long>(src));
     // Detach before invoking: the callback may resubmit this page.
     auto on_abort = std::move(it->second.onAbort);
     running_.erase(it);

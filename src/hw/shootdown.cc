@@ -1,7 +1,6 @@
 #include "hw/shootdown.hh"
 
 #include "base/span_trace.hh"
-#include "base/trace.hh"
 
 namespace ctg
 {
@@ -80,10 +79,6 @@ ShootdownManager::softwareMigrate(
 
     auto timing = std::make_shared<MigrationTiming>();
     timing->start = eventq_.now();
-    CTG_DPRINTF(Shootdown,
-                "software migrate vpn=%llu -> pfn=%llu, %u victims",
-                static_cast<unsigned long long>(vpn),
-                static_cast<unsigned long long>(dst), victims);
 
     // The procedure runs as a chain of event-queue continuations; a
     // flow arrow ties this initiation slice to the completion slice.
@@ -158,14 +153,6 @@ ShootdownManager::softwareMigrate(
                         spans::flowEnd(TraceFlag::Shootdown,
                                        "shootdown.sw", flow);
                     }
-                    CTG_DPRINTF(Shootdown,
-                                "software migrate vpn=%llu done: "
-                                "total=%llu unavailable=%llu",
-                                static_cast<unsigned long long>(vpn),
-                                static_cast<unsigned long long>(
-                                    timing->totalCycles),
-                                static_cast<unsigned long long>(
-                                    timing->unavailableCycles));
                     done(*timing);
                 });
             });
@@ -211,12 +198,6 @@ ShootdownManager::contiguitasMigrate(
             t.unavailableCycles = 0;
             ++stats_.contiguitasMigrations;
             stats_.totalCycles += t.totalCycles;
-            CTG_DPRINTF(Shootdown,
-                        "contiguitas migrate pfn=%llu done: "
-                        "total=%llu (never unavailable)",
-                        static_cast<unsigned long long>(src),
-                        static_cast<unsigned long long>(
-                            t.totalCycles));
             done(t);
         });
     };

@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "base/trace.hh"
+#include "base/span_trace.hh"
 
 namespace ctg
 {
@@ -10,9 +10,9 @@ namespace ctg
 HwSystem::HwSystem(const HwConfig &config)
     : config_(config)
 {
-    // Trace records are stamped with this system's hardware clock.
+    // Span events are stamped with this system's hardware clock.
     // Kernel-only runs (no HwSystem) trace unstamped.
-    trace::setTickSource([this] { return eventq_.now(); });
+    spans::setTickSource([this] { return eventq_.now(); });
     mem_ = std::make_unique<MemHierarchy>(config_);
     for (unsigned c = 0; c < config_.cores; ++c)
         mmus_.push_back(std::make_unique<Mmu>(config_, c, *mem_));
@@ -28,7 +28,7 @@ HwSystem::HwSystem(const HwConfig &config)
 
 HwSystem::~HwSystem()
 {
-    trace::clearTickSource();
+    spans::clearTickSource();
 }
 
 HwSystem::AccessResult

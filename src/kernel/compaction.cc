@@ -1,7 +1,6 @@
 #include "kernel/compaction.hh"
 
 #include "base/span_trace.hh"
-#include "base/trace.hh"
 #include "kernel/migrate.hh"
 #include "mem/contig_index.hh"
 
@@ -108,16 +107,9 @@ compactRange(BuddyAllocator &alloc, const OwnerRegistry &registry,
     span.arg("migrated", static_cast<std::int64_t>(result.migrated));
     span.arg("blocked", static_cast<std::int64_t>(
                             result.blockedPageblocks));
-    CTG_DPRINTF(Compaction,
-                "range [%llu, %llu): migrated=%llu nomem=%llu "
-                "skipped=%llu blocked_pageblocks=%llu",
-                static_cast<unsigned long long>(lo),
-                static_cast<unsigned long long>(hi),
-                static_cast<unsigned long long>(result.migrated),
-                static_cast<unsigned long long>(result.failedNoMem),
-                static_cast<unsigned long long>(result.skippedUnmovable),
-                static_cast<unsigned long long>(
-                    result.blockedPageblocks));
+    span.arg("skipped", static_cast<std::int64_t>(
+                            result.skippedUnmovable));
+    span.arg("nomem", static_cast<std::int64_t>(result.failedNoMem));
     return result;
 }
 
@@ -146,19 +138,12 @@ compactUntil(BuddyAllocator &alloc, const OwnerRegistry &registry,
         // Early exit: no mixed pageblock means a pass cannot migrate
         // anything — it would only recount the blocked snapshot,
         // fail to reach the target, and stop. Do exactly that
-        // (including the pass trace line) without opening a pass.
+        // without opening a pass.
         const Pfn end = lo + ((hi - lo) / pagesPerHuge) * pagesPerHuge;
         const ContigIndex &idx = mem.contigIndex();
         if (idx.mixedBlocksIn(lo, end) == 0) {
             total.blockedPageblocks =
                 idx.taintedBlocksIn(lo, end, hugeOrder);
-            CTG_DPRINTF(Compaction,
-                        "range [%llu, %llu): migrated=0 nomem=0 "
-                        "skipped=0 blocked_pageblocks=%llu",
-                        static_cast<unsigned long long>(lo),
-                        static_cast<unsigned long long>(hi),
-                        static_cast<unsigned long long>(
-                            total.blockedPageblocks));
             if (haveTargetBlock(alloc, target_order))
                 total.targetReached = true;
             break;
@@ -182,13 +167,10 @@ compactUntil(BuddyAllocator &alloc, const OwnerRegistry &registry,
         if (r.migrated == 0)
             break;
     }
-    CTG_DPRINTF(Compaction,
-                "compactUntil order-%u: migrated=%llu reached=%d",
-                target_order,
-                static_cast<unsigned long long>(total.migrated),
-                int(total.targetReached));
     span.arg("migrated", static_cast<std::int64_t>(total.migrated));
     span.arg("reached", total.targetReached ? 1 : 0);
+    span.arg("blocked",
+             static_cast<std::int64_t>(total.blockedPageblocks));
     return total;
 }
 

@@ -1,7 +1,6 @@
 #include "kernel/migrate.hh"
 
 #include "base/span_trace.hh"
-#include "base/trace.hh"
 #include "sim/fault_injector.hh"
 
 namespace ctg
@@ -62,14 +61,11 @@ migrateBlock(BuddyAllocator &src_alloc, BuddyAllocator &dst_alloc,
 
     const unsigned order = sf.order();
     const AllocSource source = sf.source();
+    span.arg("order", order);
 
     if (faultInjector().shouldFail(FaultSite::MigrateDstFail)) {
         ++mstats.injectedFaults;
         ++mstats.noMemory;
-        CTG_DPRINTF(Migrate,
-                    "order-%u block at %llu: injected destination "
-                    "failure", order,
-                    static_cast<unsigned long long>(src));
         span.arg("no_memory", 1);
         return MigrateResult::NoMemory;
     }
@@ -78,13 +74,10 @@ migrateBlock(BuddyAllocator &src_alloc, BuddyAllocator &dst_alloc,
                                          pref, allow_fallback);
     if (dst == invalidPfn) {
         ++mstats.noMemory;
-        CTG_DPRINTF(Migrate,
-                    "order-%u block at %llu: no destination in %s",
-                    order, static_cast<unsigned long long>(src),
-                    dst_alloc.name().c_str());
         span.arg("no_memory", 1);
         return MigrateResult::NoMemory;
     }
+    span.arg("dst", static_cast<std::int64_t>(dst));
 
     // An injected relocate refusal exercises the rollback path: the
     // destination block was already allocated and must be returned.
@@ -92,11 +85,6 @@ migrateBlock(BuddyAllocator &src_alloc, BuddyAllocator &dst_alloc,
         ++mstats.injectedFaults;
         dst_alloc.freePages(dst);
         ++mstats.unmovable;
-        CTG_DPRINTF(Migrate,
-                    "order-%u block at %llu: injected relocate "
-                    "refusal, destination %llu rolled back", order,
-                    static_cast<unsigned long long>(src),
-                    static_cast<unsigned long long>(dst));
         span.arg("rolled_back", 1);
         return MigrateResult::Unmovable;
     }
@@ -110,12 +98,6 @@ migrateBlock(BuddyAllocator &src_alloc, BuddyAllocator &dst_alloc,
 
     src_alloc.freePages(src);
     ++mstats.moved;
-    span.arg("dst", static_cast<std::int64_t>(dst));
-    span.arg("order", order);
-    CTG_DPRINTF(Migrate, "order-%u block %llu -> %llu (%s)", order,
-                static_cast<unsigned long long>(src),
-                static_cast<unsigned long long>(dst),
-                dst_alloc.name().c_str());
     if (out_dst != nullptr)
         *out_dst = dst;
     return MigrateResult::Ok;

@@ -4,7 +4,7 @@
 #include <bit>
 
 #include "base/serde.hh"
-#include "base/trace.hh"
+#include "base/span_trace.hh"
 #include "sim/fault_injector.hh"
 
 namespace ctg
@@ -298,8 +298,6 @@ BuddyAllocator::allocPages(unsigned order, MigrateType mt,
     if (faultInjector().shouldFail(FaultSite::BuddyAllocFail)) {
         ++stats_.failedAllocs;
         ++stats_.injectedFailures;
-        CTG_DPRINTF(Buddy, "%s: injected order-%u %s alloc failure",
-                    name_.c_str(), order, migrateTypeName(mt));
         return invalidPfn;
     }
 
@@ -330,12 +328,6 @@ BuddyAllocator::allocPages(unsigned order, MigrateType mt,
                 static_cast<unsigned>(std::bit_width(stealable)) - 1;
             const Pfn head = popFree(victim, o, pref);
             ++stats_.fallbackAllocs;
-            CTG_DPRINTF(Buddy,
-                        "%s: fallback steal order %u from %s list "
-                        "for order-%u %s alloc at pfn %llu",
-                        name_.c_str(), o, migrateTypeName(victim),
-                        order, migrateTypeName(mt),
-                        static_cast<unsigned long long>(head));
             const bool claim = claimSmallSteals_ || o >= hugeOrder;
             if (claim) {
                 // Stealing at pageblock granularity claims the
@@ -356,9 +348,6 @@ BuddyAllocator::allocPages(unsigned order, MigrateType mt,
     }
 
     ++stats_.failedAllocs;
-    CTG_DPRINTF(Buddy, "%s: order-%u %s alloc failed (free %llu)",
-                name_.c_str(), order, migrateTypeName(mt),
-                static_cast<unsigned long long>(freePageCount()));
     return invalidPfn;
 }
 
@@ -418,8 +407,6 @@ BuddyAllocator::allocGigantic(MigrateType mt, AllocSource src,
     if (faultInjector().shouldFail(FaultSite::BuddyGiganticFail)) {
         ++stats_.giganticFailures;
         ++stats_.injectedFailures;
-        CTG_DPRINTF(Buddy, "%s: injected gigantic %s alloc failure",
-                    name_.c_str(), migrateTypeName(mt));
         return invalidPfn;
     }
 
@@ -429,9 +416,8 @@ BuddyAllocator::allocGigantic(MigrateType mt, AllocSource src,
         gigaOrder, start_, end_, AddrPref::None);
     if (base == invalidPfn) {
         ++stats_.giganticFailures;
-        CTG_DPRINTF(Buddy,
-                    "%s: gigantic %s alloc found no free 1GB range",
-                    name_.c_str(), migrateTypeName(mt));
+        CTG_SPAN_EVENT(Buddy, "buddy.gigantic_failed",
+                       {{"mt", static_cast<std::int64_t>(mt)}});
         return invalidPfn;
     }
     // Remove every free head in the range from the lists.

@@ -10,10 +10,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <new>
-#include <sstream>
 
 #include "base/host_mem.hh"
 #include "base/mergeable_stats.hh"
@@ -21,7 +19,6 @@
 #include "base/span_trace.hh"
 #include "base/stats.hh"
 #include "base/table.hh"
-#include "base/trace.hh"
 #include "base/units.hh"
 #include "sim/eventq.hh"
 
@@ -350,63 +347,63 @@ TEST(LoggingTest, PanicThrows)
 /** RAII guard: every trace-flag test leaves the mask empty. */
 struct TraceMaskGuard
 {
-    ~TraceMaskGuard() { trace::disableAll(); }
+    ~TraceMaskGuard() { spans::disableAll(); }
 };
 
 TEST(TraceFlagsTest, SetFromStringEnablesListedFlags)
 {
     const TraceMaskGuard guard;
-    trace::disableAll();
-    trace::setFromString("Buddy,Region");
-    EXPECT_TRUE(trace::enabled(TraceFlag::Buddy));
-    EXPECT_TRUE(trace::enabled(TraceFlag::Region));
-    EXPECT_FALSE(trace::enabled(TraceFlag::Migrate));
+    spans::disableAll();
+    spans::setFromString("Buddy,Region");
+    EXPECT_TRUE(spans::enabled(TraceFlag::Buddy));
+    EXPECT_TRUE(spans::enabled(TraceFlag::Region));
+    EXPECT_FALSE(spans::enabled(TraceFlag::Migrate));
 }
 
 TEST(TraceFlagsTest, SetFromStringAllEnablesEveryFlag)
 {
     const TraceMaskGuard guard;
-    trace::disableAll();
-    trace::setFromString("All");
-    EXPECT_EQ(trace::mask_.load(), trace::allFlagsMask());
+    spans::disableAll();
+    spans::setFromString("All");
+    EXPECT_EQ(spans::mask_.load(), spans::allFlagsMask());
 }
 
 TEST(TraceFlagsTest, SetFromStringEmptyAndSeparatorsAreNoops)
 {
     const TraceMaskGuard guard;
-    trace::disableAll();
-    trace::setFromString("");
-    EXPECT_EQ(trace::mask_.load(), 0u);
-    trace::setFromString(",,  , ");
-    EXPECT_EQ(trace::mask_.load(), 0u);
+    spans::disableAll();
+    spans::setFromString("");
+    EXPECT_EQ(spans::mask_.load(), 0u);
+    spans::setFromString(",,  , ");
+    EXPECT_EQ(spans::mask_.load(), 0u);
 }
 
 TEST(TraceFlagsTest, SetFromStringIgnoresUnknownFlags)
 {
     const TraceMaskGuard guard;
-    trace::disableAll();
-    trace::setFromString("Bogus,Buddy,AlsoNotAFlag");
-    EXPECT_EQ(trace::mask_.load(),
+    spans::disableAll();
+    spans::setFromString("Bogus,Buddy,AlsoNotAFlag");
+    EXPECT_EQ(spans::mask_.load(),
               static_cast<std::uint32_t>(TraceFlag::Buddy));
 }
 
 TEST(TraceFlagsTest, SetFromStringIsCaseSensitive)
 {
     const TraceMaskGuard guard;
-    trace::disableAll();
+    spans::disableAll();
     // Flag names are exact: lowercase or shouty variants are unknown
     // flags, warned about and ignored, not silently matched.
-    trace::setFromString("buddy,REGION,migrate");
-    EXPECT_EQ(trace::mask_.load(), 0u);
+    spans::setFromString("buddy,REGION,migrate");
+    EXPECT_EQ(spans::mask_.load(), 0u);
 }
 
 TEST(TraceFlagsTest, SetFromStringTrailingCommaAndSpaces)
 {
     const TraceMaskGuard guard;
-    trace::disableAll();
-    trace::setFromString("Buddy, Region,");
-    EXPECT_TRUE(trace::enabled(TraceFlag::Buddy));
-    EXPECT_TRUE(trace::enabled(TraceFlag::Region));
+    spans::disableAll();
+    spans::setFromString("Buddy, Region,");
+    EXPECT_TRUE(spans::enabled(TraceFlag::Buddy));
+    EXPECT_TRUE(spans::enabled(TraceFlag::Region));
 }
 
 TEST(TraceFlagsTest, FlagFromNameRoundTripsEveryName)
@@ -416,46 +413,22 @@ TEST(TraceFlagsTest, FlagFromNameRoundTripsEveryName)
         TraceFlag::Migrate,   TraceFlag::Shootdown,
         TraceFlag::ChwEngine, TraceFlag::Region,
         TraceFlag::Fleet,     TraceFlag::Kernel,
-        TraceFlag::Tlb,       TraceFlag::Faults,
+        TraceFlag::Faults,
     };
+    std::uint32_t mask = 0;
     for (const TraceFlag flag : all) {
         TraceFlag parsed;
-        ASSERT_TRUE(trace::flagFromName(trace::flagName(flag),
+        ASSERT_TRUE(spans::flagFromName(spans::flagName(flag),
                                         &parsed));
         EXPECT_EQ(parsed, flag);
+        mask |= static_cast<std::uint32_t>(flag);
     }
+    // The list above is every flag: nothing in the table is missed.
+    EXPECT_EQ(mask, spans::allFlagsMask());
     TraceFlag unused;
-    EXPECT_FALSE(trace::flagFromName("?", &unused));
-    EXPECT_FALSE(trace::flagFromName("", &unused));
-}
-
-TEST(TraceSinkTest, FileSinkRedirectsDprintfOutput)
-{
-    const TraceMaskGuard guard;
-    const std::string path =
-        ::testing::TempDir() + "ctg_trace_sink_test.log";
-    // openFileSink is the machinery CTG_TRACE_FILE drives at
-    // startup; exercise it directly so the test owns the lifetime.
-    ASSERT_TRUE(trace::openFileSink(path));
-    trace::enable(TraceFlag::Buddy);
-    CTG_DPRINTF(Buddy, "redirected %d", 42);
-    trace::disable(TraceFlag::Buddy);
-    CTG_DPRINTF(Buddy, "suppressed %d", 7);
-    trace::setSink(nullptr); // closes the owned file, back to stderr
-
-    std::ifstream in(path);
-    std::stringstream contents;
-    contents << in.rdbuf();
-    EXPECT_NE(contents.str().find("Buddy: redirected 42"),
-              std::string::npos);
-    EXPECT_EQ(contents.str().find("suppressed"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(TraceSinkTest, OpenFileSinkFailureKeepsCurrentSink)
-{
-    EXPECT_FALSE(
-        trace::openFileSink("/nonexistent-dir/trace.out"));
+    EXPECT_FALSE(spans::flagFromName("?", &unused));
+    EXPECT_FALSE(spans::flagFromName("", &unused));
+    EXPECT_FALSE(spans::flagFromName("Tlb", &unused));
 }
 
 /** RAII guard: span tests leave no collected state or flags behind. */

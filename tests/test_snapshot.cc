@@ -292,6 +292,29 @@ TEST(EnvStrictTest, CheckpointAndRestoreDirsPassThrough)
     EXPECT_EQ(config.restoreDir, "/tmp/rs");
 }
 
+TEST(EnvStrictTest, TraceWithoutSpansPathWarns)
+{
+    // CTG_TRACE only restricts what CTG_TRACE_SPANS records.
+    {
+        const EnvVar t("CTG_TRACE", "Region");
+        const EnvVar s("CTG_TRACE_SPANS", "/tmp/unused.json");
+        testing::internal::CaptureStderr();
+        const sim::EnvConfig config = sim::EnvConfig::fromEnv();
+        EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+        EXPECT_EQ(config.traceSpec, "Region");
+    }
+    // Alone it would silently do nothing, so it warns, naming both.
+    const EnvVar t("CTG_TRACE", "Region");
+    testing::internal::CaptureStderr();
+    const sim::EnvConfig config = sim::EnvConfig::fromEnv();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(config.traceSpec, "Region");
+    EXPECT_TRUE(config.traceSpansPath.empty());
+    EXPECT_NE(err.find("CTG_TRACE='Region'"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("CTG_TRACE_SPANS"), std::string::npos) << err;
+}
+
 // ---------------------------------------------------------------
 // Fault-site table hygiene
 // ---------------------------------------------------------------

@@ -2,20 +2,19 @@
  * @file
  * Observability-layer tests: StatRegistry registration and naming,
  * group prefixes, exporters (JSON lines / CSV), the StatSampler in
- * both manual and event-queue-driven modes, the trace facility, and
- * the end-to-end fleet time series (a sampled server run must show a
- * fragmentation trajectory).
+ * both manual and event-queue-driven modes, trace flags and span
+ * events, and the end-to-end fleet time series (a sampled server run
+ * must show a fragmentation trajectory).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "base/span_trace.hh"
 #include "base/stat_registry.hh"
-#include "base/trace.hh"
 #include "fleet/fleet.hh"
 #include "fleet/server.hh"
 #include "sim/eventq.hh"
@@ -240,35 +239,32 @@ TEST(StatSampler, CsvAndJsonExportMatchSamples)
 
 TEST(Trace, FlagsToggleIndividuallyAndFromString)
 {
-    trace::disableAll();
-    EXPECT_FALSE(trace::enabled(TraceFlag::Buddy));
-    trace::enable(TraceFlag::Buddy);
-    EXPECT_TRUE(trace::enabled(TraceFlag::Buddy));
-    EXPECT_FALSE(trace::enabled(TraceFlag::Region));
-    trace::disable(TraceFlag::Buddy);
-    EXPECT_FALSE(trace::enabled(TraceFlag::Buddy));
+    spans::disableAll();
+    EXPECT_FALSE(spans::enabled(TraceFlag::Buddy));
+    spans::enable(TraceFlag::Buddy);
+    EXPECT_TRUE(spans::enabled(TraceFlag::Buddy));
+    EXPECT_FALSE(spans::enabled(TraceFlag::Region));
+    spans::disable(TraceFlag::Buddy);
+    EXPECT_FALSE(spans::enabled(TraceFlag::Buddy));
 
-    trace::setFromString("Buddy, Region");
-    EXPECT_TRUE(trace::enabled(TraceFlag::Buddy));
-    EXPECT_TRUE(trace::enabled(TraceFlag::Region));
-    EXPECT_FALSE(trace::enabled(TraceFlag::Fleet));
-    trace::setFromString("All");
-    EXPECT_TRUE(trace::enabled(TraceFlag::Fleet));
-    trace::disableAll();
+    spans::setFromString("Buddy, Region");
+    EXPECT_TRUE(spans::enabled(TraceFlag::Buddy));
+    EXPECT_TRUE(spans::enabled(TraceFlag::Region));
+    EXPECT_FALSE(spans::enabled(TraceFlag::Fleet));
+    spans::setFromString("All");
+    EXPECT_TRUE(spans::enabled(TraceFlag::Fleet));
+    spans::disableAll();
 }
 
-TEST(Trace, RecordsGoToFileSinkWithTickStamp)
+TEST(Trace, SpanEventsCarryTickStampAndArgs)
 {
-    const std::string path =
-        testing::TempDir() + "ctg_trace_test.log";
-    trace::disableAll();
-    ASSERT_TRUE(trace::openFileSink(path));
-    trace::enable(TraceFlag::Kernel);
+    spans::resetForTest();
+    spans::enable(TraceFlag::Kernel);
 
     EventQueue eventq;
-    trace::setTickSource([&eventq] { return eventq.now(); });
+    spans::setTickSource([&eventq] { return eventq.now(); });
     eventq.schedule(42, [] {
-        CTG_DPRINTF(Kernel, "probe %d", 7);
+        CTG_SPAN_EVENT(Kernel, "probe", {{"value", 7}});
     });
     eventq.run();
 
@@ -278,29 +274,28 @@ TEST(Trace, RecordsGoToFileSinkWithTickStamp)
         evaluated = true;
         return 0;
     };
-    CTG_DPRINTF(Tlb, "never %d", touch());
+    CTG_SPAN_EVENT(Buddy, "never", {{"value", touch()}});
     EXPECT_FALSE(evaluated);
 
-    trace::clearTickSource();
-    trace::setSink(nullptr); // back to stderr; closes the file
-    trace::disableAll();
+    spans::clearTickSource();
+    const std::vector<spans::Event> events = spans::collectedEvents();
+    spans::resetForTest();
 
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    char buf[256] = {};
-    ASSERT_NE(std::fgets(buf, sizeof(buf), f), nullptr);
-    std::fclose(f);
-    std::remove(path.c_str());
-    const std::string line(buf);
-    EXPECT_NE(line.find("42"), std::string::npos);
-    EXPECT_NE(line.find("Kernel"), std::string::npos);
-    EXPECT_NE(line.find("probe 7"), std::string::npos);
+    ASSERT_EQ(events.size(), 1u);
+    const spans::Event &ev = events[0];
+    EXPECT_EQ(ev.phase, spans::Event::Phase::Instant);
+    EXPECT_EQ(ev.flag, TraceFlag::Kernel);
+    EXPECT_STREQ(ev.name, "probe");
+    EXPECT_EQ(ev.tick, 42u);
+    ASSERT_EQ(ev.nargs, 1u);
+    EXPECT_STREQ(ev.args[0].key, "value");
+    EXPECT_EQ(ev.args[0].value, 7);
 }
 
 TEST(Trace, FlagNames)
 {
-    EXPECT_STREQ(trace::flagName(TraceFlag::Buddy), "Buddy");
-    EXPECT_STREQ(trace::flagName(TraceFlag::ChwEngine), "ChwEngine");
+    EXPECT_STREQ(spans::flagName(TraceFlag::Buddy), "Buddy");
+    EXPECT_STREQ(spans::flagName(TraceFlag::ChwEngine), "ChwEngine");
 }
 
 // The acceptance scenario: a sampled server run must produce a
