@@ -127,6 +127,8 @@ runCell(const std::string &policySpec, WorkloadKind kind,
     config.prefragmentFrac = 0.25;
     config.seed = 0xab1a710;
     config.applyEnvOverlay();
+    config.useSnapshotSubdir(policySpec + "/" + workloadKey(kind) +
+                             "/" + std::to_string(mem_mib));
 
     Fleet fleet(config);
     const std::vector<ServerScan> scans = fleet.run();

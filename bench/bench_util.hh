@@ -88,7 +88,7 @@ printRegistry()
  * Parse the shared bench command line. Every binary gets `--json
  * out.json` (redirects every dumpText/dumpStats call into that file,
  * append, so CI can collect machine-readable artifacts like
- * BENCH_scan.json without environment plumbing); callers add their
+ * BENCH_fleet.json without environment plumbing); callers add their
  * own flags via `extra`. Both `--flag VALUE` and `--flag=VALUE`
  * spellings work. Anything that is not a declared flag — an unknown
  * name, a missing value, a stray positional — prints the usage list
@@ -192,8 +192,9 @@ printFleetWall(const Fleet &fleet)
                 fleet.lastRunThreads(), fleet.lastRunWallMs());
 }
 
-/** Wall clock for benches that do not drive a Fleet (hardware and
- * microbenchmark binaries): start at construction, read in ms. */
+/** Wall clock for benches that do not drive a Fleet (hardware
+ * binaries) or time several fleets together: start at construction,
+ * read in ms. */
 class WallTimer
 {
   public:

@@ -49,7 +49,6 @@ runCell(WorkloadKind kind, bool contiguitas, unsigned pop,
                   (static_cast<std::uint64_t>(kind) * 2 +
                    (contiguitas ? 1 : 0));
     config.applyEnvOverlay();
-    Fleet fleet(config);
 
     std::string prefix = std::string(workloadName(kind)) +
                          (contiguitas ? ".ctg" : ".linux");
@@ -58,6 +57,8 @@ runCell(WorkloadKind kind, bool contiguitas, unsigned pop,
             c = '_'; // "Cache A" -> "Cache_A"; spaces are not
                      // legal in stat names
     }
+    config.useSnapshotSubdir(prefix);
+    Fleet fleet(config);
     // Per-cell registry: the wall/thread gauges read live fleet
     // state, so dump before the fleet dies.
     StatRegistry registry;

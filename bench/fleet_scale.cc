@@ -69,6 +69,7 @@ scaleConfig(bool contiguitas, unsigned servers,
     config.coarseStep = coarse;
     config.seed = 0x5ca1e ^ (contiguitas ? 1 : 0);
     config.applyEnvOverlay();
+    config.useSnapshotSubdir(config.policy.name);
     return config;
 }
 

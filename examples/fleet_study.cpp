@@ -61,10 +61,7 @@ std::vector<ServerScan>
 runFleet(Fleet::Config config, const std::string &policy)
 {
     config.policy.name = policy;
-    if (!config.checkpointDir.empty())
-        config.checkpointDir += "/" + policy;
-    if (!config.restoreDir.empty())
-        config.restoreDir += "/" + policy;
+    config.useSnapshotSubdir(policy);
     return Fleet(config).run();
 }
 

@@ -586,6 +586,7 @@ std::string
 exportJson()
 {
     const std::vector<Event> events = collectedEvents();
+    const std::uint64_t dropped = droppedCount();
 
     std::string out;
     out.reserve(events.size() * 96 + 256);
@@ -625,7 +626,11 @@ exportJson()
         first = false;
         appendEventJson(out, ev);
     }
-    out += "],\"displayTimeUnit\":\"ms\"}\n";
+    std::snprintf(buf, sizeof(buf),
+                  "],\"displayTimeUnit\":\"ms\","
+                  "\"otherData\":{\"dropped_events\":%" PRIu64 "}}\n",
+                  dropped);
+    out += buf;
     return out;
 }
 
@@ -640,6 +645,10 @@ writeJson(const std::string &path)
     }
     std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);
+    if (const std::uint64_t dropped = droppedCount())
+        warn("span trace '%s' is truncated: %" PRIu64
+             " events dropped at a capture or collector cap",
+             path.c_str(), dropped);
     return true;
 }
 

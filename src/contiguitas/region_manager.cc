@@ -21,44 +21,56 @@ roundUpToAlign(Pfn pages)
     return (pages + resizeAlign - 1) & ~(resizeAlign - 1);
 }
 
+/**
+ * The one normalisation of a region config for a machine of `total`
+ * frames. Defaults are filled in, and `initialUnmovablePages` becomes
+ * the first boundary. The floor is rounded up to the resize alignment
+ * and capped at half of memory: below 128 MiB the default 64 MiB
+ * floor exceeds it, and the half-memory cap wins. The ceiling is
+ * raised to the first boundary if it sits below it. Resizing moves
+ * the boundary in aligned steps and keeps it within
+ * [minUnmovablePages, maxUnmovablePages], so these are the
+ * boundaries a live server can reach.
+ */
+RegionManager::Config
+normalize(RegionManager::Config c, Pfn total)
+{
+    if (c.initialUnmovablePages == 0)
+        c.initialUnmovablePages = total / 16;
+    if (c.maxUnmovablePages == 0)
+        c.maxUnmovablePages = total / 2;
+    c.minUnmovablePages =
+        std::min<Pfn>(roundUpToAlign(c.minUnmovablePages), total / 2);
+    c.initialUnmovablePages = std::min<Pfn>(
+        std::max<Pfn>(roundUpToAlign(c.initialUnmovablePages),
+                      c.minUnmovablePages),
+        total / 2);
+    c.maxUnmovablePages =
+        std::max(c.maxUnmovablePages, c.initialUnmovablePages);
+    return c;
+}
+
 } // namespace
 
 RegionManager::RegionManager(PhysMem &mem, OwnerRegistry &owners,
                              Config config)
-    : mem_(mem), owners_(owners), config_(config)
+    : mem_(mem), owners_(owners),
+      config_(normalize(config, mem.numFrames()))
 {
-    const Pfn total = mem.numFrames();
-    if (config_.initialUnmovablePages == 0)
-        config_.initialUnmovablePages = total / 16;
-    if (config_.maxUnmovablePages == 0)
-        config_.maxUnmovablePages = total / 2;
-    config_.minUnmovablePages =
-        roundUpToAlign(config_.minUnmovablePages);
-
-    // Not std::clamp: below 128 MiB the default minimum exceeds
-    // total / 2, and the half-memory cap wins.
-    const Pfn boundary = std::min(
-        std::max(roundUpToAlign(config_.initialUnmovablePages),
-                 config_.minUnmovablePages),
-        total / 2);
+    const Pfn boundary = config_.initialUnmovablePages;
     unmovable_ = std::make_unique<BuddyAllocator>(
         mem, 0, boundary, "unmovable", MigrateType::Unmovable);
     movable_ = std::make_unique<BuddyAllocator>(
-        mem, boundary, total, "movable", MigrateType::Movable);
+        mem, boundary, mem.numFrames(), "movable",
+        MigrateType::Movable);
 }
 
 RegionManager::RegionManager(PhysMem &mem, OwnerRegistry &owners,
                              Config config, serde::Reader &in)
-    : mem_(mem), owners_(owners), config_(config)
+    : mem_(mem), owners_(owners),
+      config_(normalize(config, mem.numFrames()))
 {
     const Pfn total = mem.numFrames();
-    if (config_.initialUnmovablePages == 0)
-        config_.initialUnmovablePages = total / 16;
-    if (config_.maxUnmovablePages == 0)
-        config_.maxUnmovablePages = total / 2;
-    config_.minUnmovablePages =
-        roundUpToAlign(config_.minUnmovablePages);
-
     unmovable_ = std::make_unique<BuddyAllocator>(mem, in);
     movable_ = std::make_unique<BuddyAllocator>(mem, in);
     if (unmovable_->startPfn() != 0 ||
@@ -67,7 +79,8 @@ RegionManager::RegionManager(PhysMem &mem, OwnerRegistry &owners,
         throw serde::Error(
             "region manager: allocators do not tile memory");
     const Pfn boundary = unmovable_->endPfn();
-    if (boundary % resizeAlign != 0 ||
+    if (boundary % resizeAlign !=
+            config_.initialUnmovablePages % resizeAlign ||
         boundary < config_.minUnmovablePages ||
         boundary > config_.maxUnmovablePages)
         throw serde::Error(

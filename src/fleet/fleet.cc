@@ -37,6 +37,15 @@ Fleet::Config::applyEnvOverlay()
         restoreDir = env.restoreDir;
 }
 
+void
+Fleet::Config::useSnapshotSubdir(const std::string &name)
+{
+    if (!checkpointDir.empty())
+        checkpointDir += "/" + name;
+    if (!restoreDir.empty())
+        restoreDir += "/" + name;
+}
+
 namespace
 {
 

@@ -107,6 +107,12 @@ class Fleet
          * any still-unset knobs (threads, workloadOverride,
          * coarseStep, checkpointDir, restoreDir). */
         void applyEnvOverlay();
+
+        /** Move checkpointDir and restoreDir, where set, into their
+         * subdirectory `name`. A binary that runs several fleets
+         * gives each its own name, so each keeps its own snapshot
+         * set rather than overwriting the previous fleet's. */
+        void useSnapshotSubdir(const std::string &name);
     };
 
     /** Servers dispatched per worker thread before the merge

@@ -616,6 +616,10 @@ TEST(SpanTraceTest, PublishAtCollectorCapKeepsStreamsBalanced)
     EXPECT_EQ(events[3].phase, Phase::End);
     EXPECT_EQ(events[3].id, events[0].id);
     EXPECT_EQ(spans::droppedCount(), 6u);
+    // The export says the trace is truncated, and by how much.
+    EXPECT_NE(spans::exportJson().find(
+                  "\"otherData\":{\"dropped_events\":6}"),
+              std::string::npos);
 }
 
 TEST(SpanTraceTest, ExportJsonIsWellFormedTraceEvents)

@@ -630,25 +630,33 @@ expectScansBitIdenticalAcrossThreads(Fleet::Config config)
     }
 }
 
-/** One prefragmented server of the fleet's shape, run to the end of
- * its uptime: Server::scan(), read from the index, must equal
- * Server::referenceScan(), walked from the frames, bit for bit. */
+/** Run one server to the end of its uptime: Server::scan(), read
+ * from the index, must equal Server::referenceScan(), walked from
+ * the frames, bit for bit. */
 void
-expectServerScanMatchesReference(const Fleet::Config &fleet_config,
-                                 WorkloadKind kind)
+expectServerScanMatchesReference(const Server::Config &config)
+{
+    Server server(config);
+    server.run();
+    const ServerScan index = server.scan();
+    const ServerScan reference = server.referenceScan();
+    EXPECT_EQ(std::memcmp(&index, &reference, sizeof(ServerScan)), 0)
+        << workloadName(config.kind) << " seed " << config.seed;
+    EXPECT_GT(reference.unmovablePageRatio, 0.0);
+}
+
+/** One prefragmented server of the fleet's shape, at the fleet's
+ * longest uptime. */
+Server::Config
+prefragmentedServerOf(const Fleet::Config &fleet_config,
+                      WorkloadKind kind)
 {
     Server::Config config = Fleet(fleet_config).baseServerConfig();
     config.kind = kind;
     config.prefragment = true;
     config.uptimeSec = fleet_config.maxUptimeSec;
     config.seed = fleet_config.seed;
-    Server server(config);
-    server.run();
-    const ServerScan index = server.scan();
-    const ServerScan reference = server.referenceScan();
-    EXPECT_EQ(std::memcmp(&index, &reference, sizeof(ServerScan)), 0)
-        << workloadName(kind);
-    EXPECT_GT(reference.unmovablePageRatio, 0.0);
+    return config;
 }
 
 /** The index-driven read and search paths must not change a single
@@ -665,7 +673,8 @@ TEST(ContigIndexProperty, FleetScansBitIdenticalIndexOnVsOff)
     config.prefragmentFrac = 0.25;
     config.seed = 0xb17;
     expectScansBitIdenticalAcrossThreads(config);
-    expectServerScanMatchesReference(config, WorkloadKind::Web);
+    expectServerScanMatchesReference(
+        prefragmentedServerOf(config, WorkloadKind::Web));
 }
 
 /** Same contract with Contiguitas enabled, which drives the
@@ -683,7 +692,26 @@ TEST(ContigIndexProperty, ContiguitasFleetBitIdenticalIndexOnVsOff)
     config.prefragmentFrac = 0.25;
     config.seed = 0xc716;
     expectScansBitIdenticalAcrossThreads(config);
-    expectServerScanMatchesReference(config, WorkloadKind::CacheB);
+    expectServerScanMatchesReference(
+        prefragmentedServerOf(config, WorkloadKind::CacheB));
+}
+
+/** The oracle at the Figure 11 cell shape: 2 GiB servers, one of
+ * each paper workload at rising intensity, every other one
+ * prefragmented. The 512 MiB servers above hold no 1 GiB block, so
+ * only here are the order-1G fields compared for real. */
+TEST(ContigIndexProperty, Fig11ShapeServerScansMatchReference)
+{
+    for (unsigned i = 0; i < 4; ++i) {
+        Server::Config config;
+        config.memBytes = std::uint64_t{2} << 30;
+        config.kind = static_cast<WorkloadKind>(i % 4);
+        config.intensity = 0.8 + 0.15 * i;
+        config.prefragment = i % 2 == 0;
+        config.uptimeSec = 30.0;
+        config.seed = 0x5ca9 + i;
+        expectServerScanMatchesReference(config);
+    }
 }
 
 } // namespace

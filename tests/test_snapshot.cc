@@ -577,6 +577,19 @@ TEST_F(SnapshotRoundTrip, EveryFaultSiteArmedResumesBitIdentically)
     expectServerRoundTrip(smallServer(true, true), true);
 }
 
+/** The scale tier's 64 MiB machines: the half-memory cap puts the
+ * Contiguitas boundary below the default 64 MiB floor, and restore
+ * must accept the boundary the live server started from. */
+TEST_F(SnapshotRoundTrip, ScaleTierContiguitasResumesBitIdentically)
+{
+    for (const bool prefragment : {false, true}) {
+        SCOPED_TRACE(prefragment ? "prefragmented" : "plain");
+        Server::Config config = smallServer(true, prefragment);
+        config.memBytes = 64_MiB;
+        expectServerRoundTrip(config, false);
+    }
+}
+
 TEST_F(SnapshotRoundTrip, FingerprintMismatchIsRefused)
 {
     const Server::Config config = smallServer(false, false);

@@ -19,6 +19,10 @@ promises:
 With --require NAME (repeatable), each file must also hold at least
 one span of that name.
 
+The summary line reports otherData.dropped_events, the events the
+simulator discarded at a capture or collector cap. A truncated trace
+still passes: the spans that were kept are balanced.
+
 Usage: check_spans.py [--require NAME ...] trace.json [more.json ...]
 
 Exits 0 when every file passes, 1 otherwise.
@@ -38,6 +42,7 @@ def check(path, required=()):
     events = doc["traceEvents"] if isinstance(doc, dict) else doc
     if not isinstance(events, list):
         return ["traceEvents is not a list"], warnings, {}
+    other = doc.get("otherData", {}) if isinstance(doc, dict) else {}
 
     stacks = {}     # (pid, tid) -> [(name, ts, span_id)]
     last_ts = {}    # (pid, tid) -> ts of the previous event
@@ -122,6 +127,7 @@ def check(path, required=()):
             errors.append("no span named %r" % name)
 
     stats["tracks"] = len(last_ts)
+    stats["dropped"] = other.get("dropped_events", 0)
     return errors, warnings, stats
 
 
@@ -151,10 +157,12 @@ def main(argv):
             print("%s: FAIL (%d errors)" % (path, len(errors)))
         else:
             print("%s: OK — %d events on %d tracks, %d spans "
-                  "(max depth %d), %d instants, %d flows"
+                  "(max depth %d), %d instants, %d flows, "
+                  "%d dropped"
                   % (path, stats["events"], stats["tracks"],
                      stats["spans"], stats["max_depth"],
-                     stats["instants"], stats["flows"]))
+                     stats["instants"], stats["flows"],
+                     stats["dropped"]))
     return 1 if failed else 0
 
 
