@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -235,23 +234,17 @@ standardFleet(const std::string &policy, unsigned servers = 48)
 }
 
 /**
- * Emit exporter output (JSON lines or CSV from StatRegistry /
- * StatSampler) under a labelled section. A --json path (parseArgs)
- * or the environment variable named by env_var redirects the text
- * into that file (append), so scripted runs can harvest
+ * Emit JSON lines (from StatRegistry / StatSampler) under a labelled
+ * section. A --json path (parseArgs), else CTG_STATS_JSON, redirects
+ * the text into that file (append), so scripted runs can harvest
  * machine-readable stats without parsing the figure tables.
  */
 inline void
-dumpText(const char *label, const std::string &text,
-         const char *env_var = "CTG_STATS_JSON")
+dumpText(const char *label, const std::string &text)
 {
     std::string path = jsonOutPath();
-    if (path.empty()) {
-        if (std::strcmp(env_var, "CTG_STATS_JSON") == 0)
-            path = sim::EnvConfig::fromEnv().statsJsonPath;
-        else if (const char *env = std::getenv(env_var))
-            path = env;
-    }
+    if (path.empty())
+        path = sim::EnvConfig::fromEnv().statsJsonPath;
     if (!path.empty()) {
         if (FILE *f = std::fopen(path.c_str(), "a")) {
             std::fputs(text.c_str(), f);
@@ -291,7 +284,7 @@ dumpWallMs(double wall_ms)
 inline void
 printCdfRows(Table &table, const std::string &label,
              const std::vector<double> &thresholds,
-             const EmpiricalCdf &cdf)
+             const OnlineHistogram &cdf)
 {
     std::vector<std::string> row;
     row.push_back(label);

@@ -24,7 +24,7 @@ main(int argc, char **argv)
     bench::regFaultStats(registry);
     const auto scans = fleet.run();
 
-    EmpiricalCdf cdfs[4];
+    OnlineHistogram cdfs[4];
     unsigned no_2m = 0;
     unsigned no_32m = 0;
     unsigned no_1g = 0;

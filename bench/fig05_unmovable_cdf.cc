@@ -26,7 +26,7 @@ main(int argc, char **argv)
     bench::regFaultStats(registry);
     const auto scans = fleet.run();
 
-    EmpiricalCdf cdfs[4];
+    OnlineHistogram cdfs[4];
     std::vector<double> page_ratios;
     std::vector<double> block_ratios;
     for (const ServerScan &scan : scans) {

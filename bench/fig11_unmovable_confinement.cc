@@ -62,7 +62,7 @@ runCell(WorkloadKind kind, bool contiguitas, unsigned pop,
     // Per-cell registry: the wall/thread gauges read live fleet
     // state, so dump before the fleet dies.
     StatRegistry registry;
-    fleet.attachTelemetry(registry, nullptr, prefix);
+    fleet.attachTelemetry(registry, prefix);
     bench::regFaultStats(registry);
 
     const auto scans = fleet.run();

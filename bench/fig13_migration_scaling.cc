@@ -121,7 +121,7 @@ main(int argc, char **argv)
                 us);
     bench::dumpStats(registry, "hardware stats (JSON lines)");
     bench::dumpWallMs(timer.ms());
-    bench::dumpText("per-migration time series (CSV)",
-                    sampler.csv(), "CTG_STATS_CSV");
+    bench::dumpText("per-migration time series (JSON lines)",
+                    sampler.jsonLines());
     return 0;
 }

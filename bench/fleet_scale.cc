@@ -11,8 +11,8 @@
  *
  * Defaults to 100,000 servers; `--servers` and `--mem-mb` rescale.
  * `--threads` sets worker threads (0 = auto), and `--coarse` toggles
- * the scale stepping mode (on by default here, off elsewhere — see
- * CTG_COARSE_STEP). Fleet::run holds one merge window of results at
+ * the scale stepping mode (Fleet::Config::coarseStep; on by default
+ * here, off elsewhere). Fleet::run holds one merge window of results at
  * a time, so peak RSS barely grows with `--servers`. The `--json
  * BENCH_fleet.json` output carries, per system, the measured
  * `bytes_per_frame` next to `bytes_per_frame_aos` and the index's
@@ -25,7 +25,7 @@
 #include <string>
 
 #include "base/host_mem.hh"
-#include "base/mergeable_stats.hh"
+#include "base/stats.hh"
 #include "bench/bench_util.hh"
 #include "fleet/fleet.hh"
 
@@ -87,7 +87,6 @@ probeFootprint(const Fleet &fleet, PopulationResult *out)
     sc.prefragment = true;
     sc.uptimeSec = fleet.config().minUptimeSec;
     sc.seed = 0xf00d;
-    sc.applyEnvOverlay();
     Server server(sc);
     server.run();
     const FrameArray &frames = server.kernel().mem().frames();
@@ -113,7 +112,7 @@ runPopulation(bool contiguitas, unsigned servers,
 
     Fleet fleet(config);
     StatRegistry registry;
-    fleet.attachTelemetry(registry, nullptr, prefix);
+    fleet.attachTelemetry(registry, prefix);
     bench::regFaultStats(registry);
     // Only the two table metrics are kept: their values repeat
     // (block-count ratios), whereas a sink of per-server uptimes

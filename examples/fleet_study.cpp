@@ -36,9 +36,9 @@ struct Summary
 Summary
 summarize(const std::vector<ServerScan> &scans)
 {
-    EmpiricalCdf unmov_pages;
-    EmpiricalCdf unmov_2m;
-    EmpiricalCdf pot_32m;
+    OnlineHistogram unmov_pages;
+    OnlineHistogram unmov_2m;
+    OnlineHistogram pot_32m;
     unsigned no_free_2m = 0;
     for (const ServerScan &scan : scans) {
         unmov_pages.add(scan.unmovablePageRatio);

@@ -1,7 +1,6 @@
 #include "base/env_config.hh"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "base/logging.hh"
 
@@ -28,28 +27,6 @@ parsePositive(const char *text, unsigned *out)
         return false;
     *out = static_cast<unsigned>(parsed);
     return true;
-}
-
-/** Strict boolean: only the documented spellings are accepted.
- * Returns false (leaving *out untouched) on anything else, so the
- * caller can warn naming the variable — "CTG_COARSE_STEP=ture" must
- * not silently enable the knob. */
-bool
-parseBool(const char *text, bool *out)
-{
-    for (const char *yes : {"1", "on", "ON", "true", "yes"}) {
-        if (std::strcmp(text, yes) == 0) {
-            *out = true;
-            return true;
-        }
-    }
-    for (const char *no : {"0", "off", "OFF", "false", "no"}) {
-        if (std::strcmp(text, no) == 0) {
-            *out = false;
-            return true;
-        }
-    }
-    return false;
 }
 
 } // namespace
@@ -100,12 +77,6 @@ EnvConfig::fromEnv()
                   config.traceSpec.c_str());
 
     config.csvTables = std::getenv("CTG_CSV") != nullptr;
-
-    if (const char *env = std::getenv("CTG_COARSE_STEP")) {
-        if (!parseBool(env, &config.coarseStep))
-            warn_once("ignoring malformed CTG_COARSE_STEP '%s'",
-                      env);
-    }
 
     if (const char *env = std::getenv("CTG_POLICY"))
         config.policySpec = env;

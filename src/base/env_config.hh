@@ -2,10 +2,10 @@
  * @file
  * One-stop parsing of the CTG_* environment overrides.
  *
- * Every knob the simulator reads from the environment is parsed here
- * into a sim::EnvConfig value, instead of each subsystem calling
- * getenv ad hoc. Call sites overlay the parsed values onto their own
- * config structs (Fleet::Config::applyEnvOverlay,
+ * Every CTG_* variable the simulator, the bench binaries and the
+ * examples read is parsed here into a sim::EnvConfig value; nothing
+ * else calls getenv. Call sites overlay the parsed values onto their
+ * own config structs (Fleet::Config::applyEnvOverlay,
  * Server::Config::applyEnvOverlay) or query fromEnv() directly.
  *
  * fromEnv() re-reads the environment on every call — tests mutate
@@ -55,16 +55,6 @@ struct EnvConfig
 
     /** CTG_CSV: append CSV renderings after bench tables. */
     bool csvTables = false;
-
-    /** CTG_COARSE_STEP: fleet servers batch workload events into
-     * one step per uptime segment while their policy reports no
-     * pending maintenance (deferred resizes), dropping to the fine
-     * stepSec cadence while work is pending. Deterministic, but a
-     * deliberately coarser model than fine stepping — figure-shape
-     * regressions pin that the fig11 confinement direction and the
-     * Figure 4/12 CDF shapes survive it (default off; the scale
-     * bench turns it on). */
-    bool coarseStep = false;
 
     /** CTG_POLICY: placement-policy spec "name[:key=val,...]"
      * (registry names: vanilla, contiguitas, contiguitas-nobias,

@@ -141,30 +141,4 @@ StatRegistry::jsonLines() const
     return out;
 }
 
-std::string
-StatRegistry::csv() const
-{
-    std::string out = "name,kind,value,count,mean,min,max,stddev\n";
-    for (const auto &stat : stats_) {
-        out += stat->name();
-        out += ",";
-        out += kindName(stat->kind());
-        if (stat->kind() == Stat::Kind::Distribution) {
-            const auto &d = static_cast<const Distribution &>(*stat);
-            char head[32];
-            std::snprintf(head, sizeof(head), ",,%" PRIu64,
-                          d.count());
-            out += head;
-            out += "," + formatDouble(d.mean());
-            out += "," + formatDouble(d.min());
-            out += "," + formatDouble(d.max());
-            out += "," + formatDouble(d.stddev());
-        } else {
-            out += "," + formatDouble(stat->value()) + ",,,,,";
-        }
-        out += "\n";
-    }
-    return out;
-}
-
 } // namespace ctg

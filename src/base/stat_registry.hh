@@ -16,8 +16,8 @@
  *
  * A StatGroup carries a name prefix so each simulated server (or
  * subsystem) registers its subtree once and children only choose leaf
- * names. Exporters render the whole registry as JSON-lines or CSV for
- * machine consumption by the bench binaries; the periodic StatSampler
+ * names. jsonLines() renders the whole registry for machine
+ * consumption by the bench binaries; the StatSampler
  * (src/sim/stat_sampler.hh) snapshots scalar views into time series.
  */
 
@@ -200,11 +200,6 @@ class StatRegistry
      * {"name":"a.b","kind":"counter","value":12}. Distributions add
      * count/mean/min/max/stddev fields. */
     std::string jsonLines() const;
-
-    /** Flat CSV with the fixed header
-     * name,kind,value,count,mean,min,max,stddev (blank cells where a
-     * kind has no such field). */
-    std::string csv() const;
 
   private:
     template <typename T, typename... Args>

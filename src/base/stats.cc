@@ -11,84 +11,72 @@ RunningStat::stddev() const
     return std::sqrt(variance());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0)
-{
-    ctg_assert(hi > lo);
-    ctg_assert(buckets > 0);
-}
-
 void
-Histogram::add(double x, std::uint64_t weight)
+OnlineHistogram::add(double value, std::uint64_t weight)
 {
+    ctg_assert(!std::isnan(value));
+    if (weight == 0)
+        return;
+    counts_[value] += weight;
     total_ += weight;
-    if (x < lo_) {
-        underflow_ += weight;
-        return;
-    }
-    if (x >= hi_) {
-        overflow_ += weight;
-        return;
-    }
-    const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-    counts_[std::min(idx, counts_.size() - 1)] += weight;
 }
 
 double
-Histogram::bucketLo(std::size_t i) const
+OnlineHistogram::min() const
 {
-    return lo_ + width_ * static_cast<double>(i);
+    return total_ != 0 ? counts_.begin()->first : 0.0;
 }
 
 double
-Histogram::percentile(double frac) const
+OnlineHistogram::max() const
 {
+    return total_ != 0 ? counts_.rbegin()->first : 0.0;
+}
+
+double
+OnlineHistogram::sum() const
+{
+    // Sorted-order walk: the result depends only on the multiset,
+    // not on insertion order.
+    double sum = 0.0;
+    for (const auto &entry : counts_)
+        sum += entry.first * static_cast<double>(entry.second);
+    return sum;
+}
+
+double
+OnlineHistogram::mean() const
+{
+    return total_ != 0 ? sum() / static_cast<double>(total_) : 0.0;
+}
+
+double
+OnlineHistogram::quantile(double frac) const
+{
+    ctg_assert(total_ != 0);
     ctg_assert(frac >= 0.0 && frac <= 1.0);
+    // Index floor(frac · (n − 1)) of the sorted sample multiset.
+    const auto idx = static_cast<std::uint64_t>(
+        frac * static_cast<double>(total_ - 1));
+    std::uint64_t seen = 0;
+    for (const auto &entry : counts_) {
+        seen += entry.second;
+        if (seen > idx)
+            return entry.first;
+    }
+    return counts_.rbegin()->first;
+}
+
+double
+OnlineHistogram::fractionAtOrBelow(double x) const
+{
     if (total_ == 0)
-        return lo_;
-    const double target = frac * static_cast<double>(total_);
-    double seen = static_cast<double>(underflow_);
-    if (seen >= target)
-        return lo_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        seen += static_cast<double>(counts_[i]);
-        if (seen >= target)
-            return bucketHi(i);
-    }
-    return hi_;
-}
-
-void
-EmpiricalCdf::ensureSorted() const
-{
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
-}
-
-double
-EmpiricalCdf::fractionAtOrBelow(double x) const
-{
-    if (samples_.empty())
         return 0.0;
-    ensureSorted();
-    const auto it =
-        std::upper_bound(samples_.begin(), samples_.end(), x);
-    return static_cast<double>(it - samples_.begin()) /
-           static_cast<double>(samples_.size());
-}
-
-double
-EmpiricalCdf::quantile(double frac) const
-{
-    ctg_assert(!samples_.empty());
-    ctg_assert(frac >= 0.0 && frac <= 1.0);
-    ensureSorted();
-    const auto idx = static_cast<std::size_t>(
-        frac * static_cast<double>(samples_.size() - 1));
-    return samples_[idx];
+    std::uint64_t seen = 0;
+    for (auto it = counts_.begin();
+         it != counts_.end() && !(x < it->first); ++it)
+        seen += it->second;
+    return static_cast<double>(seen) / static_cast<double>(total_);
 }
 
 double

@@ -1,8 +1,9 @@
 /**
  * @file
  * Statistics primitives used across the simulator and the experiment
- * harnesses: streaming mean/variance, histograms, empirical CDFs, and
- * the Pearson correlation used by the Section 2.4 uptime study.
+ * harnesses: streaming mean/variance, the exact streaming CDF the
+ * fleet figures render, and the Pearson correlation used by the
+ * Section 2.4 uptime study.
  */
 
 #ifndef CTG_BASE_STATS_HH
@@ -10,7 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
+#include <map>
 #include <vector>
 
 #include "base/logging.hh"
@@ -54,66 +55,49 @@ class RunningStat
     double max_ = -1e300;
 };
 
-/** Fixed-bucket histogram over [lo, hi) with uniform bucket width. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double x, std::uint64_t weight = 1);
-
-    std::uint64_t total() const { return total_; }
-    std::size_t buckets() const { return counts_.size(); }
-    std::uint64_t bucketCount(std::size_t i) const { return counts_.at(i); }
-    double bucketLo(std::size_t i) const;
-    double bucketHi(std::size_t i) const { return bucketLo(i + 1); }
-
-    /** Mass that fell below lo (still part of total()). */
-    std::uint64_t underflow() const { return underflow_; }
-
-    /** Mass that fell at or above hi (still part of total()). */
-    std::uint64_t overflow() const { return overflow_; }
-
-    /**
-     * Value below which the given fraction of the mass falls.
-     * Well-defined on an empty histogram: returns lo. Underflow mass
-     * resolves to lo and overflow mass to hi (the histogram cannot
-     * place it more precisely).
-     */
-    double percentile(double frac) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
-};
-
 /**
- * Empirical CDF built from raw samples; renders the fleet-study
- * figures (4 and 5) as "fraction of servers with value <= x".
+ * Exact CDF of a per-server metric, fed one sample at a time: a
+ * sorted value -> count map. The fleet figures (4 and 5) render it
+ * as "fraction of servers with value <= x", and fleet_scale folds
+ * Fleet::run's per-server callback into it without keeping the
+ * scans. Memory is O(distinct values), which for scan metrics
+ * (ratios snapped by discrete block counts) is far below O(servers).
+ *
+ * Every read depends only on the multiset of samples, never on
+ * insertion order: quantile and fractionAtOrBelow are exact (the
+ * answers a sorted sample vector gives, bit for bit — the tests hold
+ * one as the oracle), and sum/mean walk the map in sorted-value
+ * order. So a histogram fed from a parallel fleet is identical at
+ * every thread count.
  */
-class EmpiricalCdf
+class OnlineHistogram
 {
   public:
-    void add(double x) { samples_.push_back(x); sorted_ = false; }
+    /** Fold one sample (NaN is not a valid sample value). */
+    void add(double value, std::uint64_t weight = 1);
 
-    std::size_t count() const { return samples_.size(); }
+    /** Total samples (sum of weights). */
+    std::uint64_t count() const { return total_; }
 
-    /** Fraction of samples <= x. */
-    double fractionAtOrBelow(double x) const;
+    /** Distinct sample values retained (the memory footprint). */
+    std::size_t distinct() const { return counts_.size(); }
 
-    /** Inverse CDF: the smallest sample s.t. fraction <= frac. */
+    double min() const;
+    double max() const;
+    double sum() const;
+    double mean() const;
+
+    /** Exact inverse CDF over the sample multiset: the value at
+     * sorted index floor(frac · (count − 1)). Asserts on an empty
+     * histogram. */
     double quantile(double frac) const;
 
-  private:
-    void ensureSorted() const;
+    /** Fraction of samples <= x (0 on an empty histogram). */
+    double fractionAtOrBelow(double x) const;
 
-    mutable std::vector<double> samples_;
-    mutable bool sorted_ = true;
+  private:
+    std::map<double, std::uint64_t> counts_;
+    std::uint64_t total_ = 0;
 };
 
 /** Pearson correlation coefficient of two equal-length series. */

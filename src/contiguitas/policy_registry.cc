@@ -13,7 +13,8 @@ namespace ctg
 namespace
 {
 
-/** Strict boolean: only the documented spellings (cf. env_config). */
+/** Strict boolean: only the spellings 1/on/ON/true/yes and
+ * 0/off/OFF/false/no; anything else is a malformed knob value. */
 bool
 parseBoolStrict(const std::string &text, bool *out)
 {

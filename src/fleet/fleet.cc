@@ -29,8 +29,6 @@ Fleet::Config::applyEnvOverlay()
         parsePolicySpec(env.policySpec, &policy);
     if (workloadOverride.empty())
         workloadOverride = env.workloadOverride;
-    if (!coarseStep)
-        coarseStep = env.coarseStep;
     if (checkpointDir.empty())
         checkpointDir = env.checkpointDir;
     if (restoreDir.empty())
@@ -87,26 +85,10 @@ fleetConfigFingerprint(const Fleet::Config &config)
     if (kind)
         fp.mixU32(static_cast<std::uint32_t>(*kind));
     // Coarse stepping changes results, so it partitions snapshots
-    // just like it does in serverConfigFingerprint. Mixed resolved,
-    // so config and CTG_COARSE_STEP spellings agree.
-    fp.mixBool(config.coarseStep.value_or(
-        sim::EnvConfig::fromEnv().coarseStep));
+    // just like it does in serverConfigFingerprint.
+    fp.mixBool(config.coarseStep);
     return fp.value();
 }
-
-void
-Fleet::ScanSinks::absorb(const ServerScan &scan)
-{
-    freeContiguity2m.add(scan.freeContiguity[0]);
-    unmovableBlocks2m.add(scan.unmovableBlocks[0]);
-    unmovablePageRatio.add(scan.unmovablePageRatio);
-    uptimeSec.add(scan.uptimeSec);
-}
-
-Fleet::Fleet(const Config &config)
-    : config_(config),
-      tables_(SharedFleetTables::make(config.memBytes))
-{}
 
 Server::Config
 Fleet::baseServerConfig() const
@@ -114,7 +96,6 @@ Fleet::baseServerConfig() const
     Server::Config sc;
     sc.memBytes = config_.memBytes;
     sc.policy = config_.policy;
-    sc.sharedTables = tables_;
     sc.exactPref = config_.exactPref;
     sc.coarseStep = config_.coarseStep;
     sc.extraUptimeSec = config_.extraUptimeSec;
@@ -122,7 +103,7 @@ Fleet::baseServerConfig() const
 }
 
 void
-Fleet::attachTelemetry(StatRegistry &registry, StatSampler *sampler,
+Fleet::attachTelemetry(StatRegistry &registry,
                        const std::string &prefix)
 {
     const StatGroup group(registry, prefix);
@@ -150,7 +131,6 @@ Fleet::attachTelemetry(StatRegistry &registry, StatSampler *sampler,
                    (1024.0 * 1024.0);
         },
         "peak resident-set size of the whole process (MiB)");
-    sampler_ = sampler;
 }
 
 std::vector<ServerScan>
@@ -358,16 +338,14 @@ Fleet::run(const ScanCallback &onScan)
     // Dispatch in windows of kMergeWindowPerThread × threads servers.
     // After each window, every observable side effect is applied
     // here, in server order, on the calling thread — identical
-    // Distributions (same sample order), sampler snapshots, span
-    // streams, fault counters, manifest entries and callback
-    // sequence at any thread count — and the window's
-    // results are dropped before the next one starts.
+    // Distributions (same sample order), span streams, fault
+    // counters, manifest entries and callback sequence at any thread
+    // count — and the window's results are dropped before the next
+    // one starts.
     CTG_SPAN(Fleet, "fleet.simulate",
              {{"servers", config_.servers},
               {"threads", runThreads_}});
     const unsigned window = kMergeWindowPerThread * runThreads_;
-    const std::size_t snapshotBase =
-        sampler_ != nullptr ? sampler_->sampleCount() : 0;
     std::vector<Server::Config> configs;
     std::vector<TaskResult> results;
     std::vector<snap::ManifestEntry> manifestEntries;
@@ -406,19 +384,6 @@ Fleet::run(const ScanCallback &onScan)
                 unmovableBlocks2m_->sample(r.scan.unmovableBlocks[0]);
                 unmovablePageRatio_->sample(r.scan.unmovablePageRatio);
                 uptimeSec_->sample(r.scan.uptimeSec);
-                if (sampler_ != nullptr) {
-                    // The tick is the sampler's running snapshot
-                    // index (server index when fresh); restarting
-                    // at 0 on a reused sampler would violate its
-                    // non-decreasing tick contract and scramble the
-                    // series.
-                    sampler_->sample(
-                        static_cast<Tick>(snapshotBase + i));
-                    ctg_assert(sampler_->sampleCount() ==
-                               snapshotBase + i + 1);
-                    ctg_assert(sampler_->ticks().back() ==
-                               static_cast<Tick>(snapshotBase + i));
-                }
             }
             if (r.snapEntry)
                 manifestEntries.push_back(std::move(*r.snapEntry));

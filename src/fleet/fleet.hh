@@ -11,24 +11,21 @@
  * sampled from the fleet RNG in server order on the calling thread,
  * every worker task runs under a forked per-server fault injector
  * and a per-thread span capture, and all observable side effects
- * (the per-server scan callback, fleet Distributions, sampler
- * snapshots, span streams, fault counters, manifest entries) are applied in a merge step that walks each window's
- * servers in index order before the next window starts — so a run
- * is byte-identical at every thread count, including threads = 1
- * (the sequential path), and holds O(window) results in memory
- * however large the population. See DESIGN.md §10.
+ * (the per-server scan callback, fleet Distributions, span streams,
+ * fault counters, manifest entries) are applied in a merge step that
+ * walks each window's servers in index order before the next window
+ * starts — so a run is byte-identical at every thread count,
+ * including threads = 1 (the sequential path), and holds O(window)
+ * results in memory however large the population. See DESIGN.md §10.
  */
 
 #ifndef CTG_FLEET_FLEET_HH
 #define CTG_FLEET_FLEET_HH
 
 #include <functional>
-#include <optional>
 #include <vector>
 
-#include "base/mergeable_stats.hh"
 #include "fleet/server.hh"
-#include "fleet/shared_tables.hh"
 
 namespace ctg
 {
@@ -81,10 +78,10 @@ class Fleet
          * Server::Config (default off). */
         bool exactPref = false;
         /** Per-server scale stepping toggle, copied into every
-         * Server::Config (nullopt = CTG_COARSE_STEP, default off).
-         * Changes results (deliberately coarser model), so it is
-         * part of both config fingerprints. */
-        std::optional<bool> coarseStep;
+         * Server::Config (default off). Changes results (deliberately
+         * coarser model), so it is part of both config
+         * fingerprints. */
+        bool coarseStep = false;
 
         /** Checkpoint directory (CTG_CHECKPOINT): every server's
          * state at its uptime boundary is written here as an
@@ -104,8 +101,8 @@ class Fleet
         std::string restoreDir;
 
         /** Overlay environment-derived fields (sim::EnvConfig) onto
-         * any still-unset knobs (threads, workloadOverride,
-         * coarseStep, checkpointDir, restoreDir). */
+         * any still-unset knobs (threads, policy, workloadOverride,
+         * checkpointDir, restoreDir). */
         void applyEnvOverlay();
 
         /** Move checkpointDir and restoreDir, where set, into their
@@ -120,27 +117,11 @@ class Fleet
      * threads results in flight. Results do not depend on it. */
     static constexpr unsigned kMergeWindowPerThread = 64;
 
-    /** Streaming scan statistics: one sink per telemetry
-     * Distribution, owned by the caller and fed from run()'s
-     * per-server callback. Quantiles are bit-identical to
-     * materialized CDFs of the same scans, in O(distinct values)
-     * memory. */
-    struct ScanSinks
-    {
-        OnlineHistogram freeContiguity2m;
-        OnlineHistogram unmovableBlocks2m;
-        OnlineHistogram unmovablePageRatio;
-        OnlineHistogram uptimeSec;
-
-        /** Fold one server's scan. */
-        void absorb(const ServerScan &scan);
-    };
-
     /** Per-server result callback: server index and its scan. */
     using ScanCallback =
         std::function<void(unsigned server, const ServerScan &)>;
 
-    explicit Fleet(const Config &config);
+    explicit Fleet(const Config &config) : config_(config) {}
 
     /**
      * Attach fleet-level telemetry. Servers are transient (created
@@ -149,16 +130,8 @@ class Fleet
      * results, registered under `<prefix>.`, plus `run_wall_ms` /
      * `threads` gauges reading the last run()'s wall clock and
      * worker count (the fleet must outlive the registry's reads).
-     *
-     * If a sampler is given, the merge step snapshots it once per
-     * server, in server order. The tick is the sampler's running
-     * snapshot index — equal to the server index when the sampler is
-     * fresh, and strictly increasing across repeated runs (ticks
-     * restarting at 0 would corrupt snapshot ordering). The merge
-     * asserts this ordering holds.
      */
     void attachTelemetry(StatRegistry &registry,
-                         StatSampler *sampler = nullptr,
                          const std::string &prefix = "fleet");
 
     /** Run every server, calling `onScan` once per server, in
@@ -179,26 +152,17 @@ class Fleet
     /** Worker threads the last run() used. */
     unsigned lastRunThreads() const { return runThreads_; }
 
-    /** The population's shared calibration tables (built once in the
-     * constructor and stamped into every sampled Server::Config). */
-    std::shared_ptr<const SharedFleetTables> sharedTables() const
-    {
-        return tables_;
-    }
-
     /** One server's config with every fleet-wide (non-sampled) knob
-     * stamped: memBytes, policy, shared tables, toggles, step mode,
-     * extra uptime. run() starts each sampled config from this;
-     * benchmarks reuse it to probe a representative server without
-     * restating the stamping rules. */
+     * stamped: memBytes, policy, toggles, step mode, extra uptime.
+     * run() starts each sampled config from this; benchmarks reuse
+     * it to probe a representative server without restating the
+     * stamping rules. */
     Server::Config baseServerConfig() const;
 
     const Config &config() const { return config_; }
 
   private:
     Config config_;
-    std::shared_ptr<const SharedFleetTables> tables_;
-    StatSampler *sampler_ = nullptr;
     Distribution *freeContiguity2m_ = nullptr;
     Distribution *unmovableBlocks2m_ = nullptr;
     Distribution *unmovablePageRatio_ = nullptr;

@@ -5,7 +5,6 @@
 #include "base/env_config.hh"
 #include "base/serde.hh"
 #include "base/span_trace.hh"
-#include "fleet/shared_tables.hh"
 #include "mem/auditor.hh"
 #include "mem/mem_stats.hh"
 #include "mem/scanner.hh"
@@ -23,8 +22,6 @@ Server::Config::applyEnvOverlay()
         if (!spec.empty())
             parsePolicySpec(spec, &policy);
     }
-    if (!coarseStep)
-        coarseStep = sim::EnvConfig::fromEnv().coarseStep;
 }
 
 WorkloadProfile
@@ -69,14 +66,6 @@ policyEntryFor(const Server::Config &config)
 WorkloadProfile
 profileFor(const Server::Config &config)
 {
-    // The shared tables are a cache of makeProfile outputs keyed by
-    // (kind, memBytes); using them must be invisible in the results,
-    // so a size mismatch falls back to building the profile here.
-    if (config.sharedTables != nullptr &&
-        config.sharedTables->memBytes() == config.memBytes) {
-        return scaleProfile(config.sharedTables->profile(config.kind),
-                            config.intensity);
-    }
     return scaleProfile(makeProfile(config.kind, config.memBytes),
                         config.intensity);
 }
@@ -281,8 +270,7 @@ Server::runSegment(double seconds)
              {{"pages", std::int64_t(config_.memBytes / pageBytes)},
               {"prefragment", config_.prefragment ? 1 : 0}});
     if (sampler_ == nullptr && auditor_ == nullptr) {
-        if (!config_.coarseStep.value_or(
-                sim::EnvConfig::fromEnv().coarseStep)) {
+        if (!config_.coarseStep) {
             workload_->runFor(seconds, config_.stepSec);
             return;
         }
@@ -414,13 +402,10 @@ serverConfigFingerprint(const Server::Config &config)
     fp.mixU64(config.seed);
     // exactPref changes placement, so a snapshot taken with it on
     // must not silently continue with it off (and vice versa).
-    // sharedTables is a pure cache of makeProfile outputs, so it is
-    // deliberately left out.
     fp.mixBool(config.exactPref);
     // Coarse stepping batches workload events differently, so a
     // snapshot taken fine must not silently resume coarse.
-    fp.mixBool(config.coarseStep.value_or(
-        sim::EnvConfig::fromEnv().coarseStep));
+    fp.mixBool(config.coarseStep);
     return fp.value();
 }
 

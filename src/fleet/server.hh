@@ -10,7 +10,6 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "contiguitas/policy_registry.hh"
@@ -21,8 +20,6 @@
 
 namespace ctg
 {
-
-class SharedFleetTables;
 
 /** Results of one server's full memory scan. */
 struct ServerScan
@@ -81,9 +78,8 @@ class Server
          * bit-identical warm-start contract. */
         double extraUptimeSec = 0.0;
         double stepSec = 1.0;
-        /** Scale stepping (nullopt defers to CTG_COARSE_STEP,
-         * default off): while the policy reports no pending
-         * maintenance, batch the rest of the segment into one
+        /** Scale stepping (default off): while the policy reports no
+         * pending maintenance, batch the rest of the segment into one
          * workload step instead of pacing at stepSec — skipping the
          * per-step tick/PSI/kcompactd overhead on idle ticks.
          * Deterministic, but a deliberately coarser model than fine
@@ -91,23 +87,15 @@ class Server
          * figure regressions pin that the confinement direction and
          * CDF shapes survive it. Ignored when a sampler or step
          * auditor needs the per-step cadence. */
-        std::optional<bool> coarseStep;
+        bool coarseStep = false;
         std::uint64_t seed = 1;
         /** Exact index-backed AddrPref placement (default off).
          * This deliberately changes placement, so it is opt-in and
          * has its own figure-regression check. */
         bool exactPref = false;
-        /** Shared per-population calibration tables (workload
-         * profiles at this memBytes, hw/perfmodel constants). A pure
-         * cache of makeProfile outputs: null or mismatched memBytes
-         * falls back to building the profile per server, with
-         * bit-identical results either way — which is why this is
-         * excluded from serverConfigFingerprint. */
-        std::shared_ptr<const SharedFleetTables> sharedTables;
 
-        /** Overlay environment-derived fields (sim::EnvConfig) onto
-         * any still-unset knobs (CTG_POLICY applies only while
-         * policy.name is empty). */
+        /** Overlay CTG_POLICY (sim::EnvConfig) onto the policy while
+         * policy.name is empty. */
         void applyEnvOverlay();
     };
 

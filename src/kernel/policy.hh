@@ -122,11 +122,12 @@ class MemPolicy
      * Does the policy have maintenance work queued that wants the
      * fine tick cadence — deferred region resizes retrying with
      * backoff, half-evacuated regions? Coarse fleet stepping
-     * (CTG_COARSE_STEP) consults this at each quantum boundary:
-     * while false the server batches the rest of its segment into
-     * one step; while true it falls back to stepSec-sized steps so
-     * the pending work gets its per-second tick retries. Default:
-     * nothing pending (stateless policies batch whole segments).
+     * (Server::Config::coarseStep) consults this at each quantum
+     * boundary: while false the server batches the rest of its
+     * segment into one step; while true it falls back to
+     * stepSec-sized steps so the pending work gets its per-second
+     * tick retries. Default: nothing pending (stateless policies
+     * batch whole segments).
      */
     virtual bool hasPendingMaintenance() const { return false; }
 

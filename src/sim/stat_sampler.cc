@@ -46,51 +46,12 @@ StatSampler::sample(Tick now)
     // permanent), so every column is now ticks_.size() long.
 }
 
-void
-StatSampler::attach(EventQueue &eventq, Tick period)
-{
-    ctg_assert(period > 0);
-    eventq_ = &eventq;
-    period_ = period;
-    armed_ = true;
-    scheduleNext();
-}
-
-void
-StatSampler::scheduleNext()
-{
-    eventq_->schedule(period_, [this] {
-        if (!armed_)
-            return;
-        sample(eventq_->now());
-        scheduleNext();
-    }, EventPriority::Maintenance);
-}
-
 const std::vector<double> *
 StatSampler::series(const std::string &name) const
 {
     const auto it = columnByName_.find(name);
     return it == columnByName_.end() ? nullptr
                                      : &columns_[it->second];
-}
-
-std::string
-StatSampler::csv() const
-{
-    std::string out = "tick";
-    for (const std::string &name : names_)
-        out += "," + name;
-    out += "\n";
-    for (std::size_t row = 0; row < ticks_.size(); ++row) {
-        char head[32];
-        std::snprintf(head, sizeof(head), "%" PRIu64, ticks_[row]);
-        out += head;
-        for (const auto &column : columns_)
-            out += "," + formatSample(column[row]);
-        out += "\n";
-    }
-    return out;
 }
 
 std::string
@@ -111,14 +72,6 @@ StatSampler::jsonLines() const
         out += "}}\n";
     }
     return out;
-}
-
-void
-StatSampler::clear()
-{
-    ticks_.clear();
-    for (auto &column : columns_)
-        column.clear();
 }
 
 } // namespace ctg

@@ -1,17 +1,12 @@
 /**
  * @file
- * Periodic stat snapshotting: turns the scalar views of a
- * StatRegistry into per-stat time series so trajectories (how
- * fragmentation evolves over a run, how the unmovable share grows)
- * are first-class outputs rather than end-of-run scalars.
+ * Stat snapshotting: turns the scalar views of a StatRegistry into
+ * per-stat time series so trajectories (how fragmentation evolves
+ * over a run, how the unmovable share grows) are first-class outputs
+ * rather than end-of-run scalars.
  *
- * Two driving modes:
- *  - attach(eventq, period): a self-rescheduling Maintenance event
- *    samples every `period` ticks until detach(). While armed the
- *    event queue never drains, so run with an explicit tick limit.
- *  - sample(tick): manual snapshots from code that advances
- *    wall-clock seconds instead of ticks (the fleet/server loop
- *    samples once per workload step).
+ * The caller decides when to snapshot: a server samples once per
+ * workload step (Server::attachTelemetry), fig13 once per migration.
  *
  * Stats registered after the first snapshot get their earlier
  * samples back-filled with zero, keeping every series equal length.
@@ -25,7 +20,7 @@
 #include <vector>
 
 #include "base/stat_registry.hh"
-#include "sim/eventq.hh"
+#include "base/types.hh"
 
 namespace ctg
 {
@@ -44,15 +39,6 @@ class StatSampler
      * Timestamps must be non-decreasing. */
     void sample(Tick now);
 
-    /** Arm periodic sampling on an event queue (first snapshot one
-     * period from now). */
-    void attach(EventQueue &eventq, Tick period);
-
-    /** Stop periodic sampling; a pending event fizzles harmlessly. */
-    void detach() { armed_ = false; }
-
-    bool armed() const { return armed_; }
-
     std::size_t sampleCount() const { return ticks_.size(); }
     const std::vector<Tick> &ticks() const { return ticks_; }
 
@@ -62,29 +48,17 @@ class StatSampler
     /** Sample series of one stat; nullptr when never sampled. */
     const std::vector<double> *series(const std::string &name) const;
 
-    /** tick,<stat...> matrix, one row per snapshot. */
-    std::string csv() const;
-
     /** One JSON object per snapshot:
      * {"tick":N,"values":{"name":v,...}}. */
     std::string jsonLines() const;
 
-    /** Drop all collected samples (series columns persist). */
-    void clear();
-
   private:
-    void scheduleNext();
-
     StatRegistry *registry_;
     std::vector<Tick> ticks_;
     std::vector<std::string> names_;
     std::unordered_map<std::string, std::size_t> columnByName_;
     /** Column-major: one vector of samples per stat. */
     std::vector<std::vector<double>> columns_;
-
-    EventQueue *eventq_ = nullptr;
-    Tick period_ = 0;
-    bool armed_ = false;
 };
 
 } // namespace ctg

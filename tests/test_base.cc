@@ -1,25 +1,26 @@
 /**
  * @file
  * Foundation tests: RNG determinism and distributions, Zipf sampler,
- * statistics (histogram, CDF, Pearson), unit formatting, the table
- * renderer, event-queue ordering guarantees, and the host
- * allocation counter.
+ * statistics (streaming CDF vs. its sorted-vector oracle, Pearson),
+ * unit formatting, the table renderer, event-queue ordering
+ * guarantees, and the host allocation counter.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <new>
 
 #include "base/host_mem.hh"
-#include "base/mergeable_stats.hh"
 #include "base/rng.hh"
 #include "base/span_trace.hh"
 #include "base/stats.hh"
 #include "base/table.hh"
 #include "base/units.hh"
+#include "empirical_cdf.hh"
 #include "sim/eventq.hh"
 
 namespace ctg
@@ -141,49 +142,6 @@ TEST(RunningStatTest, Moments)
     EXPECT_NEAR(stat.stddev(), 2.138, 0.01);
     EXPECT_DOUBLE_EQ(stat.min(), 2.0);
     EXPECT_DOUBLE_EQ(stat.max(), 9.0);
-}
-
-TEST(HistogramTest, BucketsAndPercentiles)
-{
-    Histogram hist(0.0, 100.0, 10);
-    for (int i = 0; i < 100; ++i)
-        hist.add(i + 0.5);
-    EXPECT_EQ(hist.total(), 100u);
-    EXPECT_EQ(hist.bucketCount(0), 10u);
-    EXPECT_NEAR(hist.percentile(0.5), 50.0, 10.0);
-    EXPECT_NEAR(hist.percentile(0.9), 90.0, 10.0);
-}
-
-TEST(HistogramTest, OutOfRangeCounted)
-{
-    Histogram hist(0.0, 10.0, 5);
-    hist.add(-5.0);
-    hist.add(100.0);
-    EXPECT_EQ(hist.total(), 2u);
-    EXPECT_EQ(hist.underflow(), 1u);
-    EXPECT_EQ(hist.overflow(), 1u);
-    for (std::size_t i = 0; i < hist.buckets(); ++i)
-        EXPECT_EQ(hist.bucketCount(i), 0u);
-}
-
-TEST(HistogramTest, EmptyPercentileReturnsLo)
-{
-    Histogram hist(3.0, 10.0, 5);
-    EXPECT_DOUBLE_EQ(hist.percentile(0.0), 3.0);
-    EXPECT_DOUBLE_EQ(hist.percentile(0.5), 3.0);
-    EXPECT_DOUBLE_EQ(hist.percentile(1.0), 3.0);
-}
-
-TEST(HistogramTest, OutOfRangeMassResolvesToBounds)
-{
-    Histogram hist(0.0, 10.0, 5);
-    for (int i = 0; i < 8; ++i)
-        hist.add(-1.0);
-    hist.add(1000.0);
-    hist.add(1000.0);
-    // 80% of the mass sits below lo, the rest above hi.
-    EXPECT_DOUBLE_EQ(hist.percentile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(hist.percentile(1.0), 10.0);
 }
 
 TEST(WarnRateLimiterTest, GrantsBudgetThenSuppresses)
@@ -666,6 +624,42 @@ TEST(OnlineHistogramTest, MatchesEmpiricalCdfExactly)
         EXPECT_EQ(hist.fractionAtOrBelow(x),
                   cdf.fractionAtOrBelow(x))
             << x;
+
+    // The figures' own inputs: per-server scan fractions (block-count
+    // ratios k/n) scaled x100, read at the fig04 and fig05 table
+    // thresholds — plus samples exactly on each threshold and one ulp
+    // either side, where "<=" decides the row. This pins the
+    // fig04/fig05 tables to the sorted-vector CDF bit for bit.
+    EmpiricalCdf figCdf;
+    OnlineHistogram figHist;
+    const auto addBoth = [&](double v) {
+        figCdf.add(v);
+        figHist.add(v);
+    };
+    for (int i = 0; i < 400; ++i) {
+        const std::uint64_t n = 1 + rng.below(64);
+        const std::uint64_t k = rng.below(n + 1);
+        addBoth(static_cast<double>(k) / static_cast<double>(n) *
+                100.0);
+    }
+    const double thresholds[] = {0,  2,  5,  10, 15, 20, 25,
+                                 30, 40, 50, 60, 80, 100};
+    for (const double x : thresholds) {
+        addBoth(x);
+        addBoth(std::nextafter(x, -1.0));
+        addBoth(std::nextafter(x, 200.0));
+    }
+    for (const double x : thresholds) {
+        for (const double probe : {std::nextafter(x, -1.0), x,
+                                   std::nextafter(x, 200.0)}) {
+            EXPECT_EQ(figHist.fractionAtOrBelow(probe),
+                      figCdf.fractionAtOrBelow(probe))
+                << probe;
+        }
+    }
+    for (const double frac : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0})
+        EXPECT_EQ(figHist.quantile(frac), figCdf.quantile(frac))
+            << frac;
 }
 
 TEST(OnlineHistogramTest, WeightsAndMoments)

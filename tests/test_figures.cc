@@ -18,6 +18,7 @@
 
 #include "base/stats.hh"
 #include "base/units.hh"
+#include "empirical_cdf.hh"
 #include "fleet/fleet.hh"
 
 namespace ctg
@@ -130,13 +131,17 @@ TEST(FigureRegression, Fig04CdfsMonotoneAndBounded)
     const auto scans = Fleet(figureFleet("vanilla", 12)).run();
     ASSERT_FALSE(scans.empty());
 
-    EmpiricalCdf cdfs[4];
+    // The bench's CDF type, and the sorted-vector oracle it must
+    // match bit for bit.
+    OnlineHistogram cdfs[4];
+    EmpiricalCdf oracles[4];
     for (const ServerScan &scan : scans) {
         for (int i = 0; i < 4; ++i) {
             // Every per-server fraction is a fraction.
             EXPECT_GE(scan.freeContiguity[i], 0.0);
             EXPECT_LE(scan.freeContiguity[i], 1.0);
             cdfs[i].add(scan.freeContiguity[i] * 100.0);
+            oracles[i].add(scan.freeContiguity[i] * 100.0);
         }
         // Coarser granularity can only hold less of free memory: a
         // free 1 GB block is made of free 32 MB blocks, and so on.
@@ -151,6 +156,8 @@ TEST(FigureRegression, Fig04CdfsMonotoneAndBounded)
         double prev = -1.0;
         for (const double x : thresholds) {
             const double f = cdfs[i].fractionAtOrBelow(x);
+            EXPECT_EQ(f, oracles[i].fractionAtOrBelow(x))
+                << "streamed CDF differs from the oracle at " << x;
             EXPECT_GE(f, 0.0);
             EXPECT_LE(f, 1.0);
             EXPECT_GE(f, prev) << "CDF not monotone at " << x;

@@ -4,8 +4,7 @@
  * 10^5-server fleet path. Differentially verifies the packed SoA
  * layout against the old array-of-structs semantics (PageFrame is
  * kept as the materialized reference value type), pins the
- * bytes/frame budget the fleet-scale bench reports, proves the
- * shared per-population config tables are a pure cache, and runs the
+ * bytes/frame budget the fleet-scale bench reports, and runs the
  * fig11-shaped scale tier through the three hard contracts:
  * bit-identical at any CTG_THREADS, bit-identical snapshot
  * round-trips, and auditor-clean with every fault site armed.
@@ -26,7 +25,6 @@
 #include "base/units.hh"
 #include "bench/bench_util.hh"
 #include "fleet/fleet.hh"
-#include "fleet/shared_tables.hh"
 #include "mem/auditor.hh"
 #include "mem/buddy.hh"
 #include "mem/physmem.hh"
@@ -716,77 +714,6 @@ TEST(FrameTableRestore, FormatThreeImageIsRefusedWithTheVersionError)
 }
 
 // ---------------------------------------------------------------
-// Shared per-population config tables
-// ---------------------------------------------------------------
-
-TEST(SharedTables, CacheMatchesMakeProfileFieldForField)
-{
-    const auto tables = SharedFleetTables::make(512_MiB);
-    for (unsigned k = 0; k < numWorkloadKinds; ++k) {
-        const auto kind = static_cast<WorkloadKind>(k);
-        const WorkloadProfile &cached = tables->profile(kind);
-        const WorkloadProfile fresh = makeProfile(kind, 512_MiB);
-        EXPECT_EQ(cached.name, fresh.name);
-        EXPECT_EQ(cached.kind, fresh.kind);
-        EXPECT_EQ(bits(cached.residentFrac),
-                  bits(fresh.residentFrac));
-        EXPECT_EQ(cached.processes, fresh.processes);
-        EXPECT_EQ(bits(cached.heapChurnFracPerSec),
-                  bits(fresh.heapChurnFracPerSec));
-        EXPECT_EQ(bits(cached.jobTurnoverPerSec),
-                  bits(fresh.jobTurnoverPerSec));
-        EXPECT_EQ(bits(cached.miscRatePerSec),
-                  bits(fresh.miscRatePerSec));
-        EXPECT_EQ(bits(cached.residentKernelPagesPerSec),
-                  bits(fresh.residentKernelPagesPerSec));
-        EXPECT_EQ(bits(cached.khugepagedChunksPerSec),
-                  bits(fresh.khugepagedChunksPerSec));
-        EXPECT_EQ(bits(cached.pinRatePerSec),
-                  bits(fresh.pinRatePerSec));
-    }
-    EXPECT_GT(tables->bytes(), 0u);
-}
-
-TEST(SharedTables, ServerRunsBitIdenticallyWithAndWithoutCache)
-{
-    // The tables are a pure cache: presence (or a memBytes mismatch
-    // forcing the fallback path) must not move a single bit of the
-    // simulation.
-    faultInjector().reset();
-    Server::Config config;
-    config.memBytes = 128_MiB;
-    config.policy.name = "contiguitas";
-    config.kind = WorkloadKind::CacheA;
-    config.intensity = 1.2;
-    config.prefragment = true;
-    config.uptimeSec = 4.0;
-    config.seed = 0xcac4e;
-
-    Server plain(config);
-    const auto baseline = scanBits(plain.run());
-
-    config.sharedTables = SharedFleetTables::make(config.memBytes);
-    Server cached(config);
-    EXPECT_EQ(scanBits(cached.run()), baseline);
-
-    // Mismatched cache: ignored, not misused.
-    config.sharedTables = SharedFleetTables::make(256_MiB);
-    Server mismatched(config);
-    EXPECT_EQ(scanBits(mismatched.run()), baseline);
-}
-
-TEST(SharedTables, FingerprintIgnoresCachePresence)
-{
-    Server::Config a;
-    a.memBytes = 128_MiB;
-    a.seed = 7;
-    Server::Config b = a;
-    b.sharedTables = SharedFleetTables::make(b.memBytes);
-    EXPECT_EQ(serverConfigFingerprint(a),
-              serverConfigFingerprint(b));
-}
-
-// ---------------------------------------------------------------
 // Scale tier: thread identity, snapshots, faults
 // ---------------------------------------------------------------
 
@@ -808,14 +735,24 @@ scaleTierFleet(bool contiguitas, unsigned servers)
     return config;
 }
 
+/** Streamed CDFs of the scan metrics these tests read. */
+struct ScanHistograms
+{
+    OnlineHistogram freeContiguity2m;
+    OnlineHistogram unmovableBlocks2m;
+    OnlineHistogram uptimeSec;
+};
+
 /** Run `fleet` through the per-server callback, folding every scan
- * into `sinks`; returns the scans in callback order. */
+ * into `hists`; returns the scans in callback order. */
 std::vector<ServerScan>
-runIntoSinks(Fleet &fleet, Fleet::ScanSinks &sinks)
+runIntoHistograms(Fleet &fleet, ScanHistograms &hists)
 {
     std::vector<ServerScan> scans;
     fleet.run([&](unsigned, const ServerScan &scan) {
-        sinks.absorb(scan);
+        hists.freeContiguity2m.add(scan.freeContiguity[0]);
+        hists.unmovableBlocks2m.add(scan.unmovableBlocks[0]);
+        hists.uptimeSec.add(scan.uptimeSec);
         scans.push_back(scan);
     });
     return scans;
@@ -881,16 +818,17 @@ TEST_F(FleetScaleTier, BitIdenticalAcrossThreadCounts)
             Fleet::Config config = scaleTierFleet(contiguitas, 24);
             config.threads = threads;
             Fleet fleet(config);
-            Fleet::ScanSinks sinks;
-            const auto scans = scansBits(runIntoSinks(fleet, sinks));
+            ScanHistograms hists;
+            const auto scans =
+                scansBits(runIntoHistograms(fleet, hists));
             std::vector<std::uint64_t> quantiles;
             for (const double f : {0.0, 0.25, 0.5, 0.9, 1.0}) {
                 quantiles.push_back(
-                    bits(sinks.freeContiguity2m.quantile(f)));
+                    bits(hists.freeContiguity2m.quantile(f)));
                 quantiles.push_back(
-                    bits(sinks.unmovableBlocks2m.quantile(f)));
+                    bits(hists.unmovableBlocks2m.quantile(f)));
                 quantiles.push_back(
-                    bits(sinks.uptimeSec.quantile(f)));
+                    bits(hists.uptimeSec.quantile(f)));
             }
             const std::vector<std::string> spanRecords =
                 serverSpanRecords();
@@ -922,8 +860,7 @@ TEST_F(FleetScaleTier, ScanCallbackStreamsServerOrderAcrossMergeWindows)
     // (Fleet::kMergeWindowPerThread = 64), two at two threads and one
     // at four. At every thread count the callback must see each
     // server exactly once, in index order, with the scans run()
-    // returns; the sampler must tick once per server in the same
-    // order.
+    // returns.
     const unsigned servers = 200;
     ASSERT_GT(servers, 3 * Fleet::kMergeWindowPerThread);
     Fleet::Config config = scaleTierFleet(true, servers);
@@ -933,10 +870,7 @@ TEST_F(FleetScaleTier, ScanCallbackStreamsServerOrderAcrossMergeWindows)
 
     for (const unsigned threads : {1u, 2u, 4u}) {
         config.threads = threads;
-        StatRegistry registry;
-        StatSampler sampler(registry);
         Fleet fleet(config);
-        fleet.attachTelemetry(registry, &sampler);
         std::vector<unsigned> order;
         std::vector<ServerScan> scans;
         fleet.run([&](unsigned server, const ServerScan &scan) {
@@ -948,10 +882,6 @@ TEST_F(FleetScaleTier, ScanCallbackStreamsServerOrderAcrossMergeWindows)
             EXPECT_EQ(order[i], i) << threads << " threads";
         EXPECT_EQ(scansBits(scans), expected)
             << "callback scans drift at " << threads << " threads";
-        const std::vector<Tick> &ticks = sampler.ticks();
-        ASSERT_EQ(ticks.size(), servers);
-        for (unsigned i = 0; i < servers; ++i)
-            EXPECT_EQ(ticks[i], static_cast<Tick>(i));
     }
 }
 
@@ -1070,12 +1000,12 @@ TEST_F(FleetScaleTier, CoarseStepPreservesConfinementAndCdfShape)
         Fleet::Config config = scaleTierFleet(contiguitas, 24);
         config.coarseStep = true;
         Fleet fleet(config);
-        Fleet::ScanSinks sinks;
-        runIntoSinks(fleet, sinks);
-        return sinks;
+        ScanHistograms hists;
+        runIntoHistograms(fleet, hists);
+        return hists;
     };
-    const Fleet::ScanSinks vanilla = runSystem(false);
-    const Fleet::ScanSinks ctg = runSystem(true);
+    const ScanHistograms vanilla = runSystem(false);
+    const ScanHistograms ctg = runSystem(true);
 
     EXPECT_GT(ctg.freeContiguity2m.mean(),
               vanilla.freeContiguity2m.mean());
@@ -1084,7 +1014,7 @@ TEST_F(FleetScaleTier, CoarseStepPreservesConfinementAndCdfShape)
     EXPECT_LT(ctg.unmovableBlocks2m.mean(),
               vanilla.unmovableBlocks2m.mean());
 
-    for (const Fleet::ScanSinks *s : {&vanilla, &ctg}) {
+    for (const ScanHistograms *s : {&vanilla, &ctg}) {
         double prev = s->freeContiguity2m.quantile(0.0);
         for (const double f : {0.25, 0.5, 0.75, 1.0}) {
             const double q = s->freeContiguity2m.quantile(f);

@@ -2,8 +2,8 @@
  * @file
  * Determinism suite for the parallel fleet execution engine: fleet
  * runs at 1, 2, 4 and 8 threads must produce bit-identical
- * ServerScan vectors, merged stat values, sampler series and
- * fault-injection counts — including with faults armed at every
+ * ServerScan vectors, merged stat values and fault-injection
+ * counts — including with faults armed at every
  * site — plus unit coverage of the Executor itself and of the
  * per-task fault-injector forking machinery.
  */
@@ -22,6 +22,7 @@
 #include "base/span_trace.hh"
 #include "base/stats.hh"
 #include "base/units.hh"
+#include "empirical_cdf.hh"
 #include "fleet/fleet.hh"
 #include "sim/executor.hh"
 #include "sim/fault_injector.hh"
@@ -69,16 +70,12 @@ struct RunRecord
 {
     std::vector<std::uint64_t> scanBits;
     std::vector<std::uint64_t> statBits;
-    std::vector<Tick> samplerTicks;
-    std::vector<std::uint64_t> samplerBits;
     std::vector<std::uint64_t> faultCounts;
 
     bool
     operator==(const RunRecord &o) const
     {
         return scanBits == o.scanBits && statBits == o.statBits &&
-               samplerTicks == o.samplerTicks &&
-               samplerBits == o.samplerBits &&
                faultCounts == o.faultCounts;
     }
 };
@@ -109,11 +106,10 @@ runFleetAt(unsigned threads, bool withFaults)
         armEverySite(0.02);
 
     StatRegistry registry;
-    StatSampler sampler(registry);
     Fleet::Config config = smallFleet();
     config.threads = threads;
     Fleet fleet(config);
-    fleet.attachTelemetry(registry, &sampler);
+    fleet.attachTelemetry(registry);
     const std::vector<ServerScan> scans = fleet.run();
 
     RunRecord record;
@@ -139,15 +135,6 @@ runFleetAt(unsigned threads, bool withFaults)
             record.statBits.push_back(bits(dist.max()));
             record.statBits.push_back(bits(dist.stddev()));
         }
-    }
-    record.samplerTicks = sampler.ticks();
-    for (const std::string &name : sampler.statNames()) {
-        if (name == "fleet.run_wall_ms" || name == "fleet.threads" ||
-            name == "fleet.peak_rss_mb")
-            continue;
-        const std::vector<double> *series = sampler.series(name);
-        for (const double v : *series)
-            record.samplerBits.push_back(bits(v));
     }
     for (unsigned i = 0; i < numFaultSites; ++i) {
         const auto &s =
@@ -175,8 +162,6 @@ TEST(ParallelFleet, ScansAndStatsBitIdenticalAcrossThreadCounts)
             << "scan mismatch at " << threads << " threads";
         EXPECT_EQ(baseline.statBits, parallel.statBits)
             << "merged stat mismatch at " << threads << " threads";
-        EXPECT_EQ(baseline.samplerTicks, parallel.samplerTicks);
-        EXPECT_EQ(baseline.samplerBits, parallel.samplerBits);
     }
 }
 
@@ -197,26 +182,6 @@ TEST(ParallelFleet, FaultCountsIdenticalWithEverySiteArmed)
             << " threads";
         EXPECT_EQ(baseline.statBits, parallel.statBits);
     }
-}
-
-TEST(ParallelFleet, SamplerTicksSurviveRepeatedRuns)
-{
-    // A reused sampler must keep strictly increasing ticks across
-    // back-to-back fleet runs (ticks restarting at 0 used to violate
-    // the sampler's non-decreasing contract).
-    StatRegistry registry;
-    StatSampler sampler(registry);
-    Fleet::Config config = smallFleet();
-    config.servers = 3;
-    config.maxUptimeSec = 4.0;
-    Fleet fleet(config);
-    fleet.attachTelemetry(registry, &sampler);
-    fleet.run();
-    fleet.run();
-    ASSERT_EQ(sampler.sampleCount(), 6u);
-    const std::vector<Tick> &ticks = sampler.ticks();
-    for (std::size_t i = 1; i < ticks.size(); ++i)
-        EXPECT_LT(ticks[i - 1], ticks[i]);
 }
 
 /** Run one arbitrary fleet config and record its scan bits. */
@@ -379,10 +344,16 @@ TEST(ParallelFleet, StreamedSinksMatchMaterializedQuantiles)
         Fleet::Config config = smallFleet();
         config.threads = threads;
         Fleet fleet(config);
-        Fleet::ScanSinks sinks;
+        OnlineHistogram free2mSink;
+        OnlineHistogram unmovableSink;
+        OnlineHistogram ratioSink;
+        OnlineHistogram uptimeSink;
         std::vector<ServerScan> scans;
         fleet.run([&](unsigned, const ServerScan &scan) {
-            sinks.absorb(scan);
+            free2mSink.add(scan.freeContiguity[0]);
+            unmovableSink.add(scan.unmovableBlocks[0]);
+            ratioSink.add(scan.unmovablePageRatio);
+            uptimeSink.add(scan.uptimeSec);
             scans.push_back(scan);
         });
         ASSERT_FALSE(scans.empty());
@@ -400,8 +371,8 @@ TEST(ParallelFleet, StreamedSinksMatchMaterializedQuantiles)
             uptime.add(scan.uptimeSec);
         }
 
-        EXPECT_EQ(sinks.freeContiguity2m.count(), scans.size());
-        EXPECT_EQ(sinks.uptimeSec.count(), scans.size());
+        EXPECT_EQ(free2mSink.count(), scans.size());
+        EXPECT_EQ(uptimeSink.count(), scans.size());
 
         std::vector<std::uint64_t> record;
         const auto check = [&](const OnlineHistogram &sink,
@@ -415,14 +386,12 @@ TEST(ParallelFleet, StreamedSinksMatchMaterializedQuantiles)
                 record.push_back(bits(sink.quantile(f)));
             }
         };
-        check(sinks.freeContiguity2m, free2m, "freeContiguity2m");
-        check(sinks.unmovableBlocks2m, unmovable,
-              "unmovableBlocks2m");
-        check(sinks.unmovablePageRatio, ratio,
-              "unmovablePageRatio");
-        check(sinks.uptimeSec, uptime, "uptimeSec");
+        check(free2mSink, free2m, "freeContiguity2m");
+        check(unmovableSink, unmovable, "unmovableBlocks2m");
+        check(ratioSink, ratio, "unmovablePageRatio");
+        check(uptimeSink, uptime, "uptimeSec");
         EXPECT_EQ(
-            bits(sinks.uptimeSec.fractionAtOrBelow(4.5)),
+            bits(uptimeSink.fractionAtOrBelow(4.5)),
             bits(uptime.fractionAtOrBelow(4.5)));
 
         if (baseline.empty())

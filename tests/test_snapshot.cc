@@ -248,39 +248,6 @@ TEST(EnvStrictTest, FaultSeedParserRejectsMalformed)
     }
 }
 
-TEST(EnvStrictTest, BoolParsersAcceptOnlyDocumentedSpellings)
-{
-    struct Knob
-    {
-        const char *var;
-        bool sim::EnvConfig::*field;
-        bool defaultValue;
-    };
-    const Knob knobs[] = {
-        {"CTG_COARSE_STEP", &sim::EnvConfig::coarseStep, false},
-    };
-    for (const Knob &knob : knobs) {
-        for (const char *yes : {"1", "on", "ON", "true", "yes"}) {
-            const EnvVar v(knob.var, yes);
-            EXPECT_TRUE(sim::EnvConfig::fromEnv().*knob.field)
-                << knob.var << "='" << yes << "'";
-        }
-        for (const char *no : {"0", "off", "OFF", "false", "no"}) {
-            const EnvVar v(knob.var, no);
-            EXPECT_FALSE(sim::EnvConfig::fromEnv().*knob.field)
-                << knob.var << "='" << no << "'";
-        }
-        // The historical parser treated any other string as true;
-        // now a typo must keep the default, not enable the knob.
-        for (const char *bad : {"ture", "2", "", "On"}) {
-            const EnvVar v(knob.var, bad);
-            EXPECT_EQ(sim::EnvConfig::fromEnv().*knob.field,
-                      knob.defaultValue)
-                << knob.var << "='" << bad << "'";
-        }
-    }
-}
-
 TEST(EnvStrictTest, CheckpointAndRestoreDirsPassThrough)
 {
     EXPECT_TRUE(sim::EnvConfig::fromEnv().checkpointDir.empty());

@@ -1,10 +1,9 @@
 /**
  * @file
  * Observability-layer tests: StatRegistry registration and naming,
- * group prefixes, exporters (JSON lines / CSV), the StatSampler in
- * both manual and event-queue-driven modes, trace flags and span
- * events, and the end-to-end fleet time series (a sampled server run
- * must show a fragmentation trajectory).
+ * group prefixes, the JSON-lines exporters, the StatSampler, trace
+ * flags and span events, and the end-to-end server time series (a
+ * sampled server run must show a fragmentation trajectory).
  */
 
 #include <gtest/gtest.h>
@@ -130,25 +129,6 @@ TEST(StatRegistry, JsonLinesRoundTripsValues)
               std::string::npos);
 }
 
-TEST(StatRegistry, CsvHasFixedHeaderAndOneRowPerStat)
-{
-    StatRegistry registry;
-    Counter &c = registry.addCounter("x");
-    ++c;
-    registry.addDistribution("y").sample(5.0);
-
-    const std::string csv = registry.csv();
-    std::istringstream in(csv);
-    std::string header;
-    std::getline(in, header);
-    EXPECT_EQ(header, "name,kind,value,count,mean,min,max,stddev");
-    std::string row1, row2;
-    ASSERT_TRUE(std::getline(in, row1));
-    ASSERT_TRUE(std::getline(in, row2));
-    EXPECT_EQ(row1.substr(0, 10), "x,counter,");
-    EXPECT_NE(row2.find("y,distribution,"), std::string::npos);
-}
-
 TEST(StatRegistry, ResetAllClearsEverything)
 {
     StatRegistry registry;
@@ -199,31 +179,7 @@ TEST(StatSampler, LateRegistrationBackfillsZeros)
     EXPECT_DOUBLE_EQ((*series)[2], 3.0);
 }
 
-TEST(StatSampler, PeriodicEventSamplingUntilDetach)
-{
-    StatRegistry registry;
-    Counter &c = registry.addCounter("ticks_seen");
-    EventQueue eventq;
-    StatSampler sampler(registry);
-    sampler.attach(eventq, 100);
-
-    eventq.schedule(250, [&c] { ++c; });
-    // While armed the sampler keeps rescheduling itself, so the run
-    // must be tick-limited.
-    eventq.run(1000);
-    EXPECT_GE(sampler.sampleCount(), 9u);
-    const std::vector<double> *series = sampler.series("ticks_seen");
-    ASSERT_NE(series, nullptr);
-    EXPECT_DOUBLE_EQ(series->front(), 0.0);
-    EXPECT_DOUBLE_EQ(series->back(), 1.0);
-
-    sampler.detach();
-    const std::size_t frozen = sampler.sampleCount();
-    eventq.run(2000);
-    EXPECT_EQ(sampler.sampleCount(), frozen);
-}
-
-TEST(StatSampler, CsvAndJsonExportMatchSamples)
+TEST(StatSampler, JsonExportMatchesSamples)
 {
     StatRegistry registry;
     Counter &c = registry.addCounter("n");
@@ -231,8 +187,6 @@ TEST(StatSampler, CsvAndJsonExportMatchSamples)
     ++c;
     sampler.sample(7);
 
-    const std::string csv = sampler.csv();
-    EXPECT_EQ(csv, "tick,n\n7,1\n");
     const std::string json = sampler.jsonLines();
     EXPECT_EQ(json, "{\"tick\":7,\"values\":{\"n\":1}}\n");
 }
@@ -362,8 +316,7 @@ TEST(FleetTelemetry, FleetAggregatesIntoDistributions)
 
     Fleet fleet(config);
     StatRegistry registry;
-    StatSampler sampler(registry);
-    fleet.attachTelemetry(registry, &sampler);
+    fleet.attachTelemetry(registry);
     const std::vector<ServerScan> scans = fleet.run();
     ASSERT_EQ(scans.size(), 3u);
 
@@ -373,7 +326,6 @@ TEST(FleetTelemetry, FleetAggregatesIntoDistributions)
     const Stat *contig =
         registry.find("fleet.free_contiguity_2m");
     ASSERT_NE(contig, nullptr);
-    EXPECT_EQ(sampler.sampleCount(), 3u);
 }
 
 TEST(FleetTelemetry, ContiguitasPolicyTreeIsRegistered)
