@@ -39,16 +39,15 @@ Iommu::dmaAccess(Addr vaddr, const PageTables &tables, bool write,
         pfn = entry->pfnHead + (vpn - entry->vpnHead);
         ++stats_.iotlbHits;
     } else {
-        const Translation tr = tables.translate(vpn);
+        const PageTables::Walk walk = tables.walk(vpn);
+        const Translation &tr = walk.leaf;
         if (!tr.valid)
             return result;
         result.walked = true;
         ++stats_.walks;
         // IOMMU page walk: charge a flat per-level cost (the IOMMU
         // walker has its own small caches we do not model).
-        unsigned depth = 0;
-        tables.walkAddrs(vpn, &depth);
-        result.latency += depth * walkLatPerLevel;
+        result.latency += walk.depth * walkLatPerLevel;
         const Vpn head = vpn & ~((Vpn{1} << tr.order) - 1);
         iotlb_.insert(head, tr.pfn - (vpn & ((Vpn{1} << tr.order) - 1)),
                       tr.order);

@@ -26,6 +26,11 @@ class Iommu
   public:
     Iommu(const HwConfig &config, MemHierarchy &mem);
 
+    /** IOTLB lookup latency, paid by every access. */
+    static constexpr Cycles iotlbLat = 4;
+    /** IOTLB-miss walk cost per table entry read. */
+    static constexpr Cycles walkLatPerLevel = 40;
+
     /** Result of one DMA access. */
     struct Result
     {
@@ -83,9 +88,6 @@ class Iommu
     Tlb iotlb_;
     std::deque<Vpn> queue_;
     Stats stats_;
-
-    static constexpr Cycles iotlbLat = 4;
-    static constexpr Cycles walkLatPerLevel = 40;
 };
 
 } // namespace ctg

@@ -1,6 +1,7 @@
 #include "hw/mem_hierarchy.hh"
 
 #include <bit>
+#include <limits>
 #include <sstream>
 
 namespace ctg
@@ -15,10 +16,14 @@ alignLine(Addr addr)
     return addr & ~static_cast<Addr>(lineBytes - 1);
 }
 
+/** Main-memory table capacity before the first line is stored. */
+constexpr std::size_t initialMemSlots = 1024;
+
 } // namespace
 
 MemHierarchy::MemHierarchy(const HwConfig &config)
-    : config_(config), table_(config.chwEntries)
+    : config_(config), memKeys_(initialMemSlots),
+      memValues_(initialMemSlots), table_(config.chwEntries)
 {
     cores_.resize(config_.cores);
     for (unsigned c = 0; c < config_.cores; ++c) {
@@ -83,23 +88,72 @@ MemHierarchy::invalidateCores(Addr line_addr, std::uint32_t cores)
     }
 }
 
+std::uint32_t
+MemHierarchy::memKey(Addr line_addr)
+{
+    // Line index + 1 must fit 32 bits: 2^32 - 1 lines, 256 GiB.
+    const Addr index = line_addr >> lineShift;
+    if (index >= std::numeric_limits<std::uint32_t>::max())
+        panic("line %#llx is past the 256 GiB main-memory key range",
+              static_cast<unsigned long long>(line_addr));
+    return static_cast<std::uint32_t>(index + 1);
+}
+
+std::size_t
+MemHierarchy::memSlot(std::uint32_t key) const
+{
+    // Fibonacci hashing: the top bits of key * 2^64/phi spread the
+    // strided line indices of a page-granular heap over the table.
+    const std::size_t mask = memKeys_.size() - 1;
+    const int shift = 64 - std::countr_zero(memKeys_.size());
+    std::size_t slot = static_cast<std::size_t>(
+        (key * 0x9e3779b97f4a7c15ull) >> shift);
+    while (memKeys_[slot] != key && memKeys_[slot] != 0)
+        slot = (slot + 1) & mask;
+    return slot;
+}
+
+void
+MemHierarchy::growMemory()
+{
+    std::vector<std::uint32_t> keys(memKeys_.size() * 2);
+    std::vector<std::uint64_t> values(keys.size());
+    keys.swap(memKeys_);
+    values.swap(memValues_);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (keys[i] == 0)
+            continue;
+        const std::size_t slot = memSlot(keys[i]);
+        memKeys_[slot] = keys[i];
+        memValues_[slot] = values[i];
+    }
+}
+
 std::uint64_t
 MemHierarchy::loadMemory(Addr line_addr) const
 {
-    const auto it = mainMem_.find(line_addr);
-    return it == mainMem_.end() ? 0 : it->second;
+    // An empty slot's value stays 0, so an absent line reads as 0.
+    return memValues_[memSlot(memKey(line_addr))];
 }
 
 void
 MemHierarchy::storeMemory(Addr line_addr, std::uint64_t value)
 {
-    // An absent line reads as 0: store a 0 only over a present one.
-    if (value != 0) {
-        mainMem_[line_addr] = value;
-    } else if (const auto it = mainMem_.find(line_addr);
-               it != mainMem_.end()) {
-        it->second = 0;
+    const std::uint32_t key = memKey(line_addr);
+    std::size_t slot = memSlot(key);
+    if (memKeys_[slot] == 0) {
+        // An absent line reads as 0: store a 0 only over a present
+        // one.
+        if (value == 0)
+            return;
+        if ((memLines_ + 1) * 4 > memKeys_.size() * 3) {
+            growMemory();
+            slot = memSlot(key);
+        }
+        memKeys_[slot] = key;
+        ++memLines_;
     }
+    memValues_[slot] = value;
 }
 
 std::uint64_t

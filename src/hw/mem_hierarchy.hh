@@ -15,9 +15,9 @@
 #ifndef CTG_HW_MEM_HIERARCHY_HH
 #define CTG_HW_MEM_HIERARCHY_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/stat_registry.hh"
@@ -161,15 +161,27 @@ class MemHierarchy
 
     void backInvalidate(const CacheEntry &evicted);
 
-    /** @{ Main memory holds only nonzero lines; absent reads as 0. */
+    /** @{ Main memory: a linear-probing table of the lines ever
+     * stored nonzero. A slot's key is its line index + 1 (0 marks an
+     * empty slot), held in memKeys_ beside its value in memValues_.
+     * Nothing is erased: storing 0 keeps a present line, and an
+     * absent line reads as 0. The capacity is a power of two and
+     * doubles when the table passes 3/4 load. */
     std::uint64_t loadMemory(Addr line_addr) const;
     void storeMemory(Addr line_addr, std::uint64_t value);
+    /** The key of a line; panics if its index does not fit. */
+    static std::uint32_t memKey(Addr line_addr);
+    /** The slot holding key, or the empty slot where it belongs. */
+    std::size_t memSlot(std::uint32_t key) const;
+    void growMemory();
     /** @} */
 
     HwConfig config_;
     std::vector<PrivateCaches> cores_;
     std::vector<std::unique_ptr<CacheArray>> slices_;
-    std::unordered_map<Addr, std::uint64_t> mainMem_;
+    std::vector<std::uint32_t> memKeys_;
+    std::vector<std::uint64_t> memValues_;
+    std::size_t memLines_ = 0; //!< occupied slots
     MigrationTable table_;
     Stats stats_;
 };

@@ -217,14 +217,13 @@ Mmu::translate(Addr vaddr, const PageTables &tables)
     ++stats_.walks;
     result.latency += config_.pwcLat;
 
-    unsigned depth = 0;
-    const auto addrs = tables.walkAddrs(vpn, &depth);
-    ctg_assert(depth >= 1);
+    const PageTables::Walk walk = tables.walk(vpn);
+    ctg_assert(walk.depth >= 1);
 
     // Deepest PWC hit determines where the walk starts. PWC level i
     // caches the table reached after consuming i+1 radix levels.
     unsigned start = 0;
-    const unsigned upper_levels = depth - 1;
+    const unsigned upper_levels = walk.depth - 1;
     for (int i = static_cast<int>(
              std::min(upper_levels, 3u)) - 1;
          i >= 0; --i) {
@@ -236,20 +235,20 @@ Mmu::translate(Addr vaddr, const PageTables &tables)
         }
     }
 
-    for (unsigned j = start; j < depth; ++j) {
-        const auto outcome = mem_.access(core_, addrs[j], false);
+    for (unsigned j = start; j < walk.depth; ++j) {
+        const auto outcome = mem_.access(core_, walk.addrs[j], false);
         result.latency += outcome.latency;
         stats_.walkCycles += outcome.latency;
         ++result.walkDepth;
     }
 
     // Refill the PWCs for the levels traversed.
-    for (unsigned j = 0; j + 1 < depth && j < 3; ++j) {
+    for (unsigned j = 0; j + 1 < walk.depth && j < 3; ++j) {
         const std::uint64_t key = vpn >> (27 - 9 * j);
-        pwcs_[j].insert(key, addrs[j + 1]);
+        pwcs_[j].insert(key, walk.addrs[j + 1]);
     }
 
-    const Translation tr = tables.translate(vpn);
+    const Translation &tr = walk.leaf;
     if (!tr.valid)
         return result;
 

@@ -643,24 +643,25 @@ PageTables::unmapIn(Table &table, unsigned level, Vpn base, Vpn from,
     }
 }
 
-std::array<Addr, PageTables::levels>
-PageTables::walkAddrs(Vpn vpn, unsigned *depth) const
+PageTables::Walk
+PageTables::walk(Vpn vpn) const
 {
-    std::array<Addr, levels> addrs{};
-    unsigned count = 0;
+    Walk walk;
     const Table *table = root_.get();
     for (unsigned level = levels; level >= 1; --level) {
         const unsigned idx = indexAt(vpn, level);
-        addrs[count++] = pfnToAddr(table->backing) +
-                         static_cast<Addr>(idx) * 8;
+        walk.addrs[walk.depth++] =
+            pfnToAddr(table->backing) + static_cast<Addr>(idx) * 8;
         const Word word = table->get(idx);
-        if (word == 0 || Table::isLeaf(word))
+        if (word == 0)
             break;
+        if (Table::isLeaf(word)) {
+            walk.leaf = leafTranslation(word, level, vpn);
+            break;
+        }
         table = Table::asTable(word);
     }
-    if (depth != nullptr)
-        *depth = count;
-    return addrs;
+    return walk;
 }
 
 } // namespace ctg

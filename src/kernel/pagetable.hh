@@ -4,8 +4,8 @@
  *
  * Table pages are real simulated allocations (unmovable, source
  * PageTables) so the Figure 6 breakdown and the fragmentation they
- * cause are captured. The table also exposes the physical addresses
- * a hardware page walk touches at each level, which the hw simulator
+ * cause are captured. A walk also returns the physical addresses a
+ * hardware page walk touches at each level, which the hw simulator
  * uses to charge page-walk memory accesses (Figure 3).
  *
  * Supported leaf sizes mirror x86-64: 4 KB (PTE), 2 MB (PMD leaf)
@@ -149,12 +149,22 @@ class PageTables
      */
     void unmapRange(Vpn from, Vpn end, const RemovedFn &fn);
 
-    /**
-     * Physical addresses of the table entries a hardware walk of
-     * vpn reads, root first. Size equals the number of levels
-     * actually traversed (shorter for huge leaves).
-     */
-    std::array<Addr, levels> walkAddrs(Vpn vpn, unsigned *depth) const;
+    /** What a hardware walk of one vpn reads and finds. */
+    struct Walk
+    {
+        /** Physical addresses of the table entries read, root
+         * first; the first depth of them are set. */
+        std::array<Addr, levels> addrs{};
+        /** Entries read, one per level visited: 4 down to a 4 KB
+         * leaf, 3 to 2 MB, 2 to 1 GB; fewer if an empty slot ends
+         * the walk early. */
+        unsigned depth = 0;
+        /** The leaf covering vpn, as translate returns it. */
+        Translation leaf;
+    };
+
+    /** Walk the tables for vpn in one descent from the root. */
+    Walk walk(Vpn vpn) const;
 
     /** Number of live table pages (unmovable PageTables frames). */
     std::uint64_t tablePages() const { return tablePages_; }

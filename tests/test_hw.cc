@@ -106,6 +106,67 @@ TEST_F(MemHierarchyTest, DeviceReadSeesModifiedLine)
     EXPECT_EQ(mem.deviceAccess(0x14000, false).value, 77u);
 }
 
+/**
+ * Main memory against a map oracle. An idle hierarchy caches
+ * nothing, so pokeMemory stores to main memory and
+ * authoritativeValue loads from it. Over 40,000 distinct lines,
+ * three quarters of them stored nonzero, take the table from its
+ * first 1,024 slots through five or more doublings.
+ */
+TEST_F(MemHierarchyTest, MainMemoryMatchesMapOracle)
+{
+    std::unordered_map<Addr, std::uint64_t> oracle;
+    auto expected = [&oracle](Addr line) {
+        const auto it = oracle.find(line);
+        return it == oracle.end() ? std::uint64_t{0} : it->second;
+    };
+    Rng rng(25);
+    std::vector<Addr> stored;
+    // Lines of a 4 GiB memory, with half of them at a page's first
+    // line so keys share their low bits.
+    auto randomLine = [&rng] {
+        const Addr index = rng.below(Addr{1} << 26);
+        return (rng.chance(0.5) ? index & ~Addr{63} : index) << lineShift;
+    };
+    for (int op = 0; op < 60000; ++op) {
+        const Addr line = !stored.empty() && rng.chance(0.3)
+                              ? stored[rng.below(stored.size())]
+                              : randomLine();
+        const std::uint64_t value = rng.chance(0.25) ? 0 : rng.next() | 1;
+        mem.pokeMemory(line, value);
+        oracle[line] = value;
+        stored.push_back(line);
+        if (op % 97 == 0) {
+            const Addr probe = randomLine();
+            ASSERT_EQ(mem.authoritativeValue(probe), expected(probe))
+                << std::hex << probe;
+        }
+    }
+    ASSERT_GE(oracle.size(), 40000u);
+    for (const auto &[line, value] : oracle)
+        ASSERT_EQ(mem.authoritativeValue(line), value) << std::hex << line;
+
+    // A zero stored over an absent line still reads 0, and a zero
+    // over a present line reads 0 after it.
+    const Addr absent = Addr{0x7654321} << lineShift;
+    ASSERT_EQ(oracle.count(absent), 0u);
+    mem.pokeMemory(absent, 0);
+    EXPECT_EQ(mem.authoritativeValue(absent), 0u);
+    mem.pokeMemory(absent, 9);
+    mem.pokeMemory(absent, 0);
+    EXPECT_EQ(mem.authoritativeValue(absent), 0u);
+
+    // The first line and the last one a 32-bit key (index + 1) holds.
+    const Addr last = Addr{0xfffffffe} << lineShift;
+    mem.pokeMemory(0, 11);
+    mem.pokeMemory(last, 12);
+    EXPECT_EQ(mem.authoritativeValue(0), 11u);
+    EXPECT_EQ(mem.authoritativeValue(last), 12u);
+    const Addr past = last + lineBytes;
+    EXPECT_THROW(mem.pokeMemory(past, 1), PanicError);
+    EXPECT_THROW(mem.authoritativeValue(past), PanicError);
+}
+
 /** Random concurrent traffic against a reference model. */
 class CoherenceFuzz : public ::testing::TestWithParam<std::uint64_t>
 {};
@@ -361,6 +422,39 @@ TEST_F(MmuTest, IommuDmaTranslatesAndCaches)
     ASSERT_TRUE(second.valid);
     EXPECT_FALSE(second.walked);
     EXPECT_EQ(second.value, 5u);
+}
+
+TEST_F(MmuTest, IommuWalkChargesEachLevelRead)
+{
+    ASSERT_TRUE(tables.map(0x77, 0x2000, 0));
+    ASSERT_TRUE(tables.map(pagesPerGiga, 0x4000, hugeOrder));
+    Iommu &iommu = hw.iommu();
+    const Addr base4k = Addr{0x77} << pageShift;
+    const Addr base2m = Addr{pagesPerGiga} << pageShift;
+    // Warm both target lines into the LLC, so every DMA below pays
+    // the same device hit latency.
+    hw.mem().deviceAccess(Addr{0x2000} << pageShift, false);
+    hw.mem().deviceAccess(Addr{0x4000} << pageShift, false);
+    const Cycles hit =
+        hw.mem().deviceAccess(Addr{0x2000} << pageShift, false).latency;
+    ASSERT_EQ(hw.mem().deviceAccess(Addr{0x4000} << pageShift, false)
+                  .latency,
+              hit);
+
+    const auto walk4k = iommu.dmaAccess(base4k, tables, false);
+    ASSERT_TRUE(walk4k.walked);
+    EXPECT_EQ(walk4k.latency,
+              Iommu::iotlbLat + 4 * Iommu::walkLatPerLevel + hit);
+    const auto walk2m = iommu.dmaAccess(base2m, tables, false);
+    ASSERT_TRUE(walk2m.walked);
+    EXPECT_EQ(walk2m.latency,
+              Iommu::iotlbLat + 3 * Iommu::walkLatPerLevel + hit);
+
+    const auto again = iommu.dmaAccess(base2m, tables, false);
+    EXPECT_FALSE(again.walked);
+    EXPECT_EQ(again.latency, Iommu::iotlbLat + hit);
+    EXPECT_EQ(iommu.stats().walks, 2u);
+    EXPECT_EQ(iommu.stats().iotlbHits, 1u);
 }
 
 TEST_F(MmuTest, IommuQueuedInvalidationApplies)

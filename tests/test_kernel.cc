@@ -246,11 +246,20 @@ TEST(PageTablesTest, WalkDepthVariesWithPageSize)
     PageTables tables(kernel);
     ASSERT_TRUE(tables.map(0, 1, 0));
     ASSERT_TRUE(tables.map(pagesPerGiga, 4096, hugeOrder));
-    unsigned depth4k = 0, depth2m = 0;
-    tables.walkAddrs(0, &depth4k);
-    tables.walkAddrs(pagesPerGiga, &depth2m);
-    EXPECT_EQ(depth4k, 4u);
-    EXPECT_EQ(depth2m, 3u);
+    const PageTables::Walk walk4k = tables.walk(0);
+    const PageTables::Walk walk2m = tables.walk(pagesPerGiga);
+    EXPECT_EQ(walk4k.depth, 4u);
+    EXPECT_EQ(walk2m.depth, 3u);
+    EXPECT_EQ(walk4k.leaf.order, 0u);
+    EXPECT_EQ(walk2m.leaf.order, hugeOrder);
+    // An empty PTE slot under the 4 KB leaf's table ends the walk at
+    // level 1; an empty PGD slot ends it at the root.
+    const PageTables::Walk hole = tables.walk(1);
+    EXPECT_EQ(hole.depth, 4u);
+    EXPECT_FALSE(hole.leaf.valid);
+    const PageTables::Walk far = tables.walk(Vpn{1} << 27);
+    EXPECT_EQ(far.depth, 1u);
+    EXPECT_FALSE(far.leaf.valid);
 }
 
 /** FNV-1a (64-bit) over a byte buffer. */
@@ -609,7 +618,8 @@ class PageTableModel
         return removed;
     }
 
-    /** Check translate and walkAddrs of one vpn against the model. */
+    /** Check translate and walk of one vpn against the model, and
+     * the walk's leaf against translate field by field. */
     void
     check(const PageTables &tables, Vpn vpn)
     {
@@ -622,8 +632,14 @@ class PageTableModel
             EXPECT_EQ(tr.pfn, hit->second.pfn + (vpn - hit->first));
         }
 
-        unsigned depth = 0;
-        const auto addrs = tables.walkAddrs(vpn, &depth);
+        const PageTables::Walk walk = tables.walk(vpn);
+        EXPECT_EQ(walk.leaf.valid, tr.valid) << "vpn " << vpn;
+        EXPECT_EQ(walk.leaf.pfn, tr.pfn) << "vpn " << vpn;
+        EXPECT_EQ(walk.leaf.order, tr.order) << "vpn " << vpn;
+        EXPECT_EQ(walk.leaf.level, tr.level) << "vpn " << vpn;
+        EXPECT_EQ(walk.leaf.tag, tr.tag) << "vpn " << vpn;
+        const unsigned depth = walk.depth;
+        const auto &addrs = walk.addrs;
         unsigned want = 0;
         for (unsigned level = PageTables::levels; level >= 1; --level) {
             TableInfo &info = tables_.at(keyAt(vpn, level));
