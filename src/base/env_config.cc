@@ -76,8 +76,6 @@ EnvConfig::fromEnv()
                   "span trace records",
                   config.traceSpec.c_str());
 
-    config.csvTables = std::getenv("CTG_CSV") != nullptr;
-
     if (const char *env = std::getenv("CTG_POLICY"))
         config.policySpec = env;
 

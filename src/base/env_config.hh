@@ -53,9 +53,6 @@ struct EnvConfig
      * some) and writes the JSON at process exit. */
     std::string traceSpansPath;
 
-    /** CTG_CSV: append CSV renderings after bench tables. */
-    bool csvTables = false;
-
     /** CTG_POLICY: placement-policy spec "name[:key=val,...]"
      * (registry names: vanilla, contiguitas, contiguitas-nobias,
      * zone-movable, ...). Kept as the raw string here — the

@@ -1,10 +1,7 @@
 #include "base/table.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
-
-#include "base/env_config.hh"
 
 namespace ctg
 {
@@ -63,45 +60,10 @@ Table::render() const
     return out.str();
 }
 
-std::string
-Table::renderCsv() const
-{
-    std::ostringstream out;
-    auto emit = [&out](const std::vector<std::string> &cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const bool quote =
-                cells[i].find_first_of(",\"\n") != std::string::npos;
-            if (quote) {
-                out << '"';
-                for (const char c : cells[i]) {
-                    if (c == '"')
-                        out << '"';
-                    out << c;
-                }
-                out << '"';
-            } else {
-                out << cells[i];
-            }
-            if (i + 1 < cells.size())
-                out << ',';
-        }
-        out << '\n';
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-    return out.str();
-}
-
 void
 Table::print() const
 {
     std::fputs(render().c_str(), stdout);
-    if (sim::EnvConfig::fromEnv().csvTables) {
-        std::fputs("-- csv --\n", stdout);
-        std::fputs(renderCsv().c_str(), stdout);
-    }
 }
 
 std::string

@@ -31,11 +31,7 @@ class Table
     /** Render to a string. */
     std::string render() const;
 
-    /** Render as CSV (header row + data rows, comma-escaped). */
-    std::string renderCsv() const;
-
-    /** Render to stdout; also emits CSV when the CTG_CSV environment
-     * variable is set (machine-readable bench output). */
+    /** Render to stdout. */
     void print() const;
 
   private:

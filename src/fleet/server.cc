@@ -140,7 +140,14 @@ Server::saveTo(serde::Writer &out) const
     workload_->saveTo(out);
 }
 
-Server::~Server() = default;
+Server::~Server()
+{
+    // Nothing reads this server's memory once it goes, so the
+    // workload and fragmenter, destroyed after this body, release
+    // only host memory: their frees and unpins into the dying kernel
+    // are skipped.
+    kernel_->beginTeardown();
+}
 
 void
 Server::enableStepAudit()

@@ -45,7 +45,7 @@ AddressSpace::AddressSpace(Kernel &kernel, serde::Reader &in)
             (vpn & ((Vpn{1} << order) - 1)) != 0)
             throw serde::Error(
                 "address space: chunk/page-table mismatch");
-        tables_.setTag(vpn, chunks_.insert(vpn, order));
+        chunks_.insert(vpn, tables_.setTag(vpn, nextSlot()));
         if (order == 0)
             ++pages4k_;
         else if (order == hugeOrder)
@@ -74,7 +74,7 @@ AddressSpace::saveTo(serde::Writer &out) const
     out.putU64(chunks_.size());
     for (const ChunkTable::Entry &entry : chunks_.entries()) {
         out.putU64(entry.vpn);
-        out.putU32(entry.order);
+        out.putU32(entry.order());
     }
     out.putU64(nextBaseVpn_);
 }
@@ -83,14 +83,18 @@ AddressSpace::~AddressSpace()
 {
     // As munmap of every region in ascending order, without the
     // per-chunk slot bookkeeping: the slot order dies with the
-    // process.
-    for (const auto &[base, region] : regions_)
-        tables_.unmapRange(base, base + region.pages,
-                           [this](Vpn, const Translation &tr) {
-                               if (kernel_.mem().frame(tr.pfn).isPinned())
-                                   kernel_.unpinPages(tr.pfn);
-                               kernel_.freePages(tr.pfn);
-                           });
+    // process. A kernel being torn down frees nothing, so its
+    // processes skip the walk.
+    if (!kernel_.tearingDown()) {
+        for (const auto &[base, region] : regions_)
+            tables_.unmapRange(
+                base, base + region.pages,
+                [this](Vpn, const Translation &tr) {
+                    if (kernel_.mem().frame(tr.pfn).isPinned())
+                        kernel_.unpinPages(tr.pfn);
+                    kernel_.freePages(tr.pfn);
+                });
+    }
     kernel_.owners().unregisterClient(clientId_);
 }
 
@@ -142,11 +146,12 @@ AddressSpace::backChunk(Vpn vpn, unsigned order)
     const Pfn pfn = kernel_.allocPages(req);
     if (pfn == invalidPfn)
         return false;
-    if (!tables_.map(vpn, pfn, order, nextSlot())) {
+    PageTables::Table *table = tables_.map(vpn, pfn, order, nextSlot());
+    if (table == nullptr) {
         kernel_.freePages(pfn);
         return false;
     }
-    chunks_.insert(vpn, order);
+    chunks_.insert(vpn, *table);
     if (order == 0)
         ++pages4k_;
     else if (order == hugeOrder)
@@ -169,8 +174,10 @@ AddressSpace::dropChunk(Vpn vpn, const Translation &tr)
     const std::uint32_t slot = tr.tag;
     ctg_assert(chunks_.at(slot).vpn == vpn);
     chunks_.eraseAt(slot);
-    if (slot < chunks_.size())
-        tables_.setTag(chunks_.at(slot).vpn, slot);
+    if (slot < chunks_.size()) {
+        const ChunkTable::Entry &moved = chunks_.at(slot);
+        tables_.setTag(*moved.table, moved.vpn, slot);
+    }
     if (tr.order == 0) {
         --pages4k_;
     } else if (tr.order == hugeOrder) {
@@ -220,11 +227,13 @@ AddressSpace::backWithGigantic(Addr addr)
     const Pfn pfn = kernel_.allocGigantic(owner);
     if (pfn == invalidPfn)
         return false;
-    if (!tables_.map(vpn, pfn, gigaOrder, nextSlot())) {
+    PageTables::Table *table =
+        tables_.map(vpn, pfn, gigaOrder, nextSlot());
+    if (table == nullptr) {
         kernel_.freePages(pfn);
         return false;
     }
-    chunks_.insert(vpn, gigaOrder);
+    chunks_.insert(vpn, *table);
     ++chunks1g_;
     return true;
 }
@@ -244,7 +253,7 @@ AddressSpace::releasePages(std::uint64_t pages, Rng &rng)
         const ChunkTable::Entry &entry =
             chunks_.at(rng.below(chunks_.size()));
         const Vpn vpn = entry.vpn;
-        const unsigned order = entry.order;
+        const unsigned order = entry.order();
         // Pinned pages cannot be reclaimed while IO may target them.
         const Translation tr = tables_.translate(vpn);
         if (tr.valid && kernel_.mem().frame(tr.pfn).isPinned())
@@ -315,9 +324,10 @@ AddressSpace::promoteHugeRanges(std::uint64_t budget)
                                ctg_assert(tr.order == 0);
                                dropChunk(vpn, tr);
                            });
-        const bool ok = tables_.map(head, huge, hugeOrder, nextSlot());
-        ctg_assert(ok);
-        chunks_.insert(head, hugeOrder);
+        PageTables::Table *table =
+            tables_.map(head, huge, hugeOrder, nextSlot());
+        ctg_assert(table != nullptr);
+        chunks_.insert(head, *table);
         ++chunks2m_;
         ++promoted;
     }
@@ -351,7 +361,7 @@ AddressSpace::randomBacked4kFrame(Rng &rng) const
     for (int attempt = 0; attempt < 64; ++attempt) {
         const ChunkTable::Entry &entry =
             chunks_.at(rng.below(chunks_.size()));
-        if (entry.order == 0) {
+        if (entry.order() == 0) {
             const Translation tr = tables_.translate(entry.vpn);
             ctg_assert(tr.valid);
             return tr.pfn;

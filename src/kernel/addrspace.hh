@@ -39,7 +39,8 @@ class Reader;
  * The table keeps no vpn index. AddressSpace stores each chunk's
  * slot in the software field of its leaf page-table entry
  * (PageTables::map's tag), reads it back from the translation when
- * the chunk goes, and re-tags the chunk that eraseAt moves.
+ * the chunk goes, and re-tags the chunk that eraseAt moves through
+ * the page table holding its leaf, kept in its entry.
  */
 class ChunkTable
 {
@@ -47,7 +48,12 @@ class ChunkTable
     struct Entry
     {
         Vpn vpn;
-        std::uint32_t order;
+        /** The table holding the chunk's leaf (host state, not
+         * serialized). */
+        PageTables::Table *table;
+
+        /** 0, hugeOrder or gigaOrder: implied by the leaf's table. */
+        unsigned order() const { return PageTables::leafOrder(*table); }
     };
 
     bool
@@ -68,11 +74,11 @@ class ChunkTable
         return slots_[i];
     }
 
-    /** Append a chunk; returns its slot. */
+    /** Append a chunk whose leaf is in table; returns its slot. */
     std::uint32_t
-    insert(Vpn vpn, std::uint32_t order)
+    insert(Vpn vpn, PageTables::Table &table)
     {
-        slots_.push_back(Entry{vpn, order});
+        slots_.push_back(Entry{vpn, &table});
         return static_cast<std::uint32_t>(slots_.size() - 1);
     }
 
@@ -86,7 +92,8 @@ class ChunkTable
         slots_.pop_back();
     }
 
-    /** The dense slot array, serialized verbatim. */
+    /** The dense slot array; each vpn and order is serialized
+     * verbatim. */
     const std::vector<Entry> &entries() const { return slots_; }
 
   private:

@@ -139,7 +139,8 @@ ChurnPool::saveTo(serde::Writer &out) const
 
 ChurnPool::~ChurnPool()
 {
-    drain();
+    if (!kernel_.tearingDown())
+        drain();
     if (clientId_ != 0)
         kernel_.owners().unregisterClient(clientId_);
 }

@@ -168,8 +168,16 @@ Kernel::bootAllocations()
 }
 
 void
+Kernel::checkLive(const char *what) const
+{
+    if (tearingDown_)
+        panic("%s on a kernel being torn down", what);
+}
+
+void
 Kernel::advanceSeconds(double dt)
 {
+    checkLive("advanceSeconds");
     ctg_assert(dt >= 0);
     nowSeconds_ += dt;
     const double now_us = nowSeconds_ * 1e6;
@@ -204,6 +212,7 @@ Kernel::advanceSeconds(double dt)
 Pfn
 Kernel::allocPages(const AllocRequest &req)
 {
+    checkLive("allocPages");
     Pfn head = policy_->alloc(req);
     if (head != invalidPfn)
         return head;
@@ -253,12 +262,15 @@ Kernel::allocPages(const AllocRequest &req)
 void
 Kernel::freePages(Pfn head)
 {
+    if (tearingDown_)
+        return;
     policy_->free(head);
 }
 
 Pfn
 Kernel::allocGigantic(std::uint64_t owner)
 {
+    checkLive("allocGigantic");
     Pfn head = policy_->allocGigantic(AllocSource::User, owner);
     if (head != invalidPfn)
         return head;
@@ -283,6 +295,7 @@ Kernel::allocGigantic(std::uint64_t owner)
 Pfn
 Kernel::pinPages(Pfn head)
 {
+    checkLive("pinPages");
     ++counters_.pins;
     return policy_->pin(head);
 }
@@ -290,6 +303,8 @@ Kernel::pinPages(Pfn head)
 void
 Kernel::unpinPages(Pfn head)
 {
+    if (tearingDown_)
+        return;
     ++counters_.unpins;
     policy_->unpin(head);
     // Retire any handle bound to this location.
@@ -315,6 +330,8 @@ Kernel::pinPagesId(Pfn head)
 void
 Kernel::unpinById(std::uint64_t id)
 {
+    if (tearingDown_)
+        return;
     const auto it = pinPfnById_.find(id);
     if (it == pinPfnById_.end())
         return; // already force-unpinned (process exit)

@@ -190,8 +190,25 @@ class Kernel
     /** Pages below which direct reclaim triggers. */
     std::uint64_t lowWatermarkPages() const { return lowWatermark_; }
 
+    /**
+     * Start tearing the whole kernel down (~Server, before the
+     * workload and fragmenter go). Nothing reads this memory again,
+     * so from here on freePages, unpinPages and unpinById do nothing,
+     * address spaces skip their unmap walk, and allocPages,
+     * allocGigantic, pinPages and advanceSeconds panic: no model code
+     * may run. Irreversible. A kernel never torn down (a process
+     * exiting mid-run, a kernel without a Server) frees in full.
+     */
+    void beginTeardown() { tearingDown_ = true; }
+
+    /** True once beginTeardown ran. */
+    bool tearingDown() const { return tearingDown_; }
+
   private:
     void bootAllocations();
+
+    /** Panic if the kernel is being torn down. */
+    void checkLive(const char *what) const;
 
     KernelConfig config_;
     std::unique_ptr<PhysMem> mem_;
@@ -209,6 +226,7 @@ class Kernel
     double nowSeconds_ = 0.0;
     double kcompactdCarry_ = 0.0;
     std::uint64_t lowWatermark_ = 0;
+    bool tearingDown_ = false;
 };
 
 } // namespace ctg

@@ -29,23 +29,8 @@ leafNodeLevel(unsigned order)
     }
 }
 
-/** Order of a leaf held at the given level (1..3). */
-constexpr unsigned
-leafOrderAt(unsigned level)
-{
-    return (level - 1) * PageTables::bitsPerLevel;
-}
-
 /** Highest level that can hold a leaf (PUD, 1 GB). */
 constexpr unsigned maxLeafLevel = 3;
-
-static_assert(leafOrderAt(2) == hugeOrder && leafOrderAt(3) == gigaOrder);
-
-/** A leaf word's tag starts above its leaf bit and 32-bit pfn;
- * untaggedMask keeps those two. */
-constexpr unsigned tagShift = 33;
-constexpr std::uint64_t untaggedMask = (std::uint64_t{1} << tagShift) - 1;
-static_assert(tagShift + PageTables::tagBits == 64);
 
 /** Panic unless pfn fits the 32 bits a leaf word holds. */
 void
@@ -67,180 +52,6 @@ checkTag(std::uint32_t tag)
 
 } // namespace
 
-/**
- * One radix table. Level-1 tables allocate their dense array with
- * the first entry; upper tables start with sorted pairs and turn
- * dense on the entry after sparseMaxEntries. A table that empties
- * drops its host storage (its simulated frame stays).
- */
-struct PageTables::Table
-{
-    struct Slot
-    {
-        std::uint16_t index;
-        Word word;
-    };
-
-    explicit Table(Pfn backing_pfn) : backing(backing_pfn) {}
-
-    /** Deletes the child tables it owns (host memory only; frames
-     * are freed by PageTables::freeTable). */
-    ~Table()
-    {
-        forEach([](unsigned, Word word) {
-            if (!isLeaf(word))
-                delete asTable(word);
-        });
-    }
-
-    Table(const Table &) = delete;
-    Table &operator=(const Table &) = delete;
-
-    static bool isLeaf(Word word) { return (word & 1) != 0; }
-    static Table *asTable(Word word)
-    {
-        return reinterpret_cast<Table *>(word);
-    }
-    static Word tableWord(Table *table)
-    {
-        static_assert(sizeof(Table *) <= sizeof(Word));
-        static_assert(alignof(Table) >= 2,
-                      "table pointers must be even to tell them from "
-                      "leaves");
-        return reinterpret_cast<Word>(table);
-    }
-    static Word
-    leafWord(Pfn pfn, std::uint32_t tag)
-    {
-        return Word{tag} << tagShift | pfn << 1 | 1;
-    }
-    static Pfn leafPfn(Word word) { return (word & untaggedMask) >> 1; }
-    static std::uint32_t
-    leafTag(Word word)
-    {
-        return static_cast<std::uint32_t>(word >> tagShift);
-    }
-
-    /** Position of the first sparse slot whose index is >= idx. */
-    std::size_t
-    lowerBound(unsigned idx) const
-    {
-        return static_cast<std::size_t>(
-            std::lower_bound(
-                sparse.begin(), sparse.end(), idx,
-                [](const Slot &s, unsigned i) { return s.index < i; }) -
-            sparse.begin());
-    }
-
-    /** The word at idx (0 if empty). */
-    Word
-    get(unsigned idx) const
-    {
-        if (dense)
-            return dense[idx];
-        const std::size_t i = lowerBound(idx);
-        return i < sparse.size() && sparse[i].index == idx
-                   ? sparse[i].word
-                   : 0;
-    }
-
-    /** The live word at idx, or nullptr. */
-    Word *
-    find(unsigned idx)
-    {
-        if (dense)
-            return dense[idx] != 0 ? &dense[idx] : nullptr;
-        const std::size_t i = lowerBound(idx);
-        return i < sparse.size() && sparse[i].index == idx
-                   ? &sparse[i].word
-                   : nullptr;
-    }
-
-    /** Fill the empty slot idx of a table at the given level. */
-    void
-    insert(unsigned idx, Word word, unsigned level)
-    {
-        if (!dense && (level == 1 || count == sparseMaxEntries)) {
-            dense = std::make_unique<Word[]>(entriesPerTable);
-            for (const Slot &s : sparse)
-                dense[s.index] = s.word;
-            std::vector<Slot>().swap(sparse);
-        }
-        ++count;
-        if (dense) {
-            dense[idx] = word;
-            return;
-        }
-        sparse.insert(sparse.begin() + lowerBound(idx),
-                      Slot{static_cast<std::uint16_t>(idx), word});
-    }
-
-    /** Empty the live slot idx. */
-    void
-    erase(unsigned idx)
-    {
-        if (dense)
-            dense[idx] = 0;
-        else
-            sparse.erase(sparse.begin() + lowerBound(idx));
-        if (--count == 0)
-            dropStorage();
-    }
-
-    void
-    dropStorage()
-    {
-        dense.reset();
-        std::vector<Slot>().swap(sparse);
-    }
-
-    /** First live index >= idx, or entriesPerTable. */
-    unsigned
-    next(unsigned idx) const
-    {
-        if (dense) {
-            while (idx < entriesPerTable && dense[idx] == 0)
-                ++idx;
-            return idx;
-        }
-        const std::size_t i = lowerBound(idx);
-        return i < sparse.size() ? sparse[i].index : entriesPerTable;
-    }
-
-    /** Visit live (index, word) pairs in index order. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        if (dense) {
-            for (unsigned i = 0; i < entriesPerTable; ++i)
-                if (dense[i] != 0)
-                    fn(i, dense[i]);
-        } else {
-            for (const Slot &s : sparse)
-                fn(s.index, s.word);
-        }
-    }
-
-    Pfn backing;                  //!< frame holding this table
-    unsigned count = 0;           //!< live entries
-    std::unique_ptr<Word[]> dense; //!< entriesPerTable words, or null
-    std::vector<Slot> sparse;     //!< sorted by index while not dense
-};
-
-/** Translation of vpn through the leaf word at the given level. */
-Translation
-PageTables::leafTranslation(Word word, unsigned level, Vpn vpn)
-{
-    Translation tr;
-    tr.valid = true;
-    tr.order = leafOrderAt(level);
-    tr.level = level;
-    tr.pfn = Table::leafPfn(word) + (vpn & ((Vpn{1} << tr.order) - 1));
-    tr.tag = Table::leafTag(word);
-    return tr;
-}
-
 unsigned
 PageTables::indexAt(Vpn vpn, unsigned level)
 {
@@ -252,7 +63,7 @@ PageTables::indexAt(Vpn vpn, unsigned level)
 PageTables::PageTables(Kernel &kernel)
     : kernel_(kernel)
 {
-    root_ = allocTable();
+    root_ = allocTable(levels);
     if (!root_)
         fatal("cannot allocate page-table root");
 }
@@ -270,7 +81,10 @@ PageTables::PageTables(Kernel &kernel, serde::Reader &in)
 
 PageTables::~PageTables()
 {
-    freeTable(std::move(root_));
+    // A kernel being torn down frees no frames; root_'s ~Table still
+    // releases the host memory.
+    if (!kernel_.tearingDown())
+        freeTable(std::move(root_));
 }
 
 void
@@ -296,7 +110,7 @@ PageTables::loadTable(serde::Reader &in, unsigned level)
 {
     if (level == 0)
         throw serde::Error("pagetable: tree deeper than 4 levels");
-    auto table = std::make_unique<Table>(in.getU64());
+    auto table = std::make_unique<Table>(in.getU64(), level);
     ++tablePages_;
     const std::uint32_t count = in.getU32();
     if (count > entriesPerTable)
@@ -343,7 +157,7 @@ PageTables::saveTo(serde::Writer &out) const
 }
 
 std::unique_ptr<PageTables::Table>
-PageTables::allocTable()
+PageTables::allocTable(unsigned level)
 {
     AllocRequest req;
     req.order = 0;
@@ -354,7 +168,7 @@ PageTables::allocTable()
     if (backing == invalidPfn)
         return nullptr;
     ++tablePages_;
-    return std::make_unique<Table>(backing);
+    return std::make_unique<Table>(backing, level);
 }
 
 void
@@ -372,7 +186,7 @@ PageTables::freeTable(std::unique_ptr<Table> table)
     table->dropStorage();
 }
 
-bool
+PageTables::Table *
 PageTables::map(Vpn vpn, Pfn pfn, unsigned order, std::uint32_t tag)
 {
     const unsigned leaf_level = leafNodeLevel(order);
@@ -392,9 +206,9 @@ PageTables::map(Vpn vpn, Pfn pfn, unsigned order, std::uint32_t tag)
                       "level %u",
                       level);
             if (word == 0) {
-                std::unique_ptr<Table> child = allocTable();
+                std::unique_ptr<Table> child = allocTable(level - 1);
                 if (!child)
-                    return false;
+                    return nullptr;
                 word = Table::tableWord(child.release());
                 table->insert(idx, word, level);
             }
@@ -418,7 +232,7 @@ PageTables::map(Vpn vpn, Pfn pfn, unsigned order, std::uint32_t tag)
         table->insert(idx, leaf, leaf_level);
     }
     ++mappings_;
-    return true;
+    return table;
 }
 
 Translation
@@ -442,20 +256,27 @@ PageTables::unmap(Vpn vpn)
 }
 
 PageTables::Word *
-PageTables::leafSlot(Vpn vpn)
+PageTables::leafSlot(Vpn vpn, Table **holder)
 {
     // A PMD slot holding the cached table holds no leaf, so the leaf
     // covering vpn, if any, is in that table.
-    if (Table *pte = cachedPte(vpn))
-        return pte->find(indexAt(vpn, 1));
-    Table *table = root_.get();
-    for (unsigned level = levels; level >= 1; --level) {
+    Table *table = cachedPte(vpn);
+    unsigned level = 1;
+    if (table == nullptr) {
+        table = root_.get();
+        level = levels;
+    }
+    for (;; --level) {
         Word *slot = table->find(indexAt(vpn, level));
-        if (slot == nullptr || Table::isLeaf(*slot))
+        if (slot == nullptr || Table::isLeaf(*slot)) {
+            if (holder != nullptr)
+                *holder = table;
             return slot;
+        }
+        if (level == 1)
+            return nullptr;
         table = Table::asTable(*slot);
     }
-    return nullptr;
 }
 
 bool
@@ -469,12 +290,23 @@ PageTables::repoint(Vpn vpn, Pfn old_pfn, Pfn new_pfn)
     return true;
 }
 
-void
+PageTables::Table &
 PageTables::setTag(Vpn vpn, std::uint32_t tag)
 {
     checkTag(tag);
-    Word *slot = leafSlot(vpn);
+    Table *table = nullptr;
+    Word *slot = leafSlot(vpn, &table);
     ctg_assert(slot != nullptr);
+    *slot = (*slot & untaggedMask) | Word{tag} << tagShift;
+    return *table;
+}
+
+void
+PageTables::setTag(Table &table, Vpn vpn, std::uint32_t tag)
+{
+    checkTag(tag);
+    Word *slot = table.find(indexAt(vpn, table.level));
+    ctg_assert(slot != nullptr && Table::isLeaf(*slot));
     *slot = (*slot & untaggedMask) | Word{tag} << tagShift;
 }
 
@@ -603,43 +435,6 @@ PageTables::collectFull(const Table &table, unsigned level, Vpn base,
             out.push_back(head);
         if (out.size() >= max)
             return;
-    }
-}
-
-void
-PageTables::unmapRange(Vpn from, Vpn end, const RemovedFn &fn)
-{
-    if (from < end)
-        unmapIn(*root_, levels, 0, from, end, fn);
-}
-
-void
-PageTables::unmapIn(Table &table, unsigned level, Vpn base, Vpn from,
-                    Vpn end, const RemovedFn &fn)
-{
-    const unsigned shift = (level - 1) * bitsPerLevel;
-    const Vpn first = from > base ? (from - base) >> shift : 0;
-    for (unsigned i = table.next(static_cast<unsigned>(
-             std::min<Vpn>(first, entriesPerTable)));
-         i < entriesPerTable; i = table.next(i + 1)) {
-        const Vpn head = base + (Vpn{i} << shift);
-        if (head >= end)
-            break;
-        const Word word = table.get(i);
-        if (!Table::isLeaf(word)) {
-            unmapIn(*Table::asTable(word), level - 1, head,
-                    std::max(from, head), end, fn);
-            continue;
-        }
-        // A huge leaf that starts before from is not in the range.
-        if (head < from)
-            continue;
-        table.erase(i);
-        ctg_assert(mappings_ > 0);
-        --mappings_;
-        fn(head, leafTranslation(word, level, head));
-        // An erase that empties the table drops its storage; next()
-        // reads it afresh and then finds no entry.
     }
 }
 

@@ -31,12 +31,16 @@
  * start there, not at the root, when their vpn falls in that range.
  * The cached table stays in the tree while it lives: an emptied
  * table only drops its storage, and freeTable, the one place a
- * Table object goes away, clears the cache.
+ * Table object goes away, clears the cache. For the same reason a
+ * leaf's table outlives the leaf, so map returns it as a handle
+ * that setTag takes back to retag the leaf without a descent; the
+ * table knows its level, so the handle also gives the leaf's order.
  */
 
 #ifndef CTG_KERNEL_PAGETABLE_HH
 #define CTG_KERNEL_PAGETABLE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -76,6 +80,14 @@ class PageTables
     /** Width of a leaf's software field (the tag). */
     static constexpr unsigned tagBits = 31;
 
+    /** One radix table, defined below the class. Outside
+     * PageTables it is a handle: map returns the table a leaf went
+     * into, and it stays valid while that leaf is mapped. */
+    struct Table;
+
+    /** Order of the leaves held in table. */
+    static unsigned leafOrder(const Table &table);
+
     explicit PageTables(Kernel &kernel);
 
     /** Checkpoint restore: adopt a serialized radix tree. Table
@@ -93,9 +105,10 @@ class PageTables
      * (0, hugeOrder or gigaOrder) carrying the software field tag.
      * vpn must be order-aligned; pfn must fit in 32 bits and tag in
      * tagBits (panics otherwise).
-     * @return false if a table page allocation failed.
+     * @return the table holding the new leaf, nullptr if a table
+     *         page allocation failed.
      */
-    bool map(Vpn vpn, Pfn pfn, unsigned order, std::uint32_t tag = 0);
+    Table *map(Vpn vpn, Pfn pfn, unsigned order, std::uint32_t tag = 0);
 
     /** Remove the leaf covering vpn. Returns the translation of vpn
      * before the removal; invalid if no leaf covered it. The table
@@ -109,8 +122,12 @@ class PageTables
     bool repoint(Vpn vpn, Pfn old_pfn, Pfn new_pfn);
 
     /** Rewrite the software field of the leaf covering vpn, which
-     * must exist. */
-    void setTag(Vpn vpn, std::uint32_t tag);
+     * must exist. Returns the table holding the leaf. */
+    Table &setTag(Vpn vpn, std::uint32_t tag);
+
+    /** setTag of the leaf at vpn held in table (as map returned
+     * it), without a descent from the root. */
+    void setTag(Table &table, Vpn vpn, std::uint32_t tag);
 
     /** Look up the leaf covering vpn. */
     Translation translate(Vpn vpn) const;
@@ -138,16 +155,20 @@ class PageTables
      * the first hit ends the scan. */
     bool anyPteIn(Vpn vpn, const std::function<bool(Pfn)> &pred) const;
 
-    /** Called with the head vpn and translation of a removed leaf. */
-    using RemovedFn = std::function<void(Vpn, const Translation &)>;
-
     /**
      * Remove every leaf that starts in [from, end), in ascending vpn
-     * order, in one walk of the tree; fn runs right after each
-     * removal. Emptied tables stay, as with unmap. fn may retag
-     * leaves (setTag) but must not add or remove any.
+     * order, in one walk of the tree; fn(Vpn head, const Translation
+     * &) runs right after each removal. Emptied tables stay, as with
+     * unmap. fn may retag leaves (setTag) but must not add or remove
+     * any.
      */
-    void unmapRange(Vpn from, Vpn end, const RemovedFn &fn);
+    template <typename Fn>
+    void
+    unmapRange(Vpn from, Vpn end, Fn &&fn)
+    {
+        if (from < end)
+            unmapIn(*root_, levels, 0, from, end, fn);
+    }
 
     /** What a hardware walk of one vpn reads and finds. */
     struct Walk
@@ -178,19 +199,31 @@ class PageTables
   private:
     /** One table entry; see the file comment for the encoding. */
     using Word = std::uint64_t;
-    struct Table;
 
     static constexpr unsigned entriesPerTable = 1u << bitsPerLevel;
     /** An upper table switches from sorted pairs to a dense array
      * when it passes this many entries. */
     static constexpr unsigned sparseMaxEntries = 32;
+    /** A leaf word's tag starts above its leaf bit and 32-bit pfn;
+     * untaggedMask keeps those two. */
+    static constexpr unsigned tagShift = 33;
+    static constexpr Word untaggedMask = (Word{1} << tagShift) - 1;
+    static_assert(tagShift + tagBits == 64);
+
+    /** Order of a leaf held at the given level (1..3). */
+    static constexpr unsigned
+    leafOrderAt(unsigned level)
+    {
+        return (level - 1) * bitsPerLevel;
+    }
 
     static unsigned indexAt(Vpn vpn, unsigned level);
     /** Translation of vpn through the leaf word at the given
      * level. */
     static Translation leafTranslation(Word word, unsigned level, Vpn vpn);
 
-    std::unique_ptr<Table> allocTable();
+    /** A table at the given level, backed by a fresh frame. */
+    std::unique_ptr<Table> allocTable(unsigned level);
     /** Free the subtree's frames in index order, children first, so
      * the buddy merge pattern (and everything downstream of it) is
      * a function of the tree alone, as bit-identical checkpoint
@@ -218,15 +251,17 @@ class PageTables
                                                        : nullptr;
     }
 
-    /** The word of the leaf covering vpn, or nullptr. */
-    Word *leafSlot(Vpn vpn);
+    /** The word of the leaf covering vpn, or nullptr; *holder, if
+     * given, is set to the table holding it. */
+    Word *leafSlot(Vpn vpn, Table **holder = nullptr);
 
     static void collectFull(const Table &table, unsigned level, Vpn base,
                             std::size_t max, std::vector<Vpn> &out);
 
     /** unmapRange within one table whose first entry maps vpn base. */
+    template <typename Fn>
     void unmapIn(Table &table, unsigned level, Vpn base, Vpn from,
-                 Vpn end, const RemovedFn &fn);
+                 Vpn end, Fn &fn);
 
     Kernel &kernel_;
     std::unique_ptr<Table> root_;
@@ -237,6 +272,222 @@ class PageTables
     Table *pteCache_ = nullptr;
     Vpn pteCacheRange_ = 0;
 };
+
+/**
+ * One radix table. Level-1 tables allocate their dense array with
+ * the first entry; upper tables start with sorted pairs and turn
+ * dense on the entry after sparseMaxEntries. A table that empties
+ * drops its host storage (its simulated frame stays).
+ */
+struct PageTables::Table
+{
+    struct Slot
+    {
+        std::uint16_t index;
+        Word word;
+    };
+
+    Table(Pfn backing_pfn, unsigned table_level)
+        : backing(backing_pfn),
+          level(static_cast<std::uint8_t>(table_level))
+    {}
+
+    /** Deletes the child tables it owns (host memory only; frames
+     * are freed by PageTables::freeTable). */
+    ~Table()
+    {
+        forEach([](unsigned, Word word) {
+            if (!isLeaf(word))
+                delete asTable(word);
+        });
+    }
+
+    Table(const Table &) = delete;
+    Table &operator=(const Table &) = delete;
+
+    static bool isLeaf(Word word) { return (word & 1) != 0; }
+    static Table *asTable(Word word)
+    {
+        return reinterpret_cast<Table *>(word);
+    }
+    static Word tableWord(Table *table)
+    {
+        static_assert(sizeof(Table *) <= sizeof(Word));
+        static_assert(alignof(Table) >= 2,
+                      "table pointers must be even to tell them from "
+                      "leaves");
+        return reinterpret_cast<Word>(table);
+    }
+    static Word
+    leafWord(Pfn pfn, std::uint32_t tag)
+    {
+        return Word{tag} << tagShift | pfn << 1 | 1;
+    }
+    static Pfn leafPfn(Word word) { return (word & untaggedMask) >> 1; }
+    static std::uint32_t
+    leafTag(Word word)
+    {
+        return static_cast<std::uint32_t>(word >> tagShift);
+    }
+
+    /** Position of the first sparse slot whose index is >= idx. */
+    std::size_t
+    lowerBound(unsigned idx) const
+    {
+        return static_cast<std::size_t>(
+            std::lower_bound(
+                sparse.begin(), sparse.end(), idx,
+                [](const Slot &s, unsigned i) { return s.index < i; }) -
+            sparse.begin());
+    }
+
+    /** The word at idx (0 if empty). */
+    Word
+    get(unsigned idx) const
+    {
+        if (dense)
+            return dense[idx];
+        const std::size_t i = lowerBound(idx);
+        return i < sparse.size() && sparse[i].index == idx
+                   ? sparse[i].word
+                   : 0;
+    }
+
+    /** The live word at idx, or nullptr. */
+    Word *
+    find(unsigned idx)
+    {
+        if (dense)
+            return dense[idx] != 0 ? &dense[idx] : nullptr;
+        const std::size_t i = lowerBound(idx);
+        return i < sparse.size() && sparse[i].index == idx
+                   ? &sparse[i].word
+                   : nullptr;
+    }
+
+    /** Fill the empty slot idx of a table at the given level. */
+    void
+    insert(unsigned idx, Word word, unsigned level)
+    {
+        if (!dense && (level == 1 || count == sparseMaxEntries)) {
+            dense = std::make_unique<Word[]>(entriesPerTable);
+            for (const Slot &s : sparse)
+                dense[s.index] = s.word;
+            std::vector<Slot>().swap(sparse);
+        }
+        ++count;
+        if (dense) {
+            dense[idx] = word;
+            return;
+        }
+        sparse.insert(sparse.begin() + lowerBound(idx),
+                      Slot{static_cast<std::uint16_t>(idx), word});
+    }
+
+    /** Empty the live slot idx. */
+    void
+    erase(unsigned idx)
+    {
+        if (dense)
+            dense[idx] = 0;
+        else
+            sparse.erase(sparse.begin() + lowerBound(idx));
+        if (--count == 0)
+            dropStorage();
+    }
+
+    void
+    dropStorage()
+    {
+        dense.reset();
+        std::vector<Slot>().swap(sparse);
+    }
+
+    /** First live index >= idx, or entriesPerTable. */
+    unsigned
+    next(unsigned idx) const
+    {
+        if (dense) {
+            while (idx < entriesPerTable && dense[idx] == 0)
+                ++idx;
+            return idx;
+        }
+        const std::size_t i = lowerBound(idx);
+        return i < sparse.size() ? sparse[i].index : entriesPerTable;
+    }
+
+    /** Visit live (index, word) pairs in index order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        if (dense) {
+            for (unsigned i = 0; i < entriesPerTable; ++i)
+                if (dense[i] != 0)
+                    fn(i, dense[i]);
+        } else {
+            for (const Slot &s : sparse)
+                fn(s.index, s.word);
+        }
+    }
+
+    Pfn backing;                  //!< frame holding this table
+    unsigned count = 0;           //!< live entries
+    std::uint8_t level;           //!< 1 (PTE) to levels (root)
+    std::unique_ptr<Word[]> dense; //!< entriesPerTable words, or null
+    std::vector<Slot> sparse;     //!< sorted by index while not dense
+};
+
+inline unsigned
+PageTables::leafOrder(const Table &table)
+{
+    return leafOrderAt(table.level);
+}
+
+inline Translation
+PageTables::leafTranslation(Word word, unsigned level, Vpn vpn)
+{
+    static_assert(leafOrderAt(2) == hugeOrder &&
+                  leafOrderAt(3) == gigaOrder);
+    Translation tr;
+    tr.valid = true;
+    tr.order = leafOrderAt(level);
+    tr.level = level;
+    tr.pfn = Table::leafPfn(word) + (vpn & ((Vpn{1} << tr.order) - 1));
+    tr.tag = Table::leafTag(word);
+    return tr;
+}
+
+template <typename Fn>
+void
+PageTables::unmapIn(Table &table, unsigned level, Vpn base, Vpn from,
+                    Vpn end, Fn &fn)
+{
+    const unsigned shift = (level - 1) * bitsPerLevel;
+    const Vpn first = from > base ? (from - base) >> shift : 0;
+    for (unsigned i = table.next(static_cast<unsigned>(
+             std::min<Vpn>(first, entriesPerTable)));
+         i < entriesPerTable; i = table.next(i + 1)) {
+        const Vpn head = base + (Vpn{i} << shift);
+        if (head >= end)
+            break;
+        const Word word = table.get(i);
+        if (!Table::isLeaf(word)) {
+            unmapIn(*Table::asTable(word), level - 1, head,
+                    std::max(from, head), end, fn);
+            continue;
+        }
+        // A huge leaf that starts before from is not in the range.
+        if (head < from)
+            continue;
+        table.erase(i);
+        ctg_assert(mappings_ > 0);
+        --mappings_;
+        fn(head, leafTranslation(word, level, head));
+        // An erase that empties the table drops its storage; next()
+        // reads it afresh and then finds no entry.
+    }
+}
 
 } // namespace ctg
 

@@ -1,12 +1,10 @@
 /**
  * @file
- * Core trace-driver tests: accounting, warmup isolation, and the
- * Table CSV renderer.
+ * Core trace-driver tests: accounting and warmup isolation.
  */
 
 #include <gtest/gtest.h>
 
-#include "base/table.hh"
 #include "base/units.hh"
 #include "hw/core.hh"
 
@@ -98,19 +96,6 @@ TEST_F(CoreTest, StoresPropagateValues)
     core.run(trace, 5);
     EXPECT_EQ(hw.mem().authoritativeValue(Addr{0x200} << pageShift),
               5u);
-}
-
-TEST(TableCsv, EscapesAndAligns)
-{
-    Table table("t");
-    table.header({"a", "b"});
-    table.row({"plain", "with,comma"});
-    table.row({"quote\"inside", "x"});
-    const std::string csv = table.renderCsv();
-    EXPECT_NE(csv.find("a,b\n"), std::string::npos);
-    EXPECT_NE(csv.find("plain,\"with,comma\"\n"), std::string::npos);
-    EXPECT_NE(csv.find("\"quote\"\"inside\",x\n"),
-              std::string::npos);
 }
 
 } // namespace

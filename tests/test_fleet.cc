@@ -1,14 +1,17 @@
 /**
  * @file
  * Fleet layer tests: per-server scans, determinism, workload
- * diversity, prefragmentation effects, and the vanilla-vs-Contiguitas
- * fleet contrast that underlies Figures 4/5/11.
+ * diversity, prefragmentation effects, the vanilla-vs-Contiguitas
+ * fleet contrast that underlies Figures 4/5/11, and server teardown.
  */
 
 #include <gtest/gtest.h>
 
 #include "base/units.hh"
 #include "fleet/fleet.hh"
+#include "kernel/vanilla_policy.hh"
+#include "mem/auditor.hh"
+#include "mem/mem_stats.hh"
 
 namespace ctg
 {
@@ -93,6 +96,175 @@ TEST(ServerTest, ContiguitasBeatsVanillaOnSameSeed)
     // Confinement: strictly better potential contiguity at 32MB.
     EXPECT_GT(contiguitas.potentialContiguity[1],
               vanilla.potentialContiguity[1]);
+}
+
+/** Frees and unpins that reached the placement policy, counted by
+ * CountingPolicy across every kernel built with it. */
+struct PolicyCalls
+{
+    std::uint64_t frees = 0;
+    std::uint64_t unpins = 0;
+};
+PolicyCalls policyCalls;
+
+class CountingPolicy : public VanillaPolicy
+{
+  public:
+    using VanillaPolicy::VanillaPolicy;
+
+    void
+    free(Pfn head) override
+    {
+        ++policyCalls.frees;
+        VanillaPolicy::free(head);
+    }
+
+    void
+    unpin(Pfn head) override
+    {
+        ++policyCalls.unpins;
+        VanillaPolicy::unpin(head);
+    }
+};
+
+/** Registers CountingPolicy as "test-counting" while it lives. */
+struct CountingPolicyEntry
+{
+    CountingPolicyEntry()
+    {
+        PolicyRegistry::Entry entry;
+        entry.name = "test-counting";
+        entry.description = "vanilla, counting frees and unpins";
+        entry.make = [](Kernel &kernel, const PolicyConfig &) {
+            return std::make_unique<CountingPolicy>(kernel.mem());
+        };
+        PolicyRegistry::instance().add(entry);
+    }
+
+    ~CountingPolicyEntry()
+    {
+        PolicyRegistry::instance().remove("test-counting");
+    }
+};
+
+/** Allocated blocks whose owner handle names a client that is gone:
+ * pages an exited process failed to return. */
+std::uint64_t
+blocksOfDeadOwners(const Kernel &kernel)
+{
+    const PhysMem &mem = kernel.mem();
+    std::uint64_t dead = 0;
+    for (Pfn pfn = 0; pfn < mem.numFrames(); ++pfn) {
+        const auto f = mem.frame(pfn);
+        if (f.isFree() || !f.isHead() ||
+            f.owner() == OwnerRegistry::noOwner)
+            continue;
+        if (!kernel.owners().relocatable(f.owner()))
+            ++dead;
+    }
+    return dead;
+}
+
+/** DMA-pin up to n mapped user blocks, as a driver would; the pins
+ * stay until their process exits. */
+void
+pinUserPages(Kernel &kernel, unsigned n)
+{
+    const PhysMem &mem = kernel.mem();
+    for (Pfn pfn = 0; pfn < mem.numFrames() && n > 0; ++pfn) {
+        const auto f = mem.frame(pfn);
+        if (!f.isFree() && f.isHead() &&
+            f.source() == AllocSource::User && !f.isPinned() &&
+            kernel.pinPagesId(pfn) != 0)
+            --n;
+    }
+}
+
+TEST(ServerTeardown, DestroyFreesAndUnpinsNothing)
+{
+    Server::Config config = fastServer(WorkloadKind::CacheB, false);
+    config.memBytes = 256_MiB;
+    config.uptimeSec = 6.0;
+
+    // The same stack built without a Server is never torn down: its
+    // workload frees and unpins through the policy as it goes, so
+    // the counters see what ~Server skips.
+    {
+        KernelConfig kc;
+        kc.memBytes = config.memBytes;
+        kc.kernelTextBytes = 4_MiB;
+        Kernel kernel(kc, [](Kernel &k) {
+            return std::make_unique<CountingPolicy>(k.mem());
+        });
+        auto workload = std::make_unique<Workload>(
+            kernel, makeProfile(config.kind, config.memBytes),
+            config.seed);
+        workload->start();
+        workload->runFor(config.uptimeSec, config.stepSec);
+        pinUserPages(kernel, 8);
+        ASSERT_GT(kernel.counters().pins, kernel.counters().unpins);
+        const PolicyCalls before = policyCalls;
+        workload.reset();
+        EXPECT_GT(policyCalls.frees, before.frees);
+        EXPECT_GT(policyCalls.unpins, before.unpins);
+    }
+
+    const CountingPolicyEntry entry;
+    config.policy.name = "test-counting";
+    config.prefragment = true;
+    auto server = std::make_unique<Server>(config);
+    server->run();
+    pinUserPages(server->kernel(), 8);
+    const Kernel::Counters &counters = server->kernel().counters();
+    ASSERT_GT(counters.pins, counters.unpins);
+    const PolicyCalls before = policyCalls;
+    EXPECT_GT(before.frees, 0u);
+    server.reset();
+    EXPECT_EQ(policyCalls.frees, before.frees);
+    EXPECT_EQ(policyCalls.unpins, before.unpins);
+}
+
+TEST(ServerTeardown, MidRunExitsKeepTheFullFreePath)
+{
+    // CI turns jobs over, and a rolling restart exits every process
+    // between the two segments; each exit must return its pages.
+    Server::Config config = fastServer(WorkloadKind::CI, true);
+    config.memBytes = 256_MiB;
+    config.uptimeSec = 4.0;
+    config.extraUptimeSec = 4.0;
+    Server server(config);
+    server.enableStepAudit();
+    server.runToCheckpoint();
+    server.workload().restart();
+    EXPECT_FALSE(server.kernel().tearingDown());
+    EXPECT_EQ(blocksOfDeadOwners(server.kernel()), 0u);
+    AuditReport report = server.auditor()->audit();
+    EXPECT_TRUE(report.ok()) << report.summary();
+
+    server.resume(); // audits after every step
+    EXPECT_EQ(blocksOfDeadOwners(server.kernel()), 0u);
+    report = server.auditor()->audit();
+    EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST(ServerTeardown, FragmenterProcessReturnsEveryPage)
+{
+    KernelConfig kc;
+    kc.memBytes = 64_MiB;
+    kc.kernelTextBytes = 4_MiB;
+    Kernel kernel(kc);
+    const std::uint64_t free_before = kernel.mem().stats().freePages();
+    auto fragmenter =
+        std::make_unique<Fragmenter>(kernel, Fragmenter::Config{}, 7);
+    fragmenter->run();
+    ASSERT_GT(fragmenter->sprinkledPages(), 0u);
+    // The fragmentation process has exited: only the sprinkles stay.
+    EXPECT_EQ(kernel.mem().stats().freePages() +
+                  fragmenter->sprinkledPages(),
+              free_before);
+    EXPECT_EQ(blocksOfDeadOwners(kernel), 0u);
+    fragmenter.reset();
+    EXPECT_EQ(kernel.mem().stats().freePages(), free_before);
 }
 
 TEST(FleetTest, RunsRequestedPopulation)

@@ -125,6 +125,66 @@ TEST(KernelFacade, ReclaimInvokedOnFailure)
         kernel.freePages(p);
 }
 
+TEST(KernelTeardown, AllocationPanicsAndFreesAreSkipped)
+{
+    Kernel kernel(smallConfig());
+    AllocRequest req;
+    req.order = 0;
+    req.mt = MigrateType::Movable;
+    req.source = AllocSource::User;
+    const Pfn head = kernel.allocPages(req);
+    ASSERT_NE(head, invalidPfn);
+    const std::uint64_t pin = kernel.pinPagesId(head);
+    ASSERT_NE(pin, 0u);
+    const std::uint64_t free_before = kernel.mem().stats().freePages();
+    EXPECT_FALSE(kernel.tearingDown());
+
+    kernel.beginTeardown();
+    EXPECT_TRUE(kernel.tearingDown());
+    EXPECT_THROW(kernel.allocPages(req), PanicError);
+    EXPECT_THROW(kernel.allocGigantic(0), PanicError);
+    EXPECT_THROW(kernel.pinPages(head), PanicError);
+    EXPECT_THROW(kernel.advanceSeconds(1.0), PanicError);
+
+    // Frees and unpins reach nothing: the page stays allocated and
+    // pinned, and its handle stays bound.
+    kernel.unpinById(pin);
+    kernel.unpinPages(head);
+    kernel.freePages(head);
+    EXPECT_FALSE(kernel.mem().frame(head).isFree());
+    EXPECT_TRUE(kernel.mem().frame(head).isPinned());
+    EXPECT_EQ(kernel.pinnedLocation(pin), head);
+    EXPECT_EQ(kernel.counters().unpins, 0u);
+    EXPECT_EQ(kernel.mem().stats().freePages(), free_before);
+}
+
+TEST(KernelTeardown, AddressSpaceOfDyingKernelFreesNothing)
+{
+    Kernel kernel(smallConfig());
+    auto exits = std::make_unique<AddressSpace>(kernel, 1);
+    auto dies = std::make_unique<AddressSpace>(kernel, 2);
+    for (AddressSpace *space : {exits.get(), dies.get()}) {
+        const Addr base = space->mmap(8_MiB);
+        space->touchRange(base, 8_MiB);
+        space->touchRange(space->mmap(64 * pageBytes), 64 * pageBytes);
+    }
+    const std::uint64_t free_start = kernel.mem().stats().freePages();
+
+    // A process exiting on a live kernel returns its pages and its
+    // page-table pages.
+    const std::uint64_t exit_pages =
+        exits->backedPages() + exits->pageTables().tablePages();
+    exits.reset();
+    const std::uint64_t free_live = kernel.mem().stats().freePages();
+    EXPECT_EQ(free_live, free_start + exit_pages);
+
+    // On a kernel being torn down it skips the unmap walk and the
+    // table frees; its host memory still goes (LeakSanitizer).
+    kernel.beginTeardown();
+    dies.reset();
+    EXPECT_EQ(kernel.mem().stats().freePages(), free_live);
+}
+
 TEST(Slab, ObjectRoundTrip)
 {
     Kernel kernel(smallConfig());
@@ -440,6 +500,43 @@ TEST(PageTablesTest, TagsRideInLeafWords)
     t = tables.unmap(7);
     EXPECT_TRUE(t.valid);
     EXPECT_EQ(t.tag, 1u);
+}
+
+TEST(PageTablesTest, SetTagThroughTableHandle)
+{
+    Kernel kernel(smallConfig());
+    PageTables tables(kernel);
+    PageTables::Table *pte = tables.map(7, 70, 0, 1);
+    PageTables::Table *pmd = tables.map(pagesPerHuge, 4096, hugeOrder, 2);
+    PageTables::Table *pud = tables.map(pagesPerGiga, 0, gigaOrder, 3);
+    ASSERT_NE(pte, nullptr);
+    ASSERT_NE(pmd, nullptr);
+    ASSERT_NE(pud, nullptr);
+    EXPECT_EQ(&tables.setTag(7, 1), pte);
+    EXPECT_EQ(&tables.setTag(pagesPerHuge + 5, 2), pmd);
+
+    // The PMD table turns dense past sparseMaxEntries; the handle
+    // stays the same object.
+    for (Vpn i = 2; i < 40; ++i)
+        ASSERT_EQ(tables.map(i * pagesPerHuge, i << 9, hugeOrder), pmd);
+
+    EXPECT_EQ(PageTables::leafOrder(*pte), 0u);
+    EXPECT_EQ(PageTables::leafOrder(*pmd), hugeOrder);
+    EXPECT_EQ(PageTables::leafOrder(*pud), gigaOrder);
+    tables.setTag(*pte, 7, 11);
+    tables.setTag(*pmd, pagesPerHuge, 12);
+    tables.setTag(*pud, pagesPerGiga, 13);
+    Translation t = tables.translate(7);
+    EXPECT_EQ(t.pfn, 70u);
+    EXPECT_EQ(t.tag, 11u);
+    t = tables.translate(pagesPerHuge + 3);
+    EXPECT_EQ(t.pfn, 4099u);
+    EXPECT_EQ(t.tag, 12u);
+    EXPECT_EQ(tables.translate(pagesPerGiga).tag, 13u);
+    EXPECT_EQ(tables.translate(2 * pagesPerHuge).tag, 0u);
+
+    // The handle must hold a leaf at vpn.
+    EXPECT_THROW(tables.setTag(*pte, 8, 1), PanicError);
 }
 
 void
@@ -1478,7 +1575,7 @@ runAddressSpaceOracle(const Kernel::PolicyFactory &factory,
         ASSERT_EQ(got.size(), want.size()) << "op " << op;
         for (std::size_t i = 0; i < got.size(); ++i) {
             ASSERT_EQ(got[i].vpn, want[i].vpn) << "op " << op;
-            ASSERT_EQ(got[i].order, want[i].order) << "op " << op;
+            ASSERT_EQ(got[i].order(), want[i].order) << "op " << op;
             // Each chunk's leaf carries its slot.
             ASSERT_EQ(space.pageTables().translate(got[i].vpn).tag, i)
                 << "op " << op;
@@ -1586,7 +1683,7 @@ TEST(AddressSpaceTest, RestoredSpaceRetagsChunksAndReplays)
         ASSERT_EQ(got.size(), want.size()) << "round " << round;
         for (std::size_t i = 0; i < got.size(); ++i) {
             ASSERT_EQ(got[i].vpn, want[i].vpn) << "round " << round;
-            ASSERT_EQ(got[i].order, want[i].order) << "round " << round;
+            ASSERT_EQ(got[i].order(), want[i].order()) << "round " << round;
         }
         serde::Writer x, y;
         kernel.saveTo(x);
