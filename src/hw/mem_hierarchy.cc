@@ -1,7 +1,6 @@
 #include "hw/mem_hierarchy.hh"
 
 #include <bit>
-#include <limits>
 #include <sstream>
 
 namespace ctg
@@ -25,6 +24,12 @@ MemHierarchy::MemHierarchy(const HwConfig &config)
     : config_(config), memKeys_(initialMemSlots),
       memValues_(initialMemSlots), table_(config.chwEntries)
 {
+    // Sharer and notification bitmaps are 32-bit, owners 8-bit.
+    if (config_.cores == 0 || config_.cores > 32)
+        panic("%u cores: the directory holds 1 to 32",
+              config_.cores);
+    // An L2 entry names its LLC way in 8 bits.
+    ctg_assert(config_.llcAssoc <= 256);
     cores_.resize(config_.cores);
     for (unsigned c = 0; c < config_.cores; ++c) {
         cores_[c].l1 = std::make_unique<CacheArray>(
@@ -63,7 +68,7 @@ void
 MemHierarchy::dropSharer(CacheEntry &entry, CoreId core)
 {
     entry.sharers &= ~(std::uint32_t{1} << core);
-    if (entry.owner == static_cast<std::int16_t>(core))
+    if (entry.owner == static_cast<std::int8_t>(core))
         entry.owner = -1;
 }
 
@@ -74,7 +79,7 @@ MemHierarchy::claimExclusive(CacheEntry &dir, Addr line_addr,
     invalidateCores(line_addr,
                     dir.sharers & ~(std::uint32_t{1} << core));
     dir.sharers = std::uint32_t{1} << core;
-    dir.owner = static_cast<std::int16_t>(core);
+    dir.owner = static_cast<std::int8_t>(core);
 }
 
 void
@@ -86,17 +91,6 @@ MemHierarchy::invalidateCores(Addr line_addr, std::uint32_t cores)
         pc.l1->invalidate(line_addr);
         pc.l2->invalidate(line_addr);
     }
-}
-
-std::uint32_t
-MemHierarchy::memKey(Addr line_addr)
-{
-    // Line index + 1 must fit 32 bits: 2^32 - 1 lines, 256 GiB.
-    const Addr index = line_addr >> lineShift;
-    if (index >= std::numeric_limits<std::uint32_t>::max())
-        panic("line %#llx is past the 256 GiB main-memory key range",
-              static_cast<unsigned long long>(line_addr));
-    return static_cast<std::uint32_t>(index + 1);
 }
 
 std::size_t
@@ -133,13 +127,13 @@ std::uint64_t
 MemHierarchy::loadMemory(Addr line_addr) const
 {
     // An empty slot's value stays 0, so an absent line reads as 0.
-    return memValues_[memSlot(memKey(line_addr))];
+    return memValues_[memSlot(lineKey(line_addr))];
 }
 
 void
 MemHierarchy::storeMemory(Addr line_addr, std::uint64_t value)
 {
-    const std::uint32_t key = memKey(line_addr);
+    const std::uint32_t key = lineKey(line_addr);
     std::size_t slot = memSlot(key);
     if (memKeys_[slot] == 0) {
         // An absent line reads as 0: store a 0 only over a present
@@ -216,13 +210,13 @@ MemHierarchy::backInvalidate(const CacheEntry &evicted)
     if (evicted.owner >= 0) {
         const PrivateCaches &pc =
             cores_[static_cast<unsigned>(evicted.owner)];
-        if (const CacheEntry *e = pc.l1->peek(evicted.lineAddr))
+        if (const CacheEntry *e = pc.l1->peek(evicted.lineAddr()))
             value = e->value;
-        else if (const CacheEntry *e = pc.l2->peek(evicted.lineAddr))
+        else if (const CacheEntry *e = pc.l2->peek(evicted.lineAddr()))
             value = e->value;
     }
-    invalidateCores(evicted.lineAddr, evicted.sharers);
-    storeMemory(evicted.lineAddr, value);
+    invalidateCores(evicted.lineAddr(), evicted.sharers);
+    storeMemory(evicted.lineAddr(), value);
     ++stats_.writebacks;
 }
 
@@ -369,6 +363,14 @@ MemHierarchy::access(CoreId core, Addr paddr, bool write,
             return out;
         }
         out.latency += config_.l2Lat;
+        // The fill below displaces this line, unless the LLC first
+        // back-invalidates one of its set. Start reading its
+        // directory entry now, so that host-cache miss overlaps the
+        // LLC lookup.
+        const CacheEntry &doomed = pc.l2->victim(line);
+        if (doomed.valid)
+            slices_[sliceOf(doomed.lineAddr())]->prefetch(
+                doomed.lineAddr(), doomed.dirWay);
     } else {
         out.bypassedPrivate = true;
         ++stats_.ncBypasses;
@@ -397,7 +399,7 @@ MemHierarchy::access(CoreId core, Addr paddr, bool write,
 
     // Fetch the freshest copy from a remote owner if one exists.
     if (dir->owner >= 0 &&
-        dir->owner != static_cast<std::int16_t>(core)) {
+        dir->owner != static_cast<std::int8_t>(core)) {
         const auto owner = static_cast<unsigned>(dir->owner);
         out.latency +=
             ringLat(home, owner % slices_.size()) + config_.l2Lat;
@@ -445,23 +447,25 @@ MemHierarchy::access(CoreId core, Addr paddr, bool write,
     // Exclusive lines can be silently written (E->M); the directory
     // must treat the exclusive holder as the potential owner.
     if (state != CohState::Shared)
-        dir->owner = static_cast<std::int16_t>(core);
+        dir->owner = static_cast<std::int8_t>(core);
 
     CacheEntry evicted;
     CacheEntry &e2 = pc.l2->insert(line, &evicted);
     if (evicted.valid) {
-        // L2 eviction: writeback to the LLC and keep inclusion.
-        pc.l1->invalidate(evicted.lineAddr);
-        CacheArray &vslice = *slices_[sliceOf(evicted.lineAddr)];
-        if (CacheEntry *vdir = const_cast<CacheEntry *>(
-                vslice.peek(evicted.lineAddr))) {
-            if (evicted.state == CohState::Modified)
-                vdir->value = evicted.value;
-            dropSharer(*vdir, core);
-        }
+        // L2 eviction: writeback to the LLC and keep inclusion. The
+        // victim's directory entry is where its fill found it.
+        const Addr victim = evicted.lineAddr();
+        pc.l1->invalidate(victim);
+        CacheEntry &vdir =
+            slices_[sliceOf(victim)]->at(victim, evicted.dirWay);
+        ctg_assert(vdir.key == evicted.key);
+        if (evicted.state == CohState::Modified)
+            vdir.value = evicted.value;
+        dropSharer(vdir, core);
     }
     e2.state = state;
     e2.value = fill_value;
+    e2.dirWay = static_cast<std::uint8_t>(slice.wayOf(*dir));
 
     CacheEntry evicted1;
     CacheEntry &e1 = pc.l1->insert(line, &evicted1);
@@ -572,14 +576,20 @@ MemHierarchy::directoryViolation() const
             for (const CacheEntry &e : level->entries()) {
                 if (!e.valid)
                     continue;
-                const CacheEntry *dir =
-                    slices_[sliceOf(e.lineAddr)]->peek(e.lineAddr);
+                const CacheArray &slice = *slices_[sliceOf(e.lineAddr())];
+                const CacheEntry *dir = slice.peek(e.lineAddr());
                 if (dir == nullptr)
                     why << "core " << c << " holds line 0x" << std::hex
-                        << e.lineAddr << " absent from the LLC";
+                        << e.lineAddr() << " absent from the LLC";
                 else if (!(dir->sharers & (std::uint32_t{1} << c)))
                     why << "core " << c << " holds line 0x" << std::hex
-                        << e.lineAddr << " without its sharer bit";
+                        << e.lineAddr() << " without its sharer bit";
+                else if (level == cores_[c].l2.get() &&
+                         e.dirWay != slice.wayOf(*dir))
+                    why << "core " << c << " L2 line 0x" << std::hex
+                        << e.lineAddr() << " names LLC way " << std::dec
+                        << unsigned{e.dirWay} << ", not "
+                        << slice.wayOf(*dir);
                 else
                     continue;
                 return why.str();
@@ -590,8 +600,8 @@ MemHierarchy::directoryViolation() const
         for (const CacheEntry &dir : slice->entries()) {
             if (dir.valid && dir.owner >= 0 &&
                 !(dir.sharers & (std::uint32_t{1} << dir.owner))) {
-                why << "owner " << dir.owner << " of line 0x"
-                    << std::hex << dir.lineAddr << " is not a sharer";
+                why << "owner " << int{dir.owner} << " of line 0x"
+                    << std::hex << dir.lineAddr() << " is not a sharer";
                 return why.str();
             }
         }

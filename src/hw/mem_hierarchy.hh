@@ -34,6 +34,8 @@ namespace ctg
 class MemHierarchy
 {
   public:
+    /** Panics unless 1 <= config.cores <= 32, the width of the
+     * sharer bitmaps. */
     explicit MemHierarchy(const HwConfig &config);
 
     /** Result of one memory access. */
@@ -119,8 +121,9 @@ class MemHierarchy
     /**
      * Test hook: check the directory-superset invariant that
      * back-invalidation relies on. Every valid L1/L2 line is present
-     * in its home LLC slice with its core's bit set in `sharers`, and
-     * every owner is a sharer.
+     * in its home LLC slice with its core's bit set in `sharers`,
+     * every valid L2 line's `dirWay` names that LLC entry, and every
+     * owner is a sharer.
      * @return empty if it holds, else the first violation found
      */
     std::string directoryViolation() const;
@@ -162,15 +165,13 @@ class MemHierarchy
     void backInvalidate(const CacheEntry &evicted);
 
     /** @{ Main memory: a linear-probing table of the lines ever
-     * stored nonzero. A slot's key is its line index + 1 (0 marks an
+     * stored nonzero. A slot's key is its lineKey() (0 marks an
      * empty slot), held in memKeys_ beside its value in memValues_.
      * Nothing is erased: storing 0 keeps a present line, and an
      * absent line reads as 0. The capacity is a power of two and
      * doubles when the table passes 3/4 load. */
     std::uint64_t loadMemory(Addr line_addr) const;
     void storeMemory(Addr line_addr, std::uint64_t value);
-    /** The key of a line; panics if its index does not fit. */
-    static std::uint32_t memKey(Addr line_addr);
     /** The slot holding key, or the empty slot where it belongs. */
     std::size_t memSlot(std::uint32_t key) const;
     void growMemory();

@@ -10,6 +10,7 @@
 
 #include "base/rng.hh"
 #include "base/units.hh"
+#include "cache_oracle.hh"
 #include "hw/areamodel.hh"
 #include "hw/system.hh"
 
@@ -44,8 +45,108 @@ TEST(CacheArray, LruEvictsOldest)
     CacheEntry evicted;
     cache.insert(stride * 8, &evicted);
     ASSERT_TRUE(evicted.valid);
-    EXPECT_EQ(evicted.lineAddr, stride * 1);
+    EXPECT_EQ(evicted.lineAddr(), stride * 1);
 }
+
+/**
+ * Random lookup/peek/insert/invalidate traffic on the packed array
+ * and on the array-of-structs oracle, with the packed LRU clock
+ * renormalized at random steps. Hits, values and victims must agree
+ * at every step, and the arrays way by way at the end. The parameter
+ * is the associativity; 16 sets each.
+ */
+class CacheArrayOracleFuzz : public ::testing::TestWithParam<unsigned>
+{};
+
+TEST_P(CacheArrayOracleFuzz, MatchesAtEveryStep)
+{
+    const unsigned assoc = GetParam();
+    const std::uint64_t bytes = 16 * assoc * lineBytes;
+    CacheArray packed(bytes, assoc);
+    OracleCacheArray oracle(bytes, assoc);
+    Rng rng(assoc);
+    // Three lines per way of each set, the first and the last line a
+    // key holds among them.
+    std::vector<Addr> pool{0, Addr{0xfffffffe} << lineShift};
+    while (pool.size() < 48 * assoc)
+        pool.push_back(rng.below(0xffffffff) << lineShift);
+
+    std::uint64_t hits = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t renormalizations = 0;
+    for (int step = 0; step < 60000; ++step) {
+        const Addr line = pool[rng.below(pool.size())];
+        const std::uint64_t op = rng.below(5);
+        if (op == 0) {
+            CacheEntry *p = packed.lookup(line);
+            OracleCacheEntry *o = oracle.lookup(line);
+            ASSERT_EQ(p != nullptr, o != nullptr) << "step " << step;
+            if (o != nullptr) {
+                ASSERT_EQ(p->lineAddr(), o->lineAddr) << "step " << step;
+                ASSERT_EQ(p->value, o->value) << "step " << step;
+                p->value = o->value = rng.next();
+                ++hits;
+            }
+        } else if (op == 1) {
+            const CacheEntry *p = packed.peek(line);
+            const OracleCacheEntry *o = oracle.peek(line);
+            ASSERT_EQ(p != nullptr, o != nullptr) << "step " << step;
+            if (o != nullptr) {
+                ASSERT_EQ(p->value, o->value) << "step " << step;
+            }
+        } else if (op == 4) {
+            ASSERT_EQ(packed.invalidate(line), oracle.invalidate(line))
+                << "step " << step;
+        } else if (oracle.peek(line) == nullptr) {
+            // A fill after a miss, as the hierarchy inserts.
+            CacheEntry pv;
+            OracleCacheEntry ov;
+            CacheEntry &p = packed.insert(line, &pv);
+            OracleCacheEntry &o = oracle.insert(line, &ov);
+            ASSERT_EQ(pv.valid, ov.valid) << "step " << step;
+            if (ov.valid) {
+                ASSERT_EQ(pv.lineAddr(), ov.lineAddr) << "step " << step;
+                ASSERT_EQ(pv.value, ov.value) << "step " << step;
+                ++evictions;
+            }
+            p.value = o.value = rng.next();
+        }
+        if (rng.chance(0.01)) {
+            packed.renormalizeLru();
+            ++renormalizations;
+            // Each set's valid ways now hold distinct ranks 1..assoc.
+            const auto ways = packed.entries();
+            for (std::size_t set = 0; set < ways.size(); set += assoc) {
+                std::uint32_t seen = 0;
+                for (unsigned way = 0; way < assoc; ++way) {
+                    const CacheEntry &e = ways[set + way];
+                    if (!e.valid)
+                        continue;
+                    ASSERT_GE(e.lru, 1u);
+                    ASSERT_LE(e.lru, assoc);
+                    ASSERT_FALSE(seen & (std::uint32_t{1} << e.lru));
+                    seen |= std::uint32_t{1} << e.lru;
+                }
+            }
+        }
+    }
+    EXPECT_GT(hits, 1000u);
+    EXPECT_GT(evictions, 1000u);
+    EXPECT_GT(renormalizations, 100u);
+    ASSERT_EQ(packed.entries().size(), oracle.entries().size());
+    for (std::size_t i = 0; i < oracle.entries().size(); ++i) {
+        const CacheEntry &p = packed.entries()[i];
+        const OracleCacheEntry &o = oracle.entries()[i];
+        ASSERT_EQ(p.valid, o.valid) << "way " << i;
+        if (o.valid) {
+            EXPECT_EQ(p.lineAddr(), o.lineAddr) << "way " << i;
+            EXPECT_EQ(p.value, o.value) << "way " << i;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Assoc, CacheArrayOracleFuzz,
+                         ::testing::Values(2u, 8u, 16u));
 
 class MemHierarchyTest : public ::testing::Test
 {
@@ -165,6 +266,32 @@ TEST_F(MemHierarchyTest, MainMemoryMatchesMapOracle)
     const Addr past = last + lineBytes;
     EXPECT_THROW(mem.pokeMemory(past, 1), PanicError);
     EXPECT_THROW(mem.authoritativeValue(past), PanicError);
+
+    // The caches key lines the same way: the last line fills every
+    // level, and the first one past it panics at the L1 probe.
+    EXPECT_EQ(mem.access(3, last, false).value, 12u);
+    mem.access(3, last, true, 13);
+    EXPECT_EQ(mem.access(4, last, false).value, 13u);
+    EXPECT_EQ(mem.directoryViolation(), "");
+    EXPECT_THROW(mem.access(3, past, false), PanicError);
+    EXPECT_THROW(mem.access(3, past, true, 1), PanicError);
+    EXPECT_EQ(mem.directoryViolation(), "");
+}
+
+TEST(MemHierarchyConfig, RejectsCoreCountsTheBitmapsCannotHold)
+{
+    HwConfig config;
+    config.cores = 0;
+    EXPECT_THROW(MemHierarchy{config}, PanicError);
+    config.cores = 33;
+    EXPECT_THROW(MemHierarchy{config}, PanicError);
+    // 32 cores (and 32 slices) is the widest directory: core 31's
+    // bit and owner id round-trip.
+    config.cores = 32;
+    MemHierarchy mem{config};
+    mem.access(31, 0x40000, true, 5);
+    EXPECT_EQ(mem.access(0, 0x40000, false).value, 5u);
+    EXPECT_EQ(mem.directoryViolation(), "");
 }
 
 /** Random concurrent traffic against a reference model. */
