@@ -7,6 +7,61 @@
 namespace ctg
 {
 
+namespace
+{
+
+/**
+ * Frees 4 KB frames in the order they come, batching each ascending
+ * contiguous run into one Kernel::freeRun. Anything else that may
+ * touch the allocator (an unpin, a larger free, a table free) must
+ * flush first, so every free lands in the order of the page loop.
+ */
+class RunFreer
+{
+  public:
+    explicit RunFreer(Kernel &kernel) : kernel_(kernel) {}
+
+    void
+    add(Pfn pfn)
+    {
+        if (count_ != 0 && pfn == lo_ + count_) {
+            ++count_;
+            return;
+        }
+        flush();
+        lo_ = pfn;
+        count_ = 1;
+    }
+
+    void
+    flush()
+    {
+        if (count_ != 0)
+            kernel_.freeRun(lo_, count_);
+        count_ = 0;
+    }
+
+  private:
+    Kernel &kernel_;
+    Pfn lo_ = 0;
+    std::uint64_t count_ = 0;
+};
+
+/** Free the frames of a leaf just removed: 4 KB frames through
+ * frees, larger ones at once. */
+void
+freeLeaf(Kernel &kernel, RunFreer &frees, const Translation &tr)
+{
+    if (tr.order == 0) {
+        frees.add(tr.pfn);
+        return;
+    }
+    frees.flush();
+    kernel.freePages(tr.pfn);
+}
+
+} // namespace
+
 AddressSpace::AddressSpace(Kernel &kernel, std::uint32_t pid)
     : kernel_(kernel), pid_(pid),
       clientId_(kernel.owners().registerClient(this)), tables_(kernel)
@@ -86,14 +141,18 @@ AddressSpace::~AddressSpace()
     // process. A kernel being torn down frees nothing, so its
     // processes skip the walk.
     if (!kernel_.tearingDown()) {
+        RunFreer frees(kernel_);
         for (const auto &[base, region] : regions_)
             tables_.unmapRange(
                 base, base + region.pages,
-                [this](Vpn, const Translation &tr) {
-                    if (kernel_.mem().frame(tr.pfn).isPinned())
+                [this, &frees](Vpn, const Translation &tr) {
+                    if (kernel_.mem().frame(tr.pfn).isPinned()) {
+                        frees.flush();
                         kernel_.unpinPages(tr.pfn);
-                    kernel_.freePages(tr.pfn);
+                    }
+                    freeLeaf(kernel_, frees, tr);
                 });
+        frees.flush();
     }
     kernel_.owners().unregisterClient(clientId_);
 }
@@ -123,19 +182,24 @@ AddressSpace::munmap(Addr base)
 
     // Mapped leaves are exactly the chunk heads; remove them in
     // ascending vpn order.
+    RunFreer frees(kernel_);
     tables_.unmapRange(
         region.baseVpn, region.baseVpn + region.pages,
-        [this](Vpn vpn, const Translation &tr) {
+        [this, &frees](Vpn vpn, const Translation &tr) {
             // Process teardown drops any remaining DMA pins.
-            if (kernel_.mem().frame(tr.pfn).isPinned())
+            if (kernel_.mem().frame(tr.pfn).isPinned()) {
+                frees.flush();
                 kernel_.unpinPages(tr.pfn);
-            dropChunk(vpn, tr);
+            }
+            freeLeaf(kernel_, frees, tr);
+            forgetChunk(vpn, tr);
         });
+    frees.flush();
     regions_.erase(it);
 }
 
-bool
-AddressSpace::backChunk(Vpn vpn, unsigned order)
+AllocRequest
+AddressSpace::userRequest(Vpn vpn, unsigned order) const
 {
     AllocRequest req;
     req.order = order;
@@ -143,20 +207,49 @@ AddressSpace::backChunk(Vpn vpn, unsigned order)
     req.source = AllocSource::User;
     req.owner = OwnerRegistry::makeOwner(clientId_, vpn);
     req.lifetime = Lifetime::Short;
+    return req;
+}
+
+PageTables::Table *
+AddressSpace::backChunk(Vpn vpn, unsigned order)
+{
+    const AllocRequest req = userRequest(vpn, order);
     const Pfn pfn = kernel_.allocPages(req);
     if (pfn == invalidPfn)
-        return false;
+        return nullptr;
     PageTables::Table *table = tables_.map(vpn, pfn, order, nextSlot());
     if (table == nullptr) {
         kernel_.freePages(pfn);
-        return false;
+        return nullptr;
     }
     chunks_.insert(vpn, *table);
     if (order == 0)
         ++pages4k_;
     else if (order == hugeOrder)
         ++chunks2m_;
-    return true;
+    return table;
+}
+
+std::uint64_t
+AddressSpace::backRun(PageTables::Table &table, Vpn lo, Vpn hi)
+{
+    // The table exists, so no map below allocates: allocating every
+    // page first and then mapping them leaves what backChunk's
+    // alternation would.
+    if (lo == hi)
+        return 0;
+    const std::uint64_t n = hi - lo;
+    Pfn pfns[pagesPerHuge];
+    ctg_assert(n <= pagesPerHuge);
+    const AllocRequest req = userRequest(lo, 0);
+    kernel_.allocRun(req, n, pfns);
+    const std::uint64_t mapped =
+        tables_.mapRun(table, lo, pfns, n, nextSlot());
+    for (std::uint64_t i = 0; i < n; ++i)
+        if (pfns[i] != invalidPfn)
+            chunks_.insert(lo + i, table);
+    pages4k_ += mapped;
+    return mapped;
 }
 
 void
@@ -164,13 +257,13 @@ AddressSpace::unbackChunk(Vpn vpn, unsigned order)
 {
     const Translation tr = tables_.unmap(vpn);
     ctg_assert(tr.valid && tr.order == order);
-    dropChunk(vpn, tr);
+    kernel_.freePages(tr.pfn);
+    forgetChunk(vpn, tr);
 }
 
 void
-AddressSpace::dropChunk(Vpn vpn, const Translation &tr)
+AddressSpace::forgetChunk(Vpn vpn, const Translation &tr)
 {
-    kernel_.freePages(tr.pfn);
     const std::uint32_t slot = tr.tag;
     ctg_assert(chunks_.at(slot).vpn == vpn);
     chunks_.eraseAt(slot);
@@ -206,9 +299,17 @@ AddressSpace::touchRange(Addr addr, std::uint64_t bytes)
             backChunk(vpn, hugeOrder)) {
             backed += pagesPerHuge;
             vpn += pagesPerHuge;
+        } else if (PageTables::Table *table = backChunk(vpn, 0)) {
+            // With the leaf table in place, the rest of its hole run
+            // is one allocation run (no vpn past the first in a 2 MB
+            // range is huge-aligned).
+            const Vpn stop =
+                std::min(end, (vpn | (pagesPerHuge - 1)) + 1);
+            const Vpn run_end =
+                PageTables::holeEnd(*table, vpn + 1, stop);
+            backed += 1 + backRun(*table, vpn + 1, run_end);
+            vpn = run_end;
         } else {
-            if (backChunk(vpn, 0))
-                ++backed;
             ++vpn;
         }
         vpn = tables_.nextHole(vpn, end);
@@ -307,23 +408,23 @@ AddressSpace::promoteHugeRanges(std::uint64_t budget)
             }))
             continue;
 
-        AllocRequest req;
-        req.order = hugeOrder;
-        req.mt = MigrateType::Movable;
-        req.source = AllocSource::User;
-        req.owner = OwnerRegistry::makeOwner(clientId_, head);
-        req.lifetime = Lifetime::Short;
+        const AllocRequest req = userRequest(head, hugeOrder);
         const Pfn huge = kernel_.allocPages(req);
         if (huge == invalidPfn)
             break; // no contiguity available right now
 
         // Migrate ("copy") each base page into the huge frame and
-        // retire the old mapping.
+        // retire the old mapping; the frees land before map retires
+        // the emptied PTE table.
+        RunFreer frees(kernel_);
         tables_.unmapRange(head, head + pagesPerHuge,
-                           [this](Vpn vpn, const Translation &tr) {
+                           [this, &frees](Vpn vpn,
+                                          const Translation &tr) {
                                ctg_assert(tr.order == 0);
-                               dropChunk(vpn, tr);
+                               frees.add(tr.pfn);
+                               forgetChunk(vpn, tr);
                            });
+        frees.flush();
         PageTables::Table *table =
             tables_.map(head, huge, hugeOrder, nextSlot());
         ctg_assert(table != nullptr);

@@ -207,15 +207,25 @@ class AddressSpace : public PageOwnerClient
         return static_cast<std::uint32_t>(chunks_.size());
     }
 
-    /** Back one aligned chunk with a fresh allocation. */
-    bool backChunk(Vpn vpn, unsigned order);
+    /** The request backing the chunk of the given order at vpn (a
+     * run's first page). */
+    AllocRequest userRequest(Vpn vpn, unsigned order) const;
+
+    /** Back one aligned chunk with a fresh allocation.
+     * @return the table holding its leaf, nullptr on failure. */
+    PageTables::Table *backChunk(Vpn vpn, unsigned order);
+
+    /** Back the unmapped 4 KB pages [lo, hi) of the PTE table table
+     * with one Kernel::allocRun, as backChunk of each in vpn order
+     * would. @return the pages backed. */
+    std::uint64_t backRun(PageTables::Table &table, Vpn lo, Vpn hi);
 
     /** Unmap the chunk at vpn and free its frames. */
     void unbackChunk(Vpn vpn, unsigned order);
 
-    /** Free the frames of a chunk whose leaf was just removed and
-     * forget the chunk: its slot is the leaf's tag. */
-    void dropChunk(Vpn vpn, const Translation &tr);
+    /** Forget a chunk whose leaf was just removed (its frames are
+     * the caller's to free): its slot is the leaf's tag. */
+    void forgetChunk(Vpn vpn, const Translation &tr);
 
     Kernel &kernel_;
     std::uint32_t pid_;

@@ -213,10 +213,31 @@ Pfn
 Kernel::allocPages(const AllocRequest &req)
 {
     checkLive("allocPages");
-    Pfn head = policy_->alloc(req);
-    if (head != invalidPfn)
-        return head;
+    const Pfn head = policy_->alloc(req);
+    return head != invalidPfn ? head : allocSlow(req);
+}
 
+void
+Kernel::allocRun(const AllocRequest &req, std::uint64_t n, Pfn *out)
+{
+    checkLive("allocRun");
+    AllocRequest page = req;
+    std::uint64_t done = 0;
+    while (done < n) {
+        page.owner = req.owner + done;
+        done += policy_->allocRun(page, n - done, out + done);
+        if (done == n)
+            break;
+        // The policy's attempt at page `done` failed: finish it as
+        // allocPages would.
+        page.owner = req.owner + done;
+        out[done++] = allocSlow(page);
+    }
+}
+
+Pfn
+Kernel::allocSlow(const AllocRequest &req)
+{
     // Slow path: charge a stall to the region this request targets,
     // reclaim, optionally compact, retry.
     CTG_SPAN_NAMED(span, Kernel, "kernel.alloc_slow",
@@ -231,7 +252,7 @@ Kernel::allocPages(const AllocRequest &req)
     const std::uint64_t want = (Pfn{1} << req.order) * 4;
     counters_.reclaimedPages += reclaim(want);
 
-    head = policy_->alloc(req);
+    Pfn head = policy_->alloc(req);
     if (head != invalidPfn) {
         span.arg("after_reclaim", 1);
         return head;
@@ -265,6 +286,14 @@ Kernel::freePages(Pfn head)
     if (tearingDown_)
         return;
     policy_->free(head);
+}
+
+void
+Kernel::freeRun(Pfn lo, std::uint64_t n)
+{
+    if (tearingDown_)
+        return;
+    policy_->freeRun(lo, n);
 }
 
 Pfn

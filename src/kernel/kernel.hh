@@ -120,8 +120,22 @@ class Kernel
      */
     Pfn allocPages(const AllocRequest &req);
 
+    /**
+     * Allocate n order-0 pages, page i for owner req.owner + i,
+     * exactly as n allocPages calls would, into out[0..n): a page
+     * that fails even after the slow path is invalidPfn, and the
+     * pages after it are still tried. The policy serves the run in
+     * one call where it can; each page it cannot serve takes the
+     * slow path on its own.
+     */
+    void allocRun(const AllocRequest &req, std::uint64_t n, Pfn *out);
+
     /** Free a block allocated through allocPages/allocGigantic. */
     void freePages(Pfn head);
+
+    /** Free the order-0 pages [lo, lo + n), exactly as freePages of
+     * each in ascending order would. */
+    void freeRun(Pfn lo, std::uint64_t n);
 
     /** HugeTLB-style dynamic 1 GB allocation attempt. */
     Pfn allocGigantic(std::uint64_t owner);
@@ -193,10 +207,10 @@ class Kernel
     /**
      * Start tearing the whole kernel down (~Server, before the
      * workload and fragmenter go). Nothing reads this memory again,
-     * so from here on freePages, unpinPages and unpinById do nothing,
-     * address spaces skip their unmap walk, and allocPages,
-     * allocGigantic, pinPages and advanceSeconds panic: no model code
-     * may run. Irreversible. A kernel never torn down (a process
+     * so from here on freePages, freeRun, unpinPages and unpinById do
+     * nothing, address spaces skip their unmap walk, and allocPages,
+     * allocRun, allocGigantic, pinPages and advanceSeconds panic: no
+     * model code may run. Irreversible. A kernel never torn down (a process
      * exiting mid-run, a kernel without a Server) frees in full.
      */
     void beginTeardown() { tearingDown_ = true; }
@@ -206,6 +220,10 @@ class Kernel
 
   private:
     void bootAllocations();
+
+    /** allocPages after the policy's first attempt failed: charge a
+     * stall, reclaim, maybe compact, and retry. */
+    Pfn allocSlow(const AllocRequest &req);
 
     /** Panic if the kernel is being torn down. */
     void checkLive(const char *what) const;

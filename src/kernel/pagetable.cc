@@ -310,6 +310,46 @@ PageTables::setTag(Table &table, Vpn vpn, std::uint32_t tag)
     *slot = (*slot & untaggedMask) | Word{tag} << tagShift;
 }
 
+std::uint64_t
+PageTables::mapRun(Table &table, Vpn vpn, const Pfn *pfns,
+                   std::uint64_t n, std::uint32_t tag)
+{
+    ctg_assert(table.level == 1 && table.dense != nullptr);
+    const unsigned first = indexAt(vpn, 1);
+    ctg_assert(first + n <= entriesPerTable);
+    Word *slots = &table.dense[first];
+    std::uint32_t mapped = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (pfns[i] == invalidPfn)
+            continue;
+        checkLeafPfn(pfns[i]);
+        checkTag(tag + mapped);
+        ctg_assert(slots[i] == 0);
+        slots[i] = Table::leafWord(pfns[i], tag + mapped);
+        ++mapped;
+    }
+    table.count += mapped;
+    mappings_ += mapped;
+    return mapped;
+}
+
+Vpn
+PageTables::holeEnd(const Table &table, Vpn from, Vpn end)
+{
+    ctg_assert(table.level == 1);
+    ctg_assert(from <= end);
+    if (from == end || table.count == 0)
+        return end;
+    ctg_assert((end - 1) >> bitsPerLevel == from >> bitsPerLevel);
+    const Word *slots = &table.dense[indexAt(from, 1)];
+    Vpn vpn = from;
+    while (vpn < end && *slots == 0) {
+        ++vpn;
+        ++slots;
+    }
+    return vpn;
+}
+
 Translation
 PageTables::translate(Vpn vpn) const
 {

@@ -129,6 +129,22 @@ class PageTables
      * it), without a descent from the root. */
     void setTag(Table &table, Vpn vpn, std::uint32_t tag);
 
+    /**
+     * Map the 4 KB pages vpn, vpn + 1, ... to pfns[0..n) in table,
+     * the PTE table of their 2 MB range (as map returned it for a
+     * leaf there), exactly as map of each page in vpn order would,
+     * the j-th leaf mapped tagged tag + j. Entries equal to
+     * invalidPfn are skipped and their slots stay empty; every other
+     * slot must be empty.
+     * @return the leaves mapped.
+     */
+    std::uint64_t mapRun(Table &table, Vpn vpn, const Pfn *pfns,
+                         std::uint64_t n, std::uint32_t tag);
+
+    /** First vpn in [from, end) that the PTE table table maps, or
+     * end; [from, end) lies in the table's 2 MB range. */
+    static Vpn holeEnd(const Table &table, Vpn from, Vpn end);
+
     /** Look up the leaf covering vpn. */
     Translation translate(Vpn vpn) const;
 

@@ -400,6 +400,124 @@ BuddyAllocator::freePages(Pfn head)
     pushFree(curr, order, list_mt);
 }
 
+std::uint64_t
+BuddyAllocator::allocRun(std::uint64_t n, MigrateType mt,
+                         AllocSource src, std::uint64_t owner, Pfn *out)
+{
+    ctg_assert(mt != MigrateType::Isolate);
+    FaultInjector &faults = faultInjector();
+    const unsigned mi = mtIndex(mt);
+    std::uint64_t done = 0;
+    // The index mark pending for the pages carved so far.
+    Pfn mark_lo = 0;
+    Pfn mark_hi = 0;
+    bool failed = false;
+    while (done < n && !failed) {
+        if (nonEmpty_[mi] == 0) {
+            const Pfn pfn = allocPages(0, mt, src, owner + done);
+            if (pfn == invalidPfn)
+                break;
+            out[done++] = pfn;
+            continue;
+        }
+        // Every native list below order k is empty, so the loop would
+        // carve this block front to back: each call takes the lowest
+        // remaining page and leaves the rest of the block, as its
+        // binary decomposition, one block to a lower list.
+        const unsigned k =
+            static_cast<unsigned>(std::countr_zero(nonEmpty_[mi]));
+        const Pfn head = heads_[mi][k];
+        const Pfn span = Pfn{1} << k;
+        const std::uint64_t want = std::min<std::uint64_t>(n - done, span);
+        std::uint64_t take = 0;
+        while (take < want) {
+            ++stats_.allocCalls;
+            if (faults.shouldFail(FaultSite::BuddyAllocFail)) {
+                ++stats_.failedAllocs;
+                ++stats_.injectedFailures;
+                failed = true;
+                break;
+            }
+            ++take;
+        }
+        if (take == 0)
+            break;
+        removeFree(head);
+        for (std::uint64_t i = 0; i < take; ++i) {
+            auto f = frames_.frame(head + i);
+            f.stampAllocated(0, mt, src, true);
+            f.setOwner(owner + done + i);
+            out[done + i] = head + i;
+        }
+        freeRangeAsBlocks(head + take, head + span, mt);
+        // One split per piece left plus one per page after the first.
+        stats_.splits += take - 1 + std::popcount(span - take);
+        if (head != mark_hi) {
+            if (mark_hi != mark_lo)
+                mem_.noteFramesChanged(mark_lo, mark_hi);
+            mark_lo = head;
+        }
+        mark_hi = head + take;
+        done += take;
+    }
+    if (mark_hi != mark_lo)
+        mem_.noteFramesChanged(mark_lo, mark_hi);
+    return done;
+}
+
+void
+BuddyAllocator::freeRun(Pfn lo, std::uint64_t n)
+{
+    const Pfn hi = lo + n;
+    ctg_assert(inRange(lo) && hi <= end_);
+    stats_.freeCalls += n;
+    runBlocks_.clear();
+    for (Pfn pfn = lo; pfn < hi; ++pfn) {
+        auto f = frames_.frame(pfn);
+        ctg_assert(!f.isFree() && f.isHead() && f.order() == 0);
+        f.reset();
+        f.setFree(true);
+        const MigrateType list_mt = mem_.blockMt(pfn);
+
+        // freePages' merge chain. The run's pages above pfn are still
+        // allocated, so a buddy above is outside the run; a buddy
+        // below is the last pending block while there is one (they
+        // tile everything freed so far), else outside the run.
+        Pfn curr = pfn;
+        unsigned order = 0;
+        while (order < maxOrder) {
+            const Pfn buddy = curr ^ (Pfn{1} << order);
+            if (!inRange(buddy) || buddy + (Pfn{1} << order) > end_)
+                break;
+            auto bf = frames_.frame(buddy);
+            if (!(bf.isFree() && bf.isHead() && bf.order() == order))
+                break;
+            if (buddy < curr && !runBlocks_.empty()) {
+                ctg_assert(runBlocks_.back().head == buddy);
+                runBlocks_.pop_back();
+                // What removeFree leaves on an unlinked head.
+                bf.setHead(false);
+                frames_.next(buddy) = FrameArray::nil;
+                frames_.prev(buddy) = FrameArray::nil;
+            } else {
+                removeFree(buddy);
+            }
+            ++stats_.merges;
+            curr = std::min(curr, buddy);
+            ++order;
+        }
+        // pushFree's stamp, without the link.
+        auto cf = frames_.frame(curr);
+        cf.setHead(true);
+        cf.setOrder(order);
+        cf.setMigrateType(list_mt);
+        runBlocks_.push_back(RunBlock{curr, order, list_mt});
+    }
+    for (const RunBlock &block : runBlocks_)
+        pushFree(block.head, block.order, block.listMt);
+    mem_.noteFramesChanged(lo, hi);
+}
+
 Pfn
 BuddyAllocator::allocGigantic(MigrateType mt, AllocSource src,
                               std::uint64_t owner)

@@ -106,6 +106,30 @@ class BuddyAllocator
     void freePages(Pfn head);
 
     /**
+     * Allocate up to n order-0 pages into out[0..n), exactly as n
+     * back-to-back allocPages(0, mt, src, owner + i) calls would:
+     * the same free lists (contents and order), counters, Stats,
+     * frame metadata, owners and flushed index, and one fault
+     * injector evaluation per page. Pages are carved from the lowest
+     * non-empty native list at once; a page the native lists cannot
+     * serve takes the allocPages fallback path. The run stops at the
+     * first page that fails, which is counted as allocPages counts a
+     * failure.
+     * @return k, the pages allocated; if k < n, page k failed.
+     */
+    std::uint64_t allocRun(std::uint64_t n, MigrateType mt,
+                           AllocSource src, std::uint64_t owner,
+                           Pfn *out);
+
+    /**
+     * Free the allocated order-0 pages [lo, lo + n), exactly as
+     * freePages(lo), ..., freePages(lo + n - 1) would: the blocks the
+     * run forms stay off the lists until the end and are then linked
+     * in formation order, so every list ends in the loop's order.
+     */
+    void freeRun(Pfn lo, std::uint64_t n);
+
+    /**
      * Allocate a 1 GB aligned gigantic block by scanning for a fully
      * free aligned range (the Linux alloc_contig_range analogue).
      * @return head PFN or invalidPfn if no such range exists.
@@ -260,6 +284,16 @@ class BuddyAllocator
     std::uint64_t freeCount_[numMigrateTypes] = {};
     std::uint64_t blockCount_[numMigrateTypes][maxOrder + 1] = {};
     Stats stats_;
+
+    /** A free block freeRun formed and has not linked yet. */
+    struct RunBlock
+    {
+        Pfn head;
+        unsigned order;
+        MigrateType listMt;
+    };
+    /** freeRun's pending blocks, ascending (host scratch). */
+    std::vector<RunBlock> runBlocks_;
 };
 
 } // namespace ctg

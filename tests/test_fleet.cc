@@ -120,6 +120,13 @@ class CountingPolicy : public VanillaPolicy
     }
 
     void
+    freeRun(Pfn lo, std::uint64_t n) override
+    {
+        policyCalls.frees += n;
+        VanillaPolicy::freeRun(lo, n);
+    }
+
+    void
     unpin(Pfn head) override
     {
         ++policyCalls.unpins;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "kernel/vanilla_policy.hh"
 #include "mem/mem_stats.hh"
 #include "mem/scanner.hh"
+#include "sim/fault_injector.hh"
 
 namespace ctg
 {
@@ -1462,10 +1464,56 @@ class LegacyAddressSpace : public PageOwnerClient
     Vpn nextBaseVpn_ = Vpn{1} << gigaOrder;
 };
 
-/** Drive AddressSpace and LegacyAddressSpace, each in its own
- * kernel, through one random op sequence; after every op the chunk
- * slots, the page-table bytes and the whole kernel state (buddy free
- * lists, frame table, pins) must be identical. */
+/** What a reader of the flushed ContigIndex sees, plus the frames
+ * its marks covered (the same for runs and the page loop; only the
+ * number of marks differs). */
+std::vector<std::uint64_t>
+indexView(const Kernel &kernel)
+{
+    const ContigIndex &idx = kernel.mem().contigIndex();
+    std::vector<std::uint64_t> v{idx.freePages(), idx.unmovablePages(),
+                                 idx.pinnedPages(),
+                                 idx.framesRescanned()};
+    for (unsigned o = 0; o <= gigaOrder; ++o) {
+        v.push_back(idx.fullyFreeBlocks(o));
+        v.push_back(idx.taintedBlocks(o));
+    }
+    return v;
+}
+
+/** The chunk slots, each leaf's tag, the page-table bytes, the
+ * whole kernel state (buddy free lists in order, frame table, pins,
+ * counters) and the flushed index of the two sides must match. */
+void
+expectSameState(const Kernel &kernel, const AddressSpace &space,
+                const Kernel &legacy_kernel,
+                const LegacyAddressSpace &legacy, int op)
+{
+    const auto &got = space.chunks().entries();
+    const auto &want = legacy.chunks().entries();
+    ASSERT_EQ(got.size(), want.size()) << "op " << op;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].vpn, want[i].vpn) << "op " << op;
+        ASSERT_EQ(got[i].order(), want[i].order) << "op " << op;
+        // Each chunk's leaf carries its slot.
+        ASSERT_EQ(space.pageTables().translate(got[i].vpn).tag, i)
+            << "op " << op;
+    }
+    serde::Writer a, b;
+    space.pageTables().saveTo(a);
+    legacy.pageTables().saveTo(b);
+    kernel.saveTo(a);
+    legacy_kernel.saveTo(b);
+    ASSERT_TRUE(a.bytes() == b.bytes()) << "diverged at op " << op;
+    ASSERT_EQ(indexView(kernel), indexView(legacy_kernel))
+        << "op " << op;
+}
+
+/** Drive AddressSpace (touchRange, munmap, promoteHugeRanges and the
+ * destructor through allocation and free runs) and
+ * LegacyAddressSpace (one page at a time), each in its own kernel,
+ * through one random op sequence; after every op, and after both
+ * are destroyed, their states must match (expectSameState). */
 void
 runAddressSpaceOracle(const Kernel::PolicyFactory &factory,
                       std::uint64_t seed)
@@ -1475,8 +1523,11 @@ runAddressSpaceOracle(const Kernel::PolicyFactory &factory,
     config.thpDirectCompact = true;
     Kernel kernel(config, factory);
     Kernel legacy_kernel(config, factory);
-    AddressSpace space(kernel, 1);
-    LegacyAddressSpace legacy(legacy_kernel);
+    auto space_owner = std::make_unique<AddressSpace>(kernel, 1);
+    auto legacy_owner =
+        std::make_unique<LegacyAddressSpace>(legacy_kernel);
+    AddressSpace &space = *space_owner;
+    LegacyAddressSpace &legacy = *legacy_owner;
     Rng rng(seed);
 
     struct Mapped
@@ -1570,22 +1621,9 @@ runAddressSpaceOracle(const Kernel::PolicyFactory &factory,
             regions.erase(regions.begin() + static_cast<long>(i));
         }
 
-        const auto &got = space.chunks().entries();
-        const auto &want = legacy.chunks().entries();
-        ASSERT_EQ(got.size(), want.size()) << "op " << op;
-        for (std::size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(got[i].vpn, want[i].vpn) << "op " << op;
-            ASSERT_EQ(got[i].order(), want[i].order) << "op " << op;
-            // Each chunk's leaf carries its slot.
-            ASSERT_EQ(space.pageTables().translate(got[i].vpn).tag, i)
-                << "op " << op;
-        }
-        serde::Writer a, b;
-        space.pageTables().saveTo(a);
-        legacy.pageTables().saveTo(b);
-        kernel.saveTo(a);
-        legacy_kernel.saveTo(b);
-        ASSERT_TRUE(a.bytes() == b.bytes()) << "diverged at op " << op;
+        expectSameState(kernel, space, legacy_kernel, legacy, op);
+        if (::testing::Test::HasFatalFailure())
+            return;
         most4k = std::max(most4k, space.pages4k());
         most2m = std::max(most2m, space.chunks2m());
     }
@@ -1593,6 +1631,90 @@ runAddressSpaceOracle(const Kernel::PolicyFactory &factory,
     EXPECT_GT(moved, 0u);
     EXPECT_GT(most4k, pagesPerHuge);
     EXPECT_GT(most2m, 0u);
+    // The runs took fewer index marks than the page loop.
+    EXPECT_LT(kernel.mem().contigIndex().resyncCalls(),
+              legacy_kernel.mem().contigIndex().resyncCalls());
+
+    // The destructors free every region: ~AddressSpace in runs.
+    space_owner.reset();
+    legacy_owner.reset();
+    serde::Writer a, b;
+    kernel.saveTo(a);
+    legacy_kernel.saveTo(b);
+    EXPECT_TRUE(a.bytes() == b.bytes()) << "diverged at destruction";
+    EXPECT_EQ(indexView(kernel), indexView(legacy_kernel));
+}
+
+/** touchRange through runs under an armed fault site: both sides
+ * see the same per-site evaluation and fire counts, kernel counters
+ * and buddy state as the page loop. Memory runs out midway, so
+ * pages fail in the middle of runs and take the slow path. */
+void
+runFaultOracle(const Kernel::PolicyFactory &factory, FaultSite site,
+               FaultSpec spec, std::uint64_t seed)
+{
+    KernelConfig config = smallConfig();
+    config.memBytes = 32_MiB;
+    Kernel kernel(config, factory);
+    Kernel legacy_kernel(config, factory);
+    FaultInjector faults(seed);
+    FaultInjector legacy_faults(seed);
+    faults.arm(site, spec);
+    legacy_faults.arm(site, spec);
+    AddressSpace space(kernel, 1);
+    LegacyAddressSpace legacy(legacy_kernel);
+    Rng rng(seed);
+    std::vector<std::pair<Addr, std::uint64_t>> regions;
+    std::uint64_t failures = 0;
+    for (int op = 0; op < 60; ++op) {
+        const std::uint64_t kind = rng.below(10);
+        if (regions.empty() || kind < 2) {
+            const std::uint64_t bytes =
+                (1 + rng.below(24)) * 1_MiB + rng.below(64) * pageBytes;
+            const Addr base = space.mmap(bytes);
+            ASSERT_EQ(legacy.mmap(bytes), base);
+            regions.emplace_back(base, bytes);
+        } else if (kind < 8) {
+            const auto [base, bytes] = regions[rng.below(regions.size())];
+            const std::uint64_t pages = bytes / pageBytes;
+            const std::uint64_t first =
+                rng.chance(0.5) ? 0 : rng.below(pages);
+            const std::uint64_t len = 1 + rng.below(pages - first);
+            const Addr addr = base + first * pageBytes;
+            std::uint64_t got = 0;
+            {
+                const FaultInjectorScope scope(faults);
+                got = space.touchRange(addr, len * pageBytes);
+            }
+            const FaultInjectorScope scope(legacy_faults);
+            EXPECT_EQ(legacy.touchRange(addr, len * pageBytes), got);
+        } else if (kind < 9) {
+            const std::uint64_t pages = 1 + rng.below(1000);
+            Rng a(op), b(op);
+            EXPECT_EQ(space.releasePages(pages, a),
+                      legacy.releasePages(pages, b));
+        } else {
+            const std::size_t i = rng.below(regions.size());
+            space.munmap(regions[i].first);
+            legacy.munmap(regions[i].first);
+            regions.erase(regions.begin() + static_cast<long>(i));
+        }
+        for (const FaultSite s : {FaultSite::BuddyAllocFail,
+                                  FaultSite::KernelReclaimFail}) {
+            ASSERT_EQ(faults.siteStats(s).evaluations,
+                      legacy_faults.siteStats(s).evaluations)
+                << "op " << op;
+            ASSERT_EQ(faults.siteStats(s).fires,
+                      legacy_faults.siteStats(s).fires)
+                << "op " << op;
+        }
+        expectSameState(kernel, space, legacy_kernel, legacy, op);
+        if (::testing::Test::HasFatalFailure())
+            return;
+        failures = kernel.counters().allocFailures;
+    }
+    EXPECT_GT(faults.siteStats(site).fires, 10u);
+    EXPECT_GT(failures, 0u);
 }
 
 TEST(AddressSpaceProperty, MatchesPerVpnOracleVanilla)
@@ -1603,6 +1725,23 @@ TEST(AddressSpaceProperty, MatchesPerVpnOracleVanilla)
 TEST(AddressSpaceProperty, MatchesPerVpnOracleContiguitas)
 {
     runAddressSpaceOracle(ContiguitasPolicy::factory(), 22);
+}
+
+TEST(AddressSpaceRuns, InjectedBuddyFailuresMatchPageLoop)
+{
+    runFaultOracle(Kernel::vanillaPolicy(), FaultSite::BuddyAllocFail,
+                   FaultSpec::chance(0.05), 31);
+    runFaultOracle(ContiguitasPolicy::factory(),
+                   FaultSite::BuddyAllocFail, FaultSpec::chance(0.05), 32);
+}
+
+TEST(AddressSpaceRuns, InjectedReclaimFailuresMatchPageLoop)
+{
+    runFaultOracle(Kernel::vanillaPolicy(), FaultSite::KernelReclaimFail,
+                   FaultSpec::chance(0.5), 33);
+    runFaultOracle(ContiguitasPolicy::factory(),
+                   FaultSite::KernelReclaimFail, FaultSpec::chance(0.5),
+                   34);
 }
 
 /** Checkpoint a kernel and one address space into one stream. */
