@@ -243,19 +243,6 @@ ContiguitasPolicy::free(Pfn head)
         regions_.movable().freePages(head);
 }
 
-std::uint64_t
-ContiguitasPolicy::allocRun(const AllocRequest &req, std::uint64_t n,
-                            Pfn *out)
-{
-    // Unmovable requests keep the loop: they take a placement
-    // preference and may expand the region.
-    if (req.mt != MigrateType::Movable)
-        return MemPolicy::allocRun(req, n, out);
-    ctg_assert(req.order == 0);
-    return regions_.movable().allocRun(n, req.mt, req.source, req.owner,
-                                       out);
-}
-
 void
 ContiguitasPolicy::freeRun(Pfn lo, std::uint64_t n)
 {

@@ -121,8 +121,6 @@ class ContiguitasPolicy : public MemPolicy
 
     Pfn alloc(const AllocRequest &req) override;
     void free(Pfn head) override;
-    std::uint64_t allocRun(const AllocRequest &req, std::uint64_t n,
-                           Pfn *out) override;
     void freeRun(Pfn lo, std::uint64_t n) override;
     Pfn allocGigantic(AllocSource src, std::uint64_t owner) override;
     Pfn pin(Pfn head) override;

@@ -221,14 +221,18 @@ void
 Kernel::allocRun(const AllocRequest &req, std::uint64_t n, Pfn *out)
 {
     checkLive("allocRun");
+    // Both policies serve a movable order-0 alloc from their movable
+    // allocator, so its allocRun is exactly that alloc loop.
+    ctg_assert(req.mt == MigrateType::Movable && req.order == 0);
+    BuddyAllocator &movable = policy_->movableAllocator();
     AllocRequest page = req;
     std::uint64_t done = 0;
     while (done < n) {
-        page.owner = req.owner + done;
-        done += policy_->allocRun(page, n - done, out + done);
+        done += movable.allocRun(n - done, req.mt, req.source,
+                                 req.owner + done, out + done);
         if (done == n)
             break;
-        // The policy's attempt at page `done` failed: finish it as
+        // The allocator's attempt at page `done` failed: finish it as
         // allocPages would.
         page.owner = req.owner + done;
         out[done++] = allocSlow(page);

@@ -121,12 +121,12 @@ class Kernel
     Pfn allocPages(const AllocRequest &req);
 
     /**
-     * Allocate n order-0 pages, page i for owner req.owner + i,
-     * exactly as n allocPages calls would, into out[0..n): a page
-     * that fails even after the slow path is invalidPfn, and the
-     * pages after it are still tried. The policy serves the run in
-     * one call where it can; each page it cannot serve takes the
-     * slow path on its own.
+     * Allocate n movable order-0 pages, page i for owner
+     * req.owner + i, exactly as n allocPages calls would, into
+     * out[0..n): a page that fails even after the slow path is
+     * invalidPfn, and the pages after it are still tried. The
+     * policy's movable allocator serves the run in one call where it
+     * can; each page it cannot serve takes the slow path on its own.
      */
     void allocRun(const AllocRequest &req, std::uint64_t n, Pfn *out);
 

@@ -68,34 +68,9 @@ class MemPolicy
     /** Free a block previously returned by alloc/allocGigantic. */
     virtual void free(Pfn head) = 0;
 
-    /**
-     * Allocate up to n order-0 pages into out[0..n), page i for
-     * owner req.owner + i, exactly as n alloc calls would; stops at
-     * the first page that fails. Default: that loop. A policy may
-     * serve the run through BuddyAllocator::allocRun instead.
-     * @return k, the pages allocated; if k < n, page k failed.
-     */
-    virtual std::uint64_t
-    allocRun(const AllocRequest &req, std::uint64_t n, Pfn *out)
-    {
-        ctg_assert(req.order == 0);
-        AllocRequest page = req;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            page.owner = req.owner + i;
-            if ((out[i] = alloc(page)) == invalidPfn)
-                return i;
-        }
-        return n;
-    }
-
     /** Free the order-0 pages [lo, lo + n), exactly as free(lo),
-     * ..., free(lo + n - 1) would. Default: that loop. */
-    virtual void
-    freeRun(Pfn lo, std::uint64_t n)
-    {
-        for (Pfn pfn = lo; pfn < lo + n; ++pfn)
-            free(pfn);
-    }
+     * ..., free(lo + n - 1) would. */
+    virtual void freeRun(Pfn lo, std::uint64_t n) = 0;
 
     /** Allocate a 1 GB gigantic movable block (HugeTLB path). */
     virtual Pfn allocGigantic(AllocSource src, std::uint64_t owner) = 0;

@@ -43,14 +43,6 @@ VanillaPolicy::free(Pfn head)
     allocator_.freePages(head);
 }
 
-std::uint64_t
-VanillaPolicy::allocRun(const AllocRequest &req, std::uint64_t n,
-                        Pfn *out)
-{
-    ctg_assert(req.order == 0);
-    return allocator_.allocRun(n, req.mt, req.source, req.owner, out);
-}
-
 void
 VanillaPolicy::freeRun(Pfn lo, std::uint64_t n)
 {

@@ -41,7 +41,7 @@ class CheckPerfDrop(unittest.TestCase):
     def tearDown(self):
         self.dir.cleanup()
 
-    def run_tool(self, ops, correct=True, workload="fleet_scale"):
+    def run_tool(self, ops, correct=True):
         result = os.path.join(self.dir.name, "run.json")
         with open(result, "w") as f:
             json.dump({"correct": correct, "attempted": 1, "failed": 0,
@@ -51,14 +51,14 @@ class CheckPerfDrop(unittest.TestCase):
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = check_perf_drop.main(
-                ["check_perf_drop.py", result, "--workload", workload,
+                ["check_perf_drop.py", result,
                  "--trajectory", self.trajectory])
         return code, out.getvalue()
 
     def test_uses_the_last_row_of_the_workload(self):
         with open(self.trajectory) as f:
             self.assertEqual(
-                check_perf_drop.last_change_median(f, "fleet_scale"),
+                check_perf_drop.last_change_median(f),
                 1000.0)
 
     def test_small_drop_is_quiet(self):
@@ -83,13 +83,17 @@ class CheckPerfDrop(unittest.TestCase):
         self.assertIn("not correct", out)
 
     def test_missing_workload_row_fails(self):
-        code, _ = self.run_tool(1000.0, workload="server_fine")
+        self.assertIsNone(check_perf_drop.last_change_median(
+            [row(27, "hw_serve", 9e5), row(27, "server_fine", 40.0)]))
+        with open(self.trajectory, "w") as f:
+            f.write(row(27, "hw_serve", 9e5) + "\n")
+        code, _ = self.run_tool(1000.0)
         self.assertEqual(code, 1)
 
     def test_threshold_boundary(self):
-        drop, _ = check_perf_drop.compare(850.0, 1000.0, 0.15)
+        drop, _ = check_perf_drop.compare(850.0, 1000.0)
         self.assertFalse(drop)
-        drop, _ = check_perf_drop.compare(849.0, 1000.0, 0.15)
+        drop, _ = check_perf_drop.compare(849.0, 1000.0)
         self.assertTrue(drop)
 
 
