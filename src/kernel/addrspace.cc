@@ -300,15 +300,20 @@ AddressSpace::touchRange(Addr addr, std::uint64_t bytes)
             backed += pagesPerHuge;
             vpn += pagesPerHuge;
         } else if (PageTables::Table *table = backChunk(vpn, 0)) {
-            // With the leaf table in place, the rest of its hole run
-            // is one allocation run (no vpn past the first in a 2 MB
-            // range is huge-aligned).
+            // With the leaf table in place, each hole run left in its
+            // 2 MB range is one allocation run (no vpn past the first
+            // in the range is huge-aligned). A page that fails stays
+            // a hole behind the scan, as the page loop's ++vpn leaves
+            // it.
             const Vpn stop =
                 std::min(end, (vpn | (pagesPerHuge - 1)) + 1);
-            const Vpn run_end =
-                PageTables::holeEnd(*table, vpn + 1, stop);
-            backed += 1 + backRun(*table, vpn + 1, run_end);
-            vpn = run_end;
+            ++backed;
+            for (Vpn lo = vpn + 1; lo < stop;) {
+                const Vpn run_end = PageTables::holeEnd(*table, lo, stop);
+                backed += backRun(*table, lo, run_end);
+                lo = PageTables::holeStart(*table, run_end, stop);
+            }
+            vpn = stop;
         } else {
             ++vpn;
         }

@@ -13,6 +13,19 @@
 namespace ctg
 {
 
+namespace
+{
+
+/** Background compaction (kcompactd) migrations per second. */
+constexpr double kcompactdBudgetPerSec = 4096;
+/** Low watermark as a fraction of total pages; direct reclaim kicks
+ * in below it. */
+constexpr double lowWatermarkFrac = 0.02;
+/** Direct-reclaim stall charged per failed allocation (us). */
+constexpr double reclaimStallUs = 1500.0;
+
+} // namespace
+
 Kernel::PolicyFactory
 Kernel::vanillaPolicy()
 {
@@ -28,8 +41,7 @@ Kernel::Kernel(const KernelConfig &config, const PolicyFactory &factory)
     policy_ = factory(*this);
     ctg_assert(policy_ != nullptr);
     lowWatermark_ = static_cast<std::uint64_t>(
-        config_.lowWatermarkFrac *
-        static_cast<double>(mem_->numFrames()));
+        lowWatermarkFrac * static_cast<double>(mem_->numFrames()));
     bootAllocations();
 }
 
@@ -50,8 +62,7 @@ Kernel::Kernel(const KernelConfig &config,
     policy_ = factory(*this);
     ctg_assert(policy_ != nullptr);
     lowWatermark_ = static_cast<std::uint64_t>(
-        config_.lowWatermarkFrac *
-        static_cast<double>(mem_->numFrames()));
+        lowWatermarkFrac * static_cast<double>(mem_->numFrames()));
 
     const std::uint64_t clientCount = in.getU64();
     if (clientCount >= 0x10000)
@@ -187,25 +198,19 @@ Kernel::advanceSeconds(double dt)
 
     // kcompactd: proactive background compaction of the movable
     // space, paced by wall-clock time.
-    if (config_.kcompactdBudgetPerSec > 0) {
-        kcompactdCarry_ +=
-            dt * static_cast<double>(config_.kcompactdBudgetPerSec);
-        if (kcompactdCarry_ >= 1.0) {
-            const auto budget =
-                static_cast<std::uint64_t>(kcompactdCarry_);
-            kcompactdCarry_ -= static_cast<double>(budget);
-            CTG_SPAN(Compaction, "kernel.kcompactd",
-                     {{"budget",
-                       static_cast<std::int64_t>(budget)}});
-            BuddyAllocator &movable = policy_->movableAllocator();
-            const CompactionResult r =
-                compactRange(movable, owners_, movable.startPfn(),
-                             movable.endPfn(), budget);
-            counters_.compactMigrated += r.migrated;
-            counters_.compactFailedNoMem += r.failedNoMem;
-            counters_.compactSkippedUnmovable += r.skippedUnmovable;
-            ++counters_.kcompactdRuns;
-        }
+    kcompactdCarry_ += dt * kcompactdBudgetPerSec;
+    if (kcompactdCarry_ >= 1.0) {
+        const auto budget = static_cast<std::uint64_t>(kcompactdCarry_);
+        kcompactdCarry_ -= static_cast<double>(budget);
+        CTG_SPAN(Compaction, "kernel.kcompactd",
+                 {{"budget", static_cast<std::int64_t>(budget)}});
+        BuddyAllocator &movable = policy_->movableAllocator();
+        const CompactionResult r = compactRange(
+            movable, owners_, movable.startPfn(), movable.endPfn(), budget);
+        counters_.compactMigrated += r.migrated;
+        counters_.compactFailedNoMem += r.failedNoMem;
+        counters_.compactSkippedUnmovable += r.skippedUnmovable;
+        ++counters_.kcompactdRuns;
     }
 }
 
@@ -250,7 +255,7 @@ Kernel::allocSlow(const AllocRequest &req)
                      req.mt == MigrateType::Movable ? 1 : 0}});
     Psi &psi = req.mt == MigrateType::Movable ? psiMovable_
                                               : psiUnmovable_;
-    psi.recordStall(config_.reclaimStallUs);
+    psi.recordStall(reclaimStallUs);
     ++counters_.allocRetries;
     ++counters_.directReclaims;
     const std::uint64_t want = (Pfn{1} << req.order) * 4;
@@ -269,7 +274,7 @@ Kernel::allocSlow(const AllocRequest &req)
         (req.order < hugeOrder || config_.thpDirectCompact);
     if (may_compact) {
         ++counters_.directCompactions;
-        psi.recordStall(config_.reclaimStallUs);
+        psi.recordStall(reclaimStallUs);
         compact(req.order);
         head = policy_->alloc(req);
         if (head != invalidPfn) {
@@ -278,7 +283,7 @@ Kernel::allocSlow(const AllocRequest &req)
         }
     }
 
-    psi.recordStall(config_.reclaimStallUs);
+    psi.recordStall(reclaimStallUs);
     ++counters_.allocFailures;
     span.arg("failed", 1);
     return invalidPfn;
@@ -315,7 +320,7 @@ Kernel::allocGigantic(std::uint64_t owner)
     // candidate window; on Contiguitas the movable region is clean
     // by construction.
     CTG_SPAN(Kernel, "kernel.alloc_gigantic_slow");
-    psiMovable_.recordStall(config_.reclaimStallUs * 4);
+    psiMovable_.recordStall(reclaimStallUs * 4);
     ++counters_.directReclaims;
     counters_.reclaimedPages +=
         reclaim(pagesPerGiga + pagesPerGiga / 4);

@@ -38,16 +38,8 @@ struct KernelConfig
      * later — Linux's defer mode and Meta's production setting) vs
      * direct compaction on the fault path. */
     bool thpDirectCompact = false;
-    /** Background compaction (kcompactd) migrations per second;
-     * 0 disables. */
-    std::uint64_t kcompactdBudgetPerSec = 4096;
-    /** Low watermark as a fraction of total pages; direct reclaim
-     * kicks in below it. */
-    double lowWatermarkFrac = 0.02;
     /** Kernel text + immortal boot allocations. */
     std::uint64_t kernelTextBytes = std::uint64_t{48} << 20;
-    /** Direct-reclaim stall charged per failed allocation (us). */
-    double reclaimStallUs = 1500.0;
     std::uint64_t seed = 0xc0ffee;
 };
 

@@ -174,7 +174,6 @@ PageTables::allocTable(unsigned level)
 void
 PageTables::freeTable(std::unique_ptr<Table> table)
 {
-    pteCache_ = nullptr;
     table->forEach([this](unsigned, Word word) {
         if (!Table::isLeaf(word))
             freeTable(std::unique_ptr<Table>(Table::asTable(word)));
@@ -195,29 +194,21 @@ PageTables::map(Vpn vpn, Pfn pfn, unsigned order, std::uint32_t tag)
     checkTag(tag);
     const Word leaf = Table::leafWord(pfn, tag);
 
-    Table *table = leaf_level == 1 ? cachedPte(vpn) : nullptr;
-    if (table == nullptr) {
-        table = root_.get();
-        for (unsigned level = levels; level > leaf_level; --level) {
-            const unsigned idx = indexAt(vpn, level);
-            Word word = table->get(idx);
-            if (Table::isLeaf(word))
-                panic("mapping conflict: leaf already present at "
-                      "level %u",
-                      level);
-            if (word == 0) {
-                std::unique_ptr<Table> child = allocTable(level - 1);
-                if (!child)
-                    return nullptr;
-                word = Table::tableWord(child.release());
-                table->insert(idx, word, level);
-            }
-            table = Table::asTable(word);
+    Table *table = root_.get();
+    for (unsigned level = levels; level > leaf_level; --level) {
+        const unsigned idx = indexAt(vpn, level);
+        Word word = table->get(idx);
+        if (Table::isLeaf(word))
+            panic("mapping conflict: leaf already present at level %u",
+                  level);
+        if (word == 0) {
+            std::unique_ptr<Table> child = allocTable(level - 1);
+            if (!child)
+                return nullptr;
+            word = Table::tableWord(child.release());
+            table->insert(idx, word, level);
         }
-        if (leaf_level == 1) {
-            pteCache_ = table;
-            pteCacheRange_ = vpn >> bitsPerLevel;
-        }
+        table = Table::asTable(word);
     }
 
     const unsigned idx = indexAt(vpn, leaf_level);
@@ -258,15 +249,8 @@ PageTables::unmap(Vpn vpn)
 PageTables::Word *
 PageTables::leafSlot(Vpn vpn, Table **holder)
 {
-    // A PMD slot holding the cached table holds no leaf, so the leaf
-    // covering vpn, if any, is in that table.
-    Table *table = cachedPte(vpn);
-    unsigned level = 1;
-    if (table == nullptr) {
-        table = root_.get();
-        level = levels;
-    }
-    for (;; --level) {
+    Table *table = root_.get();
+    for (unsigned level = levels;; --level) {
         Word *slot = table->find(indexAt(vpn, level));
         if (slot == nullptr || Table::isLeaf(*slot)) {
             if (holder != nullptr)
@@ -350,6 +334,18 @@ PageTables::holeEnd(const Table &table, Vpn from, Vpn end)
     return vpn;
 }
 
+Vpn
+PageTables::holeStart(const Table &table, Vpn from, Vpn end)
+{
+    ctg_assert(table.level == 1);
+    ctg_assert(from <= end);
+    if (from == end)
+        return end;
+    ctg_assert((end - 1) >> bitsPerLevel == from >> bitsPerLevel);
+    return holeIn(table, 1, from >> bitsPerLevel << bitsPerLevel, from,
+                  end);
+}
+
 Translation
 PageTables::translate(Vpn vpn) const
 {
@@ -368,17 +364,7 @@ PageTables::translate(Vpn vpn) const
 Vpn
 PageTables::nextHole(Vpn from, Vpn end) const
 {
-    if (from >= end)
-        return end;
-    if (const Table *pte = cachedPte(from)) {
-        const Vpn base = from >> bitsPerLevel << bitsPerLevel;
-        const Vpn stop = std::min(end, base + entriesPerTable);
-        const Vpn hole = holeIn(*pte, 1, base, from, stop);
-        if (hole < stop || stop == end)
-            return hole;
-        from = stop;
-    }
-    return holeIn(*root_, levels, 0, from, end);
+    return from < end ? holeIn(*root_, levels, 0, from, end) : end;
 }
 
 Vpn

@@ -25,16 +25,14 @@
  * tables alive (every heap segment maps its own gigabyte) and dense
  * arrays there cost host RSS.
  *
- * Faulting a range in maps 4 KB pages one after another, so the
- * tables remember the PTE table that the last order-0 map reached
- * and its 2 MB range. Order-0 map, nextHole, repoint and setTag
- * start there, not at the root, when their vpn falls in that range.
- * The cached table stays in the tree while it lives: an emptied
- * table only drops its storage, and freeTable, the one place a
- * Table object goes away, clears the cache. For the same reason a
- * leaf's table outlives the leaf, so map returns it as a handle
- * that setTag takes back to retag the leaf without a descent; the
- * table knows its level, so the handle also gives the leaf's order.
+ * A leaf's table outlives the leaf: an emptied table only drops its
+ * storage, and freeTable, the one place a Table object goes away,
+ * runs at teardown or when map retires an empty PTE table under a
+ * 2 MB leaf. So map returns the table as a handle. setTag takes it
+ * back to retag the leaf without a descent, and mapRun, holeEnd and
+ * holeStart take it to fill a 2 MB range's holes; the table knows
+ * its level, so the handle also gives the leaf's order. Every other
+ * operation descends from the root.
  */
 
 #ifndef CTG_KERNEL_PAGETABLE_HH
@@ -65,7 +63,6 @@ struct Translation
     bool valid = false;
     Pfn pfn = invalidPfn;   //!< head frame of the leaf mapping
     unsigned order = 0;     //!< 0 (4K), 9 (2M) or 18 (1G)
-    unsigned level = 0;     //!< radix level of the leaf (1=PTE..3=PUD)
     std::uint32_t tag = 0;  //!< the leaf's software field
 };
 
@@ -144,6 +141,10 @@ class PageTables
     /** First vpn in [from, end) that the PTE table table maps, or
      * end; [from, end) lies in the table's 2 MB range. */
     static Vpn holeEnd(const Table &table, Vpn from, Vpn end);
+
+    /** First vpn in [from, end) that the PTE table table does not
+     * map, or end; [from, end) lies in the table's 2 MB range. */
+    static Vpn holeStart(const Table &table, Vpn from, Vpn end);
 
     /** Look up the leaf covering vpn. */
     Translation translate(Vpn vpn) const;
@@ -258,15 +259,6 @@ class PageTables
     /** The PTE table of the 2 MB range holding vpn, or nullptr. */
     const Table *pteTable(Vpn vpn) const;
 
-    /** The cached PTE table if vpn falls in its 2 MB range, else
-     * nullptr. */
-    Table *
-    cachedPte(Vpn vpn) const
-    {
-        return (vpn >> bitsPerLevel) == pteCacheRange_ ? pteCache_
-                                                       : nullptr;
-    }
-
     /** The word of the leaf covering vpn, or nullptr; *holder, if
      * given, is set to the table holding it. */
     Word *leafSlot(Vpn vpn, Table **holder = nullptr);
@@ -283,10 +275,6 @@ class PageTables
     std::unique_ptr<Table> root_;
     std::uint64_t tablePages_ = 0;
     std::uint64_t mappings_ = 0;
-    /** The PTE table the last order-0 map reached, and vpn >> 9 of
-     * its 2 MB range; see the file comment. */
-    Table *pteCache_ = nullptr;
-    Vpn pteCacheRange_ = 0;
 };
 
 /**
@@ -468,7 +456,6 @@ PageTables::leafTranslation(Word word, unsigned level, Vpn vpn)
     Translation tr;
     tr.valid = true;
     tr.order = leafOrderAt(level);
-    tr.level = level;
     tr.pfn = Table::leafPfn(word) + (vpn & ((Vpn{1} << tr.order) - 1));
     tr.tag = Table::leafTag(word);
     return tr;

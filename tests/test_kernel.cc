@@ -547,7 +547,6 @@ expectSameTranslation(const Translation &got, const Translation &want)
     EXPECT_EQ(got.valid, want.valid);
     EXPECT_EQ(got.pfn, want.pfn);
     EXPECT_EQ(got.order, want.order);
-    EXPECT_EQ(got.level, want.level);
 }
 
 /**
@@ -660,7 +659,6 @@ class PageTableModel
         if (const auto *hit = covering(vpn)) {
             tr.valid = true;
             tr.order = hit->second.order;
-            tr.level = levelOf(tr.order);
             tr.pfn = hit->second.pfn + (vpn - hit->first);
         }
         return tr;
@@ -727,7 +725,6 @@ class PageTableModel
         ASSERT_EQ(tr.valid, hit != nullptr) << "vpn " << vpn;
         if (hit != nullptr) {
             EXPECT_EQ(tr.order, hit->second.order);
-            EXPECT_EQ(tr.level, levelOf(hit->second.order));
             EXPECT_EQ(tr.pfn, hit->second.pfn + (vpn - hit->first));
         }
 
@@ -735,7 +732,6 @@ class PageTableModel
         EXPECT_EQ(walk.leaf.valid, tr.valid) << "vpn " << vpn;
         EXPECT_EQ(walk.leaf.pfn, tr.pfn) << "vpn " << vpn;
         EXPECT_EQ(walk.leaf.order, tr.order) << "vpn " << vpn;
-        EXPECT_EQ(walk.leaf.level, tr.level) << "vpn " << vpn;
         EXPECT_EQ(walk.leaf.tag, tr.tag) << "vpn " << vpn;
         const unsigned depth = walk.depth;
         const auto &addrs = walk.addrs;
@@ -1032,7 +1028,7 @@ TEST(PageTablesProperty, RangeQueriesMatchOracle)
     EXPECT_GT(model.retires(), 0u);
 }
 
-TEST(PageTablesProperty, PteCacheFollowsRetiredTables)
+TEST(PageTablesProperty, RetiredPteTablesServeNoLaterMapOrHole)
 {
     Kernel kernel(smallConfig());
     PageTables tables(kernel);
@@ -1040,8 +1036,7 @@ TEST(PageTablesProperty, PteCacheFollowsRetiredTables)
     std::map<Vpn, std::uint32_t> tags; // leaf head -> tag
     Rng rng(17);
     std::uint32_t next_tag = 0;
-    // The range the last order-0 map reached: its PTE table is the
-    // cached one.
+    // The range the last order-0 map reached.
     Vpn last_4k_range = ~Vpn{0};
     auto map4k = [&](Vpn vpn) {
         if (!model.canMap(vpn, 0))
@@ -1054,10 +1049,12 @@ TEST(PageTablesProperty, PteCacheFollowsRetiredTables)
     };
 
     // Four 2 MB ranges in one PMD table and one in another PUD slot;
-    // most ops stay in the range of the op before, so a range's
-    // table is filled, emptied and retired while it is cached.
+    // most ops stay in the range of the op before, so a range's PTE
+    // table is filled, emptied and retired under a 2 MB leaf right
+    // after order-0 maps reached it. A later map or nextHole that
+    // reached a retired table would read freed memory (ASan).
     Vpn head = 0;
-    unsigned cached_retired = 0, huge_unmapped = 0;
+    unsigned hot_retired = 0, huge_unmapped = 0;
     for (int op = 0; op < 4000; ++op) {
         if (rng.chance(0.3)) {
             const Vpn r = rng.below(5);
@@ -1065,7 +1062,7 @@ TEST(PageTablesProperty, PteCacheFollowsRetiredTables)
         }
         const std::uint64_t kind = rng.below(10);
         if (kind < 4) {
-            // A run of order-0 maps: the cached descent.
+            // A run of order-0 maps in one PTE table.
             const Vpn first = head + rng.below(pagesPerHuge);
             const Vpn last = std::min(head + pagesPerHuge,
                                       first + 1 + rng.below(64));
@@ -1089,10 +1086,10 @@ TEST(PageTablesProperty, PteCacheFollowsRetiredTables)
             EXPECT_EQ(seen, want.size());
         } else if (kind < 8) {
             // A 2 MB leaf retires the range's empty PTE table through
-            // freeTable, which must drop the cache.
+            // freeTable.
             if (model.canMap(head, hugeOrder)) {
-                cached_retired += model.pteEntries(head) == 0 &&
-                                  last_4k_range == head >> hugeOrder;
+                hot_retired += model.pteEntries(head) == 0 &&
+                               last_4k_range == head >> hugeOrder;
                 const Pfn pfn = rng.below(Pfn{1} << (32 - hugeOrder))
                                 << hugeOrder;
                 ASSERT_TRUE(tables.map(head, pfn, hugeOrder, next_tag));
@@ -1113,8 +1110,8 @@ TEST(PageTablesProperty, PteCacheFollowsRetiredTables)
             }
         }
 
-        // The cache's readers in the same range: nextHole, then an
-        // order-0 map at the hole it finds.
+        // A retired table must not serve nextHole, nor the order-0
+        // map at the hole it finds.
         const Vpn from = head + rng.below(pagesPerHuge);
         const Vpn end = rng.chance(0.8)
                             ? head + pagesPerHuge
@@ -1135,7 +1132,7 @@ TEST(PageTablesProperty, PteCacheFollowsRetiredTables)
         if (HasFailure())
             FAIL() << "diverged at op " << op;
     }
-    EXPECT_GT(cached_retired, 20u);
+    EXPECT_GT(hot_retired, 20u);
     EXPECT_GT(huge_unmapped, 20u);
 }
 
@@ -1509,6 +1506,80 @@ expectSameState(const Kernel &kernel, const AddressSpace &space,
         << "op " << op;
 }
 
+/**
+ * Coverage of touchRange's loop over one PTE table: once backChunk
+ * maps a page of a 2 MB range, the range's later hole runs are
+ * filled through the table handle. Call holesBefore before a touch
+ * and count after it.
+ */
+struct TableLoopCoverage
+{
+    /** 2 MB ranges where a touch filled two or more hole runs. */
+    std::uint64_t multiRunRanges = 0;
+    /** Runs past a range's first one that kept a failed page. */
+    std::uint64_t failedRuns = 0;
+
+    /** The hole runs [lo, hi) that touchRange(addr, bytes) would
+     * fill, cut at 2 MB range ends. */
+    static std::vector<std::pair<Vpn, Vpn>>
+    holesBefore(const AddressSpace &space, Addr addr,
+                std::uint64_t bytes)
+    {
+        const PageTables &tables = space.pageTables();
+        const Vpn end = addrToPfn(addr + bytes - 1) + 1;
+        std::vector<std::pair<Vpn, Vpn>> runs;
+        for (Vpn lo = tables.nextHole(addrToPfn(addr), end); lo < end;) {
+            const Vpn stop = std::min(end, (lo | (pagesPerHuge - 1)) + 1);
+            Vpn hi = lo + 1;
+            while (hi < stop && !tables.translate(hi).valid)
+                ++hi;
+            runs.emplace_back(lo, hi);
+            lo = tables.nextHole(hi, end);
+        }
+        return runs;
+    }
+
+    void
+    count(const AddressSpace &space,
+          const std::vector<std::pair<Vpn, Vpn>> &runs)
+    {
+        const PageTables &tables = space.pageTables();
+        auto mapped4k = [&](Vpn vpn) {
+            const Translation tr = tables.translate(vpn);
+            return tr.valid && tr.order == 0;
+        };
+        for (std::size_t i = 0; i < runs.size();) {
+            const Vpn range = runs[i].first >> hugeOrder;
+            std::size_t j = i;
+            while (j < runs.size() && runs[j].first >> hugeOrder == range)
+                ++j;
+            // The first run with a page mapped now holds the page
+            // backChunk mapped; the runs after it took the handle.
+            std::size_t first = i;
+            while (first < j) {
+                const auto [lo, hi] = runs[first];
+                bool any = false;
+                for (Vpn vpn = lo; vpn < hi && !any; ++vpn)
+                    any = mapped4k(vpn);
+                if (any)
+                    break;
+                ++first;
+            }
+            if (j - first >= 2) {
+                ++multiRunRanges;
+                for (std::size_t k = first + 1; k < j; ++k) {
+                    bool failed = false;
+                    for (Vpn vpn = runs[k].first;
+                         vpn < runs[k].second && !failed; ++vpn)
+                        failed = !mapped4k(vpn);
+                    failedRuns += failed;
+                }
+            }
+            i = j;
+        }
+    }
+};
+
 /** Drive AddressSpace (touchRange, munmap, promoteHugeRanges and the
  * destructor through allocation and free runs) and
  * LegacyAddressSpace (one page at a time), each in its own kernel,
@@ -1538,6 +1609,7 @@ runAddressSpaceOracle(const Kernel::PolicyFactory &factory,
     std::vector<Mapped> regions;
     std::vector<Pfn> pins;
     std::uint64_t promoted = 0, moved = 0, most4k = 0, most2m = 0;
+    TableLoopCoverage coverage;
     for (int op = 0; op < 600; ++op) {
         const std::uint64_t kind = rng.below(100);
         if (regions.empty() || (kind < 6 && regions.size() < 3)) {
@@ -1557,8 +1629,11 @@ runAddressSpaceOracle(const Kernel::PolicyFactory &factory,
                                                     3, pages - first)
                                               : pages - first);
             const Addr addr = r.base + first * pageBytes;
+            const auto holes = TableLoopCoverage::holesBefore(
+                space, addr, len * pageBytes);
             EXPECT_EQ(space.touchRange(addr, len * pageBytes),
                       legacy.touchRange(addr, len * pageBytes));
+            coverage.count(space, holes);
         } else if (kind < 52) {
             const std::uint64_t pages = 1 + rng.below(700);
             Rng a(op), b(op);
@@ -1631,6 +1706,7 @@ runAddressSpaceOracle(const Kernel::PolicyFactory &factory,
     EXPECT_GT(moved, 0u);
     EXPECT_GT(most4k, pagesPerHuge);
     EXPECT_GT(most2m, 0u);
+    EXPECT_GT(coverage.multiRunRanges, 0u);
     // The runs took fewer index marks than the page loop.
     EXPECT_LT(kernel.mem().contigIndex().resyncCalls(),
               legacy_kernel.mem().contigIndex().resyncCalls());
@@ -1648,10 +1724,13 @@ runAddressSpaceOracle(const Kernel::PolicyFactory &factory,
 /** touchRange through runs under an armed fault site: both sides
  * see the same per-site evaluation and fire counts, kernel counters
  * and buddy state as the page loop. Memory runs out midway, so
- * pages fail in the middle of runs and take the slow path. */
+ * pages fail in the middle of runs and take the slow path. Adds to
+ * failed_runs the hole runs filled through a table handle that kept
+ * a failed page (TableLoopCoverage::failedRuns). */
 void
 runFaultOracle(const Kernel::PolicyFactory &factory, FaultSite site,
-               FaultSpec spec, std::uint64_t seed)
+               FaultSpec spec, std::uint64_t seed,
+               std::uint64_t &failed_runs)
 {
     KernelConfig config = smallConfig();
     config.memBytes = 32_MiB;
@@ -1666,6 +1745,7 @@ runFaultOracle(const Kernel::PolicyFactory &factory, FaultSite site,
     Rng rng(seed);
     std::vector<std::pair<Addr, std::uint64_t>> regions;
     std::uint64_t failures = 0;
+    TableLoopCoverage coverage;
     for (int op = 0; op < 60; ++op) {
         const std::uint64_t kind = rng.below(10);
         if (regions.empty() || kind < 2) {
@@ -1681,11 +1761,14 @@ runFaultOracle(const Kernel::PolicyFactory &factory, FaultSite site,
                 rng.chance(0.5) ? 0 : rng.below(pages);
             const std::uint64_t len = 1 + rng.below(pages - first);
             const Addr addr = base + first * pageBytes;
+            const auto holes = TableLoopCoverage::holesBefore(
+                space, addr, len * pageBytes);
             std::uint64_t got = 0;
             {
                 const FaultInjectorScope scope(faults);
                 got = space.touchRange(addr, len * pageBytes);
             }
+            coverage.count(space, holes);
             const FaultInjectorScope scope(legacy_faults);
             EXPECT_EQ(legacy.touchRange(addr, len * pageBytes), got);
         } else if (kind < 9) {
@@ -1715,6 +1798,8 @@ runFaultOracle(const Kernel::PolicyFactory &factory, FaultSite site,
     }
     EXPECT_GT(faults.siteStats(site).fires, 10u);
     EXPECT_GT(failures, 0u);
+    EXPECT_GT(coverage.multiRunRanges, 0u);
+    failed_runs += coverage.failedRuns;
 }
 
 TEST(AddressSpaceProperty, MatchesPerVpnOracleVanilla)
@@ -1729,19 +1814,24 @@ TEST(AddressSpaceProperty, MatchesPerVpnOracleContiguitas)
 
 TEST(AddressSpaceRuns, InjectedBuddyFailuresMatchPageLoop)
 {
+    std::uint64_t failed_runs = 0;
     runFaultOracle(Kernel::vanillaPolicy(), FaultSite::BuddyAllocFail,
-                   FaultSpec::chance(0.05), 31);
+                   FaultSpec::chance(0.05), 31, failed_runs);
     runFaultOracle(ContiguitasPolicy::factory(),
-                   FaultSite::BuddyAllocFail, FaultSpec::chance(0.05), 32);
+                   FaultSite::BuddyAllocFail, FaultSpec::chance(0.05), 32,
+                   failed_runs);
+    EXPECT_GT(failed_runs, 0u);
 }
 
 TEST(AddressSpaceRuns, InjectedReclaimFailuresMatchPageLoop)
 {
+    std::uint64_t failed_runs = 0;
     runFaultOracle(Kernel::vanillaPolicy(), FaultSite::KernelReclaimFail,
-                   FaultSpec::chance(0.5), 33);
+                   FaultSpec::chance(0.5), 33, failed_runs);
     runFaultOracle(ContiguitasPolicy::factory(),
-                   FaultSite::KernelReclaimFail, FaultSpec::chance(0.5),
-                   34);
+                   FaultSite::KernelReclaimFail, FaultSpec::chance(0.5), 34,
+                   failed_runs);
+    EXPECT_GT(failed_runs, 0u);
 }
 
 /** Checkpoint a kernel and one address space into one stream. */
